@@ -57,7 +57,8 @@ const Prepared& Prep() {
       p->patterns.push_back(algebra::GraphPattern::FromGraph(q));
       auto cand = match::RetrieveCandidates(p->patterns.back(), w.graph,
                                             &w.index, prep_opts);
-      match::RefineSearchSpace(p->patterns.back(), w.graph, 8, &cand);
+      match::RefineSearchSpace(p->patterns.back(), *w.graph.snapshot(), 8,
+                               &cand);
       p->spaces.push_back(std::move(cand));
     }
     return p;

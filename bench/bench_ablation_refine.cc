@@ -44,7 +44,8 @@ void BM_RefineLevelSweep(benchmark::State& state) {
     for (size_t i = 0; i < patterns.size(); ++i) {
       auto cand = spaces[i];
       match::RefineStats stats;
-      match::RefineSearchSpace(patterns[i], w.graph, level, &cand, &stats);
+      match::RefineSearchSpace(patterns[i], *w.graph.snapshot(), level, &cand,
+                               &stats);
       checks += stats.bipartite_checks;
       std::vector<size_t> sizes;
       for (const auto& c : cand) sizes.push_back(c.size());
@@ -81,8 +82,8 @@ void BM_RefineMarking(benchmark::State& state) {
     for (size_t i = 0; i < patterns.size(); ++i) {
       auto cand = spaces[i];
       match::RefineStats stats;
-      match::RefineSearchSpace(patterns[i], w.graph, /*level=*/4, &cand,
-                               &stats, use_marking);
+      match::RefineSearchSpace(patterns[i], *w.graph.snapshot(), /*level=*/4,
+                               &cand, &stats, use_marking);
       checks += stats.bipartite_checks;
     }
   }

@@ -76,7 +76,8 @@ void BM_Fig21a_Step(benchmark::State& state) {
   for (algebra::GraphPattern& p : patterns) {
     auto cand = match::RetrieveCandidates(p, w.graph, &w.index, options);
     profile_spaces.push_back(cand);
-    match::RefineSearchSpace(p, w.graph, static_cast<int>(size), &cand);
+    match::RefineSearchSpace(p, *w.graph.snapshot(),
+                             static_cast<int>(size), &cand);
     refined_spaces.push_back(std::move(cand));
   }
 
@@ -103,7 +104,8 @@ void BM_Fig21a_Step(benchmark::State& state) {
         }
         case kRefine: {
           auto cand = profile_spaces[i];
-          match::RefineSearchSpace(p, w.graph, static_cast<int>(size), &cand);
+          match::RefineSearchSpace(p, *w.graph.snapshot(),
+                                   static_cast<int>(size), &cand);
           benchmark::DoNotOptimize(cand);
           break;
         }

@@ -134,7 +134,8 @@ void BM_Fig22b_Steps(benchmark::State& state) {
   for (algebra::GraphPattern& p : patterns) {
     auto cand = match::RetrieveCandidates(p, w.graph, &w.index, prep);
     profile_spaces.push_back(cand);
-    match::RefineSearchSpace(p, w.graph, static_cast<int>(size), &cand);
+    match::RefineSearchSpace(p, *w.graph.snapshot(),
+                             static_cast<int>(size), &cand);
     refined_spaces.push_back(std::move(cand));
   }
   match::MatchOptions mopts;
@@ -160,7 +161,8 @@ void BM_Fig22b_Steps(benchmark::State& state) {
         }
         case kRefine: {
           auto cand = profile_spaces[i];
-          match::RefineSearchSpace(p, w.graph, static_cast<int>(size), &cand);
+          match::RefineSearchSpace(p, *w.graph.snapshot(),
+                                   static_cast<int>(size), &cand);
           benchmark::DoNotOptimize(cand);
           break;
         }

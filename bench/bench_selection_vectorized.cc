@@ -1,10 +1,12 @@
-// Selection-kernel ablation: candidate selection over the compiled
-// snapshot with the scalar per-candidate probes (the pre-vectorization
-// baseline), the column-at-a-time bitmap kernel, the compiled predicate
-// bytecode, and the automatic per-node choice. Measures both the isolated
-// retrieve stage (where the kernels differ) and the full MatchPattern
-// wall time, verifies every kernel produces bit-identical match lists,
-// and dumps machine-readable results for tools/summarize_bench.py.
+// Selection-kernel ablation over the compiled snapshot: the isolated
+// retrieve stage under the column-at-a-time bitmap kernel, the compiled
+// predicate bytecode, and the automatic per-node choice by base-list
+// density (RetrieveCandidates, what MatchPattern runs). The reference lane
+// ("ast") scans the same base lists with the AST feasible-mate test
+// GraphPattern::NodeCompatible; every lane must keep exactly its
+// candidates, or the bench exits 2. The full MatchPattern wall time is
+// reported once, for the end-to-end view, and the results are dumped for
+// tools/summarize_bench.py.
 //
 // The workload mixes label-only patterns (structural columns) with
 // attribute-predicate patterns inside and outside the bytecode ISA, so
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/packed_bits.h"
 #include "graph/snapshot.h"
 #include "match/pipeline.h"
 #include "match/vectorized.h"
@@ -35,9 +38,24 @@ namespace {
 
 constexpr size_t kMaxMatchesPerQuery = 100;
 
-constexpr match::SelectionKernel kKernels[] = {
-    match::SelectionKernel::kScalar, match::SelectionKernel::kBitmap,
-    match::SelectionKernel::kBytecode, match::SelectionKernel::kAuto};
+/// Isolated-selection lanes; the first is the reference.
+enum class Lane { kAst, kBitmap, kBytecode, kAuto };
+constexpr Lane kLanes[] = {Lane::kAst, Lane::kBitmap, Lane::kBytecode,
+                           Lane::kAuto};
+
+const char* LaneName(Lane lane) {
+  switch (lane) {
+    case Lane::kAst:
+      return "ast";
+    case Lane::kBitmap:
+      return match::SelectionKernelName(match::SelectionKernel::kBitmap);
+    case Lane::kBytecode:
+      return match::SelectionKernelName(match::SelectionKernel::kBytecode);
+    case Lane::kAuto:
+      return "auto";
+  }
+  return "?";
+}
 
 Graph MakeData(bool quick) {
   Rng rng(20080610);
@@ -87,75 +105,79 @@ std::vector<algebra::GraphPattern> MakeQueries() {
   return out;
 }
 
-std::string Signature(const std::vector<algebra::MatchedGraph>& matches) {
-  std::string sig;
-  for (const algebra::MatchedGraph& m : matches) {
-    for (NodeId v : m.node_mapping) sig += std::to_string(v) + ",";
-    for (EdgeId e : m.edge_mapping) sig += std::to_string(e) + ";";
-    sig += "|";
+/// The base list retrieval scans for pattern node u (no attribute index
+/// in this workload): the label list, or every node for wildcards.
+const std::vector<NodeId>& BaseList(const algebra::GraphPattern& p, NodeId u,
+                                    const match::LabelIndex& index,
+                                    const std::vector<NodeId>& all_nodes) {
+  std::string_view label = p.graph().Label(u);
+  return label.empty() ? all_nodes : index.NodesWithLabel(label);
+}
+
+/// Label-only candidate lists of one query under one lane.
+std::vector<std::vector<NodeId>> Select(
+    Lane lane, const algebra::GraphPattern& p, const Graph& data,
+    const GraphSnapshot& snap, const match::LabelIndex& index,
+    const std::vector<NodeId>& all_nodes) {
+  if (lane == Lane::kAuto) {
+    match::PipelineOptions o;
+    o.candidate_mode = match::CandidateMode::kLabelOnly;
+    o.metrics = nullptr;
+    return match::RetrieveCandidates(p, data, &index, o);
   }
-  return sig;
+  const size_t k = p.graph().NumNodes();
+  std::vector<std::vector<NodeId>> out(k);
+  if (lane == Lane::kAst) {
+    for (size_t u = 0; u < k; ++u) {
+      NodeId pu = static_cast<NodeId>(u);
+      for (NodeId v : BaseList(p, pu, index, all_nodes)) {
+        if (p.NodeCompatible(pu, data, v)) out[u].push_back(v);
+      }
+    }
+    return out;
+  }
+  match::SelectionPlan plan(p, snap, nullptr);
+  algebra::PatternScratch scratch;
+  PackedBits bits(2, snap.num_nodes());
+  const match::SelectionKernel kernel = lane == Lane::kBitmap
+                                            ? match::SelectionKernel::kBitmap
+                                            : match::SelectionKernel::kBytecode;
+  for (size_t u = 0; u < k; ++u) {
+    NodeId pu = static_cast<NodeId>(u);
+    match::ScanBaseList(plan, pu, data, BaseList(p, pu, index, all_nodes),
+                        kernel, &scratch, &bits, &out[u]);
+  }
+  return out;
 }
 
 struct LaneResult {
   double retrieve_ms = -1;  ///< Best-of-reps, isolated retrieve stage.
-  double match_ms = -1;     ///< Best-of-reps, full MatchPattern.
-  size_t matches = 0;
-  size_t candidates = 0;  ///< Sum of retrieved candidate-set sizes.
-  std::vector<std::string> sigs;
+  size_t candidates = 0;    ///< Sum of retrieved candidate-set sizes.
+  std::vector<std::vector<std::vector<NodeId>>> lists;  ///< Per query.
 };
 
-LaneResult RunLane(const Graph& data, const match::LabelIndex& index,
-                   const GraphSnapshot* snap,
+LaneResult RunLane(Lane lane, const Graph& data, const GraphSnapshot& snap,
+                   const match::LabelIndex& index,
                    const std::vector<algebra::GraphPattern>& queries,
-                   match::SelectionKernel kernel, int reps) {
+                   int reps) {
+  std::vector<NodeId> all_nodes(data.NumNodes());
+  for (size_t v = 0; v < all_nodes.size(); ++v) {
+    all_nodes[v] = static_cast<NodeId>(v);
+  }
   LaneResult r;
   for (int rep = 0; rep < reps; ++rep) {
-    match::PipelineOptions o;
-    o.selection = kernel;
-    o.candidate_mode = match::CandidateMode::kProfile;
-    o.match.max_matches = kMaxMatchesPerQuery;
-    o.metrics = nullptr;
-
-    // Isolated selection stage (label/tag/attribute predicates — exactly
-    // what the kernels vectorize): retrieve in kLabelOnly mode, so the
-    // kernel-independent profile pruning does not dilute the ratio.
-    match::PipelineOptions sel = o;
-    sel.candidate_mode = match::CandidateMode::kLabelOnly;
+    std::vector<std::vector<std::vector<NodeId>>> lists;
     auto t0 = std::chrono::steady_clock::now();
-    size_t candidates = 0;
     for (const algebra::GraphPattern& p : queries) {
-      auto cand =
-          match::RetrieveCandidates(p, data, &index, sel, nullptr, snap);
-      for (const auto& c : cand) candidates += c.size();
+      lists.push_back(Select(lane, p, data, snap, index, all_nodes));
     }
     auto t1 = std::chrono::steady_clock::now();
-    double retrieve_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r.retrieve_ms < 0 || retrieve_ms < r.retrieve_ms) {
-      r.retrieve_ms = retrieve_ms;
-    }
-    r.candidates = candidates;
-
-    // Full pipeline, for the end-to-end view.
-    size_t matches = 0;
-    std::vector<std::string> sigs;
-    auto t2 = std::chrono::steady_clock::now();
-    for (const algebra::GraphPattern& p : queries) {
-      auto m = match::MatchPattern(p, data, &index, o);
-      if (m.ok()) {
-        matches += m->size();
-        sigs.push_back(Signature(*m));
-      } else {
-        sigs.push_back("error:" + m.status().ToString());
-      }
-    }
-    auto t3 = std::chrono::steady_clock::now();
-    double match_ms =
-        std::chrono::duration<double, std::milli>(t3 - t2).count();
-    if (r.match_ms < 0 || match_ms < r.match_ms) r.match_ms = match_ms;
-    r.matches = matches;
-    if (rep == 0) r.sigs = std::move(sigs);
+    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (r.retrieve_ms < 0 || ms < r.retrieve_ms) r.retrieve_ms = ms;
+    r.lists = std::move(lists);
+  }
+  for (const auto& query : r.lists) {
+    for (const auto& c : query) r.candidates += c.size();
   }
   return r;
 }
@@ -177,33 +199,53 @@ int Main(int argc, char** argv) {
   Graph data = MakeData(quick);
   match::LabelIndex index = match::LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> queries = MakeQueries();
-  // Warm the snapshot outside the timed region — every lane (including
-  // scalar) runs over it; the kernels are the only variable.
+  // Warm the snapshot outside the timed region — every lane runs over it;
+  // the kernels are the only variable.
   std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
 
   std::vector<LaneResult> lanes;
-  for (match::SelectionKernel kernel : kKernels) {
-    lanes.push_back(RunLane(data, index, snap.get(), queries, kernel, reps));
+  for (Lane lane : kLanes) {
+    lanes.push_back(RunLane(lane, data, *snap, index, queries, reps));
   }
-
   bool identical = true;
   for (const LaneResult& lane : lanes) {
-    identical = identical && lane.sigs == lanes[0].sigs &&
-                lane.candidates == lanes[0].candidates;
+    identical = identical && lane.lists == lanes[0].lists;
   }
 
-  std::printf("\n%10s %12s %10s %12s %8s %10s\n", "kernel", "retrieve_ms",
-              "match_ms", "candidates", "matches", "speedup");
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    double speedup = lanes[i].retrieve_ms > 0
-                         ? lanes[0].retrieve_ms / lanes[i].retrieve_ms
-                         : 0.0;
-    std::printf("%10s %12.3f %10.2f %12zu %8zu %9.2fx\n",
-                match::SelectionKernelName(kKernels[i]),
-                lanes[i].retrieve_ms, lanes[i].match_ms, lanes[i].candidates,
-                lanes[i].matches, speedup);
+  // Full pipeline (automatic kernel choice), for the end-to-end view.
+  double match_ms = -1;
+  size_t matches = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    match::PipelineOptions o;
+    o.candidate_mode = match::CandidateMode::kProfile;
+    o.match.max_matches = kMaxMatchesPerQuery;
+    o.metrics = nullptr;
+    matches = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    for (const algebra::GraphPattern& p : queries) {
+      auto m = match::MatchPattern(p, data, &index, o);
+      if (m.ok()) matches += m->size();
+    }
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    if (match_ms < 0 || ms < match_ms) match_ms = ms;
   }
-  std::printf("\nmatch lists %s across kernels\n",
+
+  auto speedup = [&](size_t i) {
+    return lanes[i].retrieve_ms > 0
+               ? lanes[0].retrieve_ms / lanes[i].retrieve_ms
+               : 0.0;
+  };
+  std::printf("\n%10s %12s %12s %10s\n", "lane", "retrieve_ms", "candidates",
+              "vs_ast");
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    std::printf("%10s %12.3f %12zu %9.2fx\n", LaneName(kLanes[i]),
+                lanes[i].retrieve_ms, lanes[i].candidates, speedup(i));
+  }
+  std::printf("\nMatchPattern (auto): %.2f ms, %zu matches\n", match_ms,
+              matches);
+  std::printf("candidate lists %s across lanes\n",
               identical ? "bit-identical" : "DIVERGED");
 
   const char* path = std::getenv("GQL_BENCH_SELECTION_JSON");
@@ -222,17 +264,14 @@ int Main(int argc, char** argv) {
       << "  \"reps\": " << reps << ",\n"
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
+      << "  \"match_ms\": " << match_ms << ",\n"
+      << "  \"matches\": " << matches << ",\n"
       << "  \"lanes\": [\n";
   for (size_t i = 0; i < lanes.size(); ++i) {
-    double speedup = lanes[i].retrieve_ms > 0
-                         ? lanes[0].retrieve_ms / lanes[i].retrieve_ms
-                         : 0.0;
-    out << "    {\"lane\": \"" << match::SelectionKernelName(kKernels[i])
+    out << "    {\"lane\": \"" << LaneName(kLanes[i])
         << "\", \"retrieve_ms\": " << lanes[i].retrieve_ms
-        << ", \"match_ms\": " << lanes[i].match_ms
         << ", \"candidates\": " << lanes[i].candidates
-        << ", \"matches\": " << lanes[i].matches
-        << ", \"retrieve_speedup\": " << speedup << "}"
+        << ", \"retrieve_speedup\": " << speedup(i) << "}"
         << (i + 1 < lanes.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";

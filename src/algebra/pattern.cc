@@ -175,26 +175,6 @@ bool GraphPattern::EdgeCompatible(EdgeId pe, const Graph& data,
                             &scratch_edge_mapping_);
 }
 
-bool GraphPattern::NodeCompatible(NodeId u, const Graph& data, NodeId v,
-                                  PatternScratch* scratch) const {
-  if (scratch->mapping_.size() < built_.graph.NumNodes()) {
-    scratch->mapping_.resize(built_.graph.NumNodes(), kInvalidNode);
-  }
-  return NodeCompatibleWith(u, data, v, &scratch->mapping_);
-}
-
-bool GraphPattern::EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de,
-                                  PatternScratch* scratch) const {
-  if (scratch->mapping_.size() < built_.graph.NumNodes()) {
-    scratch->mapping_.resize(built_.graph.NumNodes(), kInvalidNode);
-  }
-  if (scratch->edge_mapping_.size() < built_.graph.NumEdges()) {
-    scratch->edge_mapping_.resize(built_.graph.NumEdges(), kInvalidEdge);
-  }
-  return EdgeCompatibleWith(pe, data, de, &scratch->mapping_,
-                            &scratch->edge_mapping_);
-}
-
 bool GraphPattern::NodeCompatibleWith(NodeId u, const Graph& data, NodeId v,
                                       std::vector<NodeId>* mapping) const {
   const AttrTuple& want = built_.graph.node(u).attrs;
@@ -300,33 +280,11 @@ bool GraphPattern::EdgePredsOk(EdgeId pe, const Graph& data, EdgeId de,
   return ok;
 }
 
-// The Snap paths mirror the tuple probes in NodeCompatibleWith /
-// EdgeCompatibleWith exactly: the attribute must exist and compare equal
-// under Value semantics. String-vs-string equality reduces to symbol
-// equality; everything else (numbers, bools, nulls, cross-kind numeric
-// equality) goes through Value::operator== on the column's stored Value.
-
-bool GraphPattern::NodeCompatibleSnap(NodeId u, const GraphSnapshot& snap,
-                                      const Graph& data, NodeId v,
-                                      std::vector<NodeId>* mapping) const {
-  if (node_tag_syms_[u] != kNoSymbol &&
-      node_tag_syms_[u] != snap.node_tag_sym(v)) {
-    return false;
-  }
-  for (const SymReq& r : node_reqs_[u]) {
-    const GraphSnapshot::Column* col = snap.NodeColumn(r.attr_sym);
-    if (col == nullptr) return false;
-    if (r.val_sym != kNoSymbol) {
-      // String constant: equal iff the stored value is the same string.
-      if (col->FindValSym(v) != r.val_sym) return false;
-    } else {
-      const Value* got = col->Find(v);
-      if (got == nullptr || !(*got == r.value)) return false;
-    }
-  }
-  if (node_preds_[u].empty()) return true;
-  return NodePredsOk(u, data, v, mapping);
-}
+// The Snap path mirrors the tuple probes in EdgeCompatibleWith exactly:
+// the attribute must exist and compare equal under Value semantics.
+// String-vs-string equality reduces to symbol equality; everything else
+// (numbers, bools, nulls, cross-kind numeric equality) goes through
+// Value::operator== on the column's stored Value.
 
 bool GraphPattern::EdgeCompatibleSnap(EdgeId pe, const GraphSnapshot& snap,
                                       const Graph& data, EdgeId de,
@@ -348,20 +306,6 @@ bool GraphPattern::EdgeCompatibleSnap(EdgeId pe, const GraphSnapshot& snap,
   }
   if (edge_preds_[pe].empty()) return true;
   return EdgePredsOk(pe, data, de, mapping, edge_mapping);
-}
-
-bool GraphPattern::NodeCompatible(NodeId u, const GraphSnapshot& snap,
-                                  const Graph& data, NodeId v) const {
-  return NodeCompatibleSnap(u, snap, data, v, &scratch_mapping_);
-}
-
-bool GraphPattern::NodeCompatible(NodeId u, const GraphSnapshot& snap,
-                                  const Graph& data, NodeId v,
-                                  PatternScratch* scratch) const {
-  if (scratch->mapping_.size() < built_.graph.NumNodes()) {
-    scratch->mapping_.resize(built_.graph.NumNodes(), kInvalidNode);
-  }
-  return NodeCompatibleSnap(u, snap, data, v, &scratch->mapping_);
 }
 
 bool GraphPattern::EdgeCompatible(EdgeId pe, const GraphSnapshot& snap,

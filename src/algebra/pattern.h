@@ -28,10 +28,10 @@ namespace graphql::algebra {
 ///    or one edge — the paper's predicate pushdown, Section 4.1),
 ///  - the residual graph-wide predicate (e.g. `u1.label == u2.label`).
 ///
-/// Thread-compatibility: the two-argument NodeCompatible/EdgeCompatible
-/// overloads use an internal scratch mapping, so they must not be called
-/// concurrently on one pattern. Concurrent callers (the parallel pipeline
-/// stages) pass their own per-worker PatternScratch to the overloads below;
+/// Thread-compatibility: the NodeCompatible/EdgeCompatible overloads
+/// without a PatternScratch use an internal scratch mapping, so they must
+/// not be called concurrently on one pattern. Concurrent callers (the
+/// parallel pipeline stages) pass their own per-worker PatternScratch;
 /// everything else on a compiled pattern is read-only.
 class PatternScratch;
 
@@ -80,24 +80,16 @@ class GraphPattern {
   /// equality, pushed edge predicates F_e).
   bool EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de) const;
 
-  /// Thread-safe variants: evaluate pushed predicates through the caller's
-  /// scratch instead of the shared internal one. Each concurrent worker
-  /// owns one PatternScratch (resized to this pattern on first use).
-  bool NodeCompatible(NodeId u, const Graph& data, NodeId v,
-                      PatternScratch* scratch) const;
-  bool EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de,
-                      PatternScratch* scratch) const;
-
-  /// Snapshot fast paths: identical verdicts to the Graph overloads, but
-  /// tag and attribute-equality checks compare pre-interned symbol ids
-  /// against the snapshot's columns — no std::string is touched unless
-  /// the node/edge carries pushed predicates (which still evaluate
-  /// against `data` through the expression engine). `data` must be the
-  /// graph `snap` was compiled from.
-  bool NodeCompatible(NodeId u, const GraphSnapshot& snap, const Graph& data,
-                      NodeId v) const;
-  bool NodeCompatible(NodeId u, const GraphSnapshot& snap, const Graph& data,
-                      NodeId v, PatternScratch* scratch) const;
+  /// Snapshot fast path: identical verdict to the Graph overload, but tag
+  /// and attribute-equality checks compare pre-interned symbol ids against
+  /// the snapshot's columns — no std::string is touched unless the edge
+  /// carries pushed predicates (which still evaluate against `data`
+  /// through the expression engine). `data` must be the graph `snap` was
+  /// compiled from. The overload taking a PatternScratch evaluates pushed
+  /// predicates through the caller's scratch instead of the shared
+  /// internal one; each concurrent worker owns one (resized to this
+  /// pattern on first use). Nodes take the same fast path through
+  /// match::SelectionPlan, which reads NodeReqs below.
   bool EdgeCompatible(EdgeId pe, const GraphSnapshot& snap, const Graph& data,
                       EdgeId de) const;
   bool EdgeCompatible(EdgeId pe, const GraphSnapshot& snap, const Graph& data,
@@ -116,9 +108,9 @@ class GraphPattern {
     SymbolId val_sym;  // kNoSymbol when `value` is not a string.
   };
 
-  /// Interned attribute-equality constraints of node `u` — the exact
-  /// probes NodeCompatibleSnap runs per candidate, exposed so the
-  /// vectorized kernels can evaluate them column-at-a-time instead.
+  /// Interned attribute-equality constraints of node `u` — the tuple
+  /// probes of NodeCompatible, exposed so the vectorized kernels can
+  /// evaluate them against snapshot columns.
   const std::vector<SymReq>& NodeReqs(NodeId u) const {
     return node_reqs_[u];
   }
@@ -192,9 +184,6 @@ class GraphPattern {
   bool EdgeCompatibleWith(EdgeId pe, const Graph& data, EdgeId de,
                           std::vector<NodeId>* mapping,
                           std::vector<EdgeId>* edge_mapping) const;
-  bool NodeCompatibleSnap(NodeId u, const GraphSnapshot& snap,
-                          const Graph& data, NodeId v,
-                          std::vector<NodeId>* mapping) const;
   bool EdgeCompatibleSnap(EdgeId pe, const GraphSnapshot& snap,
                           const Graph& data, EdgeId de,
                           std::vector<NodeId>* mapping,

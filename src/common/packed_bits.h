@@ -101,8 +101,8 @@ class PackedBits {
     return n;
   }
 
-  /// Set bits of row `r` in ascending column order — the same (u, v)
-  /// ascending order the legacy refine path gets from sorting PairKeys.
+  /// Set bits of row `r` in ascending column order — row by row, the
+  /// ascending (u, v) order refinement drains its dirty pairs in.
   /// `fn` returning false stops the scan (and returns false here).
   template <typename Fn>
   bool ForEachInRow(size_t r, Fn&& fn) const {

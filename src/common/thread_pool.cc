@@ -25,18 +25,20 @@ int64_t CurrentOsThreadId() {
   return kTid;
 }
 
-void MergeWorkerLanes(std::vector<ThreadPool::WorkerLane>* into,
-                      const std::vector<ThreadPool::WorkerLane>& from) {
-  for (const ThreadPool::WorkerLane& lane : from) {
-    ThreadPool::WorkerLane* slot = nullptr;
-    for (ThreadPool::WorkerLane& existing : *into) {
+void ThreadPool::RunStats::Merge(const RunStats& from) {
+  workers = std::max(workers, from.workers);
+  tasks += from.tasks;
+  stolen += from.stolen;
+  for (const WorkerLane& lane : from.lanes) {
+    WorkerLane* slot = nullptr;
+    for (WorkerLane& existing : lanes) {
       if (existing.os_tid == lane.os_tid) {
         slot = &existing;
         break;
       }
     }
     if (slot == nullptr) {
-      into->push_back(lane);
+      lanes.push_back(lane);
       continue;
     }
     slot->start_us = std::min(slot->start_us, lane.start_us);

@@ -53,6 +53,11 @@ class ThreadPool {
     uint64_t stolen = 0;     ///< Items taken from another worker's deque.
     /// One lane per participant (dense worker ids; [0] is the caller).
     std::vector<WorkerLane> lanes;
+
+    /// Folds another job in: the larger participant count, summed counts,
+    /// and lanes merged per OS thread (active windows union), so a stage
+    /// that issues several jobs (refinement levels) reports one RunStats.
+    void Merge(const RunStats& from);
   };
 
   /// `num_threads` background threads (clamped to >= 0); the pool then
@@ -129,13 +134,6 @@ int ResolveWorkers(int num_threads, const ThreadPool* pool = nullptr);
 /// thread; falls back to a stable per-thread token elsewhere. These ids
 /// name the lanes in Chrome-trace exports.
 int64_t CurrentOsThreadId();
-
-/// Accumulates `from` into `into`, keyed by os_tid: tasks/stolen add,
-/// active windows union. A pipeline stage that issues several ParallelFor
-/// jobs (refinement levels, retrieve phases) merges them into one lane per
-/// OS thread for the stage's trace span.
-void MergeWorkerLanes(std::vector<ThreadPool::WorkerLane>* into,
-                      const std::vector<ThreadPool::WorkerLane>& from);
 
 }  // namespace graphql
 

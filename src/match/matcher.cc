@@ -4,33 +4,32 @@
 #include <atomic>
 #include <memory>
 
-#include "graph/snapshot.h"
-
 namespace graphql::match {
 
 namespace {
 
-/// Shared DFS engine behind both SearchMatches entry points.
+/// Shared DFS engine behind both SearchMatches entry points. Edge probes
+/// read the snapshot's CSR runs and interned tags; `data` supplies the
+/// attribute values that pushed edge and global predicates evaluate.
 class SearchEngine {
  public:
   SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
+               const GraphSnapshot& snap,
                const std::vector<std::vector<NodeId>>& candidates,
                const std::vector<NodeId>& order, const MatchOptions& options,
-               const std::function<bool(const algebra::MatchedGraph&)>& sink,
                SearchStats* stats, obs::MetricsRegistry* metrics)
       : pattern_(pattern),
         p_(pattern.graph()),
         data_(data),
-        snap_(options.snapshot),
+        snap_(snap),
         candidates_(candidates),
         order_(order),
         options_(options),
-        sink_(&sink),
         stats_(stats),
         metrics_(metrics) {
     assign_.assign(p_.NumNodes(), kInvalidNode);
     edge_assign_.assign(p_.NumEdges(), kInvalidEdge);
-    used_.assign(data.NumNodes(), 0);
+    used_.assign(snap.num_nodes(), 0);
     position_.assign(p_.NumNodes(), -1);
     for (size_t i = 0; i < order_.size(); ++i) position_[order_[i]] = static_cast<int>(i);
 
@@ -53,11 +52,12 @@ class SearchEngine {
     }
   }
 
-  Status Run() {
+  Status Run(std::vector<algebra::MatchedGraph>* out) {
     if (order_.size() != p_.NumNodes()) {
       return Status::InvalidArgument("search order must cover every pattern node");
     }
     if (p_.NumNodes() == 0) return Status::OK();
+    out_ = out;
     Dfs(0);
     Flush();
     return status_;
@@ -70,12 +70,11 @@ class SearchEngine {
   void set_scratch(algebra::PatternScratch* scratch) { scratch_ = scratch; }
 
   /// Explores one pinned root: order[0] is mapped to `root` only, matches
-  /// stream to `sink`. Match/status state resets per call; counters keep
+  /// append to `out`. Match/status state resets per call; counters keep
   /// accumulating across calls (one Flush per engine when the worker's
   /// batch ends).
-  Status RunRoot(NodeId root,
-                 const std::function<bool(const algebra::MatchedGraph&)>& sink) {
-    sink_ = &sink;
+  Status RunRoot(NodeId root, std::vector<algebra::MatchedGraph>* out) {
+    out_ = out;
     matches_ = 0;
     status_ = Status::OK();
     pinned_root_ = root;
@@ -139,45 +138,19 @@ class SearchEngine {
     return true;
   }
 
-  /// Finds a data edge between v and w compatible with pattern edge pe
-  /// (direction-aware for directed graphs). kInvalidEdge if none.
+  /// Finds the first data edge from `from` to `to` compatible with pattern
+  /// edge pe (kInvalidEdge if none). The (from, to) CSR run is contiguous
+  /// and ascending in edge id, and the pattern edge's interned tag
+  /// prefilters it without touching strings.
   EdgeId FindCompatibleEdge(EdgeId pe, NodeId from, NodeId to) {
-    if (snap_ != nullptr) return FindCompatibleEdgeSnap(pe, from, to);
-    // Scan the smaller adjacency; for undirected graphs both lists carry
-    // the edge.
-    const std::vector<Graph::Adj>* list = &data_.neighbors(from);
-    NodeId want = to;
-    if (!data_.directed() && data_.Degree(to) < list->size()) {
-      list = &data_.neighbors(to);
-      want = from;
-    }
-    for (const Graph::Adj& a : *list) {
-      if (a.node != want) continue;
-      if (data_.directed()) {
-        // neighbors() lists outgoing edges of `from`; direction holds.
-      }
-      bool compatible = scratch_ != nullptr
-                            ? pattern_.EdgeCompatible(pe, data_, a.edge, scratch_)
-                            : pattern_.EdgeCompatible(pe, data_, a.edge);
-      if (compatible) return a.edge;
-    }
-    return kInvalidEdge;
-  }
-
-  /// Snapshot variant: the (from, to) run in the CSR is contiguous and
-  /// ascending in edge id — exactly the edge-id order the legacy adjacency
-  /// scan visits parallel edges in — so the first compatible edge is the
-  /// same edge. The pattern edge's interned tag prefilters the run without
-  /// touching strings.
-  EdgeId FindCompatibleEdgeSnap(EdgeId pe, NodeId from, NodeId to) {
     SymbolId want_tag = pattern_.edge_tag_sym(pe);
-    for (const GraphSnapshot::AdjEntry& a : snap_->EdgesBetween(from, to)) {
+    for (const GraphSnapshot::AdjEntry& a : snap_.EdgesBetween(from, to)) {
       ++local_csr_probes_;
       if (want_tag != kNoSymbol && a.tag_sym != want_tag) continue;
       bool compatible =
           scratch_ != nullptr
-              ? pattern_.EdgeCompatible(pe, *snap_, data_, a.edge, scratch_)
-              : pattern_.EdgeCompatible(pe, *snap_, data_, a.edge);
+              ? pattern_.EdgeCompatible(pe, snap_, data_, a.edge, scratch_)
+              : pattern_.EdgeCompatible(pe, snap_, data_, a.edge);
       if (compatible) return a.edge;
     }
     return kInvalidEdge;
@@ -198,9 +171,7 @@ class SearchEngine {
         to = v;
       }
       ++local_.edge_checks;
-      bool exists = snap_ != nullptr ? snap_->HasEdgeBetween(from, to)
-                                     : data_.HasEdgeBetween(from, to);
-      if (!exists) return false;
+      if (!snap_.HasEdgeBetween(from, to)) return false;
       if (trivial_edge_[pe]) {
         edge_assign_[pe] = kInvalidEdge;  // Resolved lazily on emit.
         continue;
@@ -221,12 +192,9 @@ class SearchEngine {
     for (size_t e = 0; e < p_.NumEdges(); ++e) {
       if (m.edge_mapping[e] == kInvalidEdge) {
         const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
-        // FindFirstEdge returns the lowest edge id in the (u, v) run —
-        // the same edge the adjacency-order FindEdge scan yields.
+        // The lowest edge id in the (u, v) run, as Graph::FindEdge yields.
         m.edge_mapping[e] =
-            snap_ != nullptr
-                ? snap_->FindFirstEdge(assign_[pe.src], assign_[pe.dst])
-                : data_.FindEdge(assign_[pe.src], assign_[pe.dst]);
+            snap_.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
       }
     }
     ++matches_;
@@ -241,7 +209,7 @@ class SearchEngine {
     } else if (options_.governor != nullptr) {
       options_.governor->Reserve(match_bytes, GovernPoint::kSearch);
     }
-    if (!(*sink_)(m)) return false;
+    out_->push_back(std::move(m));
     if (!options_.exhaustive) return false;
     if (matches_ >= options_.max_matches) {
       local_.truncated = true;
@@ -250,7 +218,7 @@ class SearchEngine {
     return true;
   }
 
-  /// Returns false to abort the whole search (budget/limit/sink).
+  /// Returns false to abort the whole search (budget/limit/first match).
   bool Dfs(size_t pos) {
     if (pos == order_.size()) {
       if (pattern_.has_global_pred()) {
@@ -293,11 +261,11 @@ class SearchEngine {
   const algebra::GraphPattern& pattern_;
   const Graph& p_;
   const Graph& data_;
-  const GraphSnapshot* snap_;
+  const GraphSnapshot& snap_;
   const std::vector<std::vector<NodeId>>& candidates_;
   const std::vector<NodeId>& order_;
   const MatchOptions& options_;
-  const std::function<bool(const algebra::MatchedGraph&)>* sink_;
+  std::vector<algebra::MatchedGraph>* out_ = nullptr;
   SearchStats* stats_;
   obs::MetricsRegistry* metrics_;
   GovernorShard* shard_ = nullptr;
@@ -311,7 +279,7 @@ class SearchEngine {
   std::vector<std::vector<EdgeId>> back_edges_;
   std::vector<char> trivial_edge_;
   SearchStats local_;
-  uint64_t local_csr_probes_ = 0;  ///< Snapshot edge-run entries examined.
+  uint64_t local_csr_probes_ = 0;  ///< CSR edge-run entries examined.
   size_t matches_ = 0;   ///< Matches this run (reset per pinned root).
   size_t emitted_ = 0;   ///< Matches across the engine's lifetime.
   Status status_;
@@ -324,42 +292,31 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
     SearchStats* stats, obs::MetricsRegistry* metrics) {
-  std::vector<algebra::MatchedGraph> out;
-  auto sink = [&out](const algebra::MatchedGraph& m) {
-    out.push_back(m);
-    return true;
-  };
-  GQL_RETURN_IF_ERROR(SearchMatchesStreaming(pattern, data, candidates, order,
-                                             options, sink, stats, metrics));
-  return out;
-}
-
-Status SearchMatchesStreaming(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const std::vector<NodeId>& order, const MatchOptions& options,
-    const std::function<bool(const algebra::MatchedGraph&)>& sink,
-    SearchStats* stats, obs::MetricsRegistry* metrics) {
-  SearchEngine engine(pattern, data, candidates, order, options, sink, stats,
-                      metrics);
-  return engine.Run();
+  std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
+  return SearchMatchesParallel(pattern, data, *snap, candidates, order,
+                               options, /*num_threads=*/0, nullptr, stats,
+                               metrics);
 }
 
 Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const algebra::GraphPattern& pattern, const Graph& data,
+    const GraphSnapshot& snap,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
     int num_threads, ThreadPool* pool, SearchStats* stats,
-    obs::MetricsRegistry* metrics, ParallelSearchStats* pstats) {
+    obs::MetricsRegistry* metrics, ThreadPool::RunStats* run_stats) {
   int workers = ResolveWorkers(num_threads, pool);
   // The local step budget counts candidate tries in global DFS order — a
   // per-root split cannot reproduce where it stops, so that knob stays on
   // the serial path.
-  if (workers <= 0 || options.max_steps != 0 ||
+  if (workers < 2 || options.max_steps != 0 ||
       pattern.graph().NumNodes() == 0 ||
       order.size() != pattern.graph().NumNodes()) {
-    return SearchMatches(pattern, data, candidates, order, options, stats,
-                         metrics);
+    std::vector<algebra::MatchedGraph> out;
+    SearchEngine engine(pattern, data, snap, candidates, order, options,
+                        stats, metrics);
+    GQL_RETURN_IF_ERROR(engine.Run(&out));
+    return out;
   }
   const std::vector<NodeId>& roots = candidates[order[0]];
   if (roots.empty()) return std::vector<algebra::MatchedGraph>{};
@@ -375,7 +332,6 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     algebra::PatternScratch scratch;
     GovernorShard shard;
     SearchStats stats;
-    std::function<bool(const algebra::MatchedGraph&)> null_sink;
   };
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
 
@@ -394,21 +350,14 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
       if (metrics != nullptr) {
         s.metric_shard = std::make_unique<obs::MetricsRegistry>();
       }
-      s.null_sink = [](const algebra::MatchedGraph&) { return true; };
       s.engine = std::make_unique<SearchEngine>(
-          pattern, data, candidates, order, options, s.null_sink, &s.stats,
+          pattern, data, snap, candidates, order, options, &s.stats,
           s.metric_shard.get());
       s.engine->set_shard(&s.shard);
       s.engine->set_scratch(&s.scratch);
     }
-    std::vector<algebra::MatchedGraph>& out = per_root[r];
-    std::function<bool(const algebra::MatchedGraph&)> sink =
-        [&out](const algebra::MatchedGraph& m) {
-          out.push_back(m);
-          return true;
-        };
-    per_status[r] = s.engine->RunRoot(roots[r], sink);
-    if (!options.exhaustive && !out.empty()) {
+    per_status[r] = s.engine->RunRoot(roots[r], &per_root[r]);
+    if (!options.exhaustive && !per_root[r].empty()) {
       size_t cur = first_hit.load(std::memory_order_relaxed);
       while (r < cur && !first_hit.compare_exchange_weak(
                             cur, r, std::memory_order_relaxed)) {
@@ -432,11 +381,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
       metrics->Merge(s.metric_shard->Snapshot());
     }
   }
-  if (pstats != nullptr) {
-    pstats->workers = run.workers;
-    pstats->tasks_stolen = run.stolen;
-    pstats->lanes = run.lanes;
-  }
+  if (run_stats != nullptr) *run_stats = std::move(run);
 
   // Deterministic merge in root order. Per-root lists hold matches in that
   // root's DFS order, and the serial search visits roots in this same
@@ -472,21 +417,6 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     metrics->GetCounter("match.search.truncated")->Increment();
   }
   if (!status.ok()) return status;
-  return out;
-}
-
-std::vector<std::vector<NodeId>> ScanCandidates(
-    const algebra::GraphPattern& pattern, const Graph& data) {
-  const Graph& p = pattern.graph();
-  std::vector<std::vector<NodeId>> out(p.NumNodes());
-  for (size_t u = 0; u < p.NumNodes(); ++u) {
-    for (size_t v = 0; v < data.NumNodes(); ++v) {
-      if (pattern.NodeCompatible(static_cast<NodeId>(u), data,
-                                 static_cast<NodeId>(v))) {
-        out[u].push_back(static_cast<NodeId>(v));
-      }
-    }
-  }
   return out;
 }
 

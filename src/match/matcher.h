@@ -2,7 +2,6 @@
 #define GRAPHQL_MATCH_MATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "algebra/matched_graph.h"
@@ -11,6 +10,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "obs/metrics.h"
 
 namespace graphql::match {
@@ -33,12 +33,6 @@ struct MatchOptions {
   /// step is charged to GovernPoint::kSearch; a trip ends the search with
   /// the matches found so far and `SearchStats::governor_tripped` set.
   ResourceGovernor* governor = nullptr;
-  /// Compiled snapshot of the data graph being searched. When set, edge
-  /// existence / compatibility probes run over the snapshot's CSR spans and
-  /// interned symbol ids instead of the mutable adjacency lists — same
-  /// verdicts, same first-edge resolution, no std::string in the inner
-  /// loop. Must have been compiled from `data` (same version).
-  const GraphSnapshot* snapshot = nullptr;
 };
 
 struct SearchStats {
@@ -67,55 +61,37 @@ struct SearchStats {
 /// `metrics` (match.search.{steps, edge_checks, backtracks, matches,
 /// budget_exhausted}) when the search finishes, so instrumentation adds no
 /// per-step synchronization.
+///
+/// Edge probes run over the data graph's compiled snapshot (CSR runs and
+/// interned tags), fetched here through data.snapshot().
 Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options = {},
     SearchStats* stats = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
-/// Execution counters specific to the parallel search fan-out.
-struct ParallelSearchStats {
-  int workers = 0;  ///< Participants (0 when the serial path was taken).
-  uint64_t tasks_stolen = 0;  ///< Root tasks run off their home deque.
-  /// One lane per OS thread that served the search fan-out; drawn by the
-  /// trace exporter.
-  std::vector<ThreadPool::WorkerLane> lanes;
-};
-
-/// Work-stealing parallel search: the cost-ordered root candidate list
-/// Phi(order[0]) is dealt across up to `num_threads` workers (the caller
-/// participates; see ThreadPool), each root explored by an independent DFS
-/// with per-worker match state, governor shard, and metric shard. Per-root
-/// match lists are merged in root order, so the returned matches — set AND
-/// ordering — are bit-identical to SearchMatches on the same inputs
-/// (including max_matches truncation, non-exhaustive first-match selection,
-/// and error precedence).
+/// Work-stealing parallel search over `snap` (compiled from `data`): the
+/// cost-ordered root candidate list Phi(order[0]) is dealt across up to
+/// `num_threads` workers (the caller participates; see ThreadPool), each
+/// root explored by an independent DFS with per-worker match state,
+/// governor shard, and metric shard. Per-root match lists are merged in
+/// root order, so the returned matches — set AND ordering — are
+/// bit-identical to SearchMatches on the same inputs (including
+/// max_matches truncation, non-exhaustive first-match selection, and error
+/// precedence).
 ///
-/// Falls back to the serial SearchMatches when `num_threads` < 1 resolves
-/// to no parallelism or when MatchOptions::max_steps is set (the local
-/// step budget is inherently sequential). `pool` null = the shared pool.
+/// Runs the serial search on the calling thread when `num_threads`
+/// resolves to fewer than two workers or when MatchOptions::max_steps is
+/// set (the local step budget is inherently sequential). `pool` null = the
+/// shared pool; `run_stats`, when given, receives the fan-out's RunStats.
 Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const algebra::GraphPattern& pattern, const Graph& data,
+    const GraphSnapshot& snap,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
     int num_threads, ThreadPool* pool = nullptr, SearchStats* stats = nullptr,
     obs::MetricsRegistry* metrics = nullptr,
-    ParallelSearchStats* pstats = nullptr);
-
-/// Streaming variant: invokes `sink` for every match; return false from the
-/// sink to stop the search. Used by the FLWR evaluator's accumulating let.
-Status SearchMatchesStreaming(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const std::vector<NodeId>& order, const MatchOptions& options,
-    const std::function<bool(const algebra::MatchedGraph&)>& sink,
-    SearchStats* stats = nullptr, obs::MetricsRegistry* metrics = nullptr);
-
-/// First phase of Algorithm 4.1 without any index: scans all data nodes
-/// and keeps those passing the feasible-mate test F_u. This is the
-/// "Baseline" retrieval of Section 5.
-std::vector<std::vector<NodeId>> ScanCandidates(
-    const algebra::GraphPattern& pattern, const Graph& data);
+    ThreadPool::RunStats* run_stats = nullptr);
 
 /// The declaration-order permutation 0..k-1 (search "w/o optimized order").
 std::vector<NodeId> DeclarationOrder(const algebra::GraphPattern& pattern);

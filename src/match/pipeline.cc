@@ -4,22 +4,11 @@
 #include <optional>
 #include <string>
 
-#include "graph/snapshot.h"
+#include "match/vectorized.h"
 
 namespace graphql::match {
 
 namespace {
-
-/// Profile of a pattern node: labels within `radius` hops in the pattern
-/// graph, interned into the process-wide symbol table (the same id space
-/// data profiles use). A pattern label absent from the data simply never
-/// occurs in any data profile, so containment fails for it naturally —
-/// the same verdict the historical per-graph dictionary reached through
-/// its kUnknownLabel sentinel.
-Profile PatternProfile(const Graph& p, NodeId u, int radius) {
-  return BuildProfile(p, u, radius);
-}
-
 
 /// Attempts to serve a wildcard-label pattern node's base candidate list
 /// from an attribute B+-tree (Section 4.2's B-tree retrieval): an equality
@@ -136,13 +125,6 @@ std::optional<std::vector<NodeId>> AttrIndexBaseList(
                          hi ? &*hi : nullptr, hi_inclusive);
 }
 
-/// Stage-level parallel-execution report for the pipeline's trace spans.
-struct RetrieveParallelInfo {
-  int workers = 0;
-  uint64_t tasks_stolen = 0;
-  std::vector<ThreadPool::WorkerLane> lanes;
-};
-
 /// Records one completed "worker" child span per OS thread that served the
 /// enclosing stage's ParallelFor jobs. Must run while the stage span is
 /// still open so the lanes nest under it; the Chrome-trace exporter routes
@@ -163,19 +145,68 @@ void EmitWorkerLanes(obs::Tracer* tracer,
   }
 }
 
-/// Parallel retrieval: one task per pattern node runs the feasible-mate
-/// scan (and profile filter) with per-worker pattern scratch and governor
-/// shard; in neighborhood mode the per-candidate sub-isomorphism tests of
-/// every Phi(u) are additionally chunked into stealable ranges, since one
-/// hub node's tests can dominate the whole stage. Anything that touches
-/// non-thread-safe structures (B+-tree lookups, pattern profile /
-/// neighborhood construction, the lazily built all-nodes list) runs on the
-/// coordinator before the fan-out.
-std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
+/// Index-less retrieval: every data node is a base candidate, so each
+/// pattern node runs the bitmap kernel over the whole graph and iterates
+/// the surviving bits in ascending node order. Allocates one plan, one
+/// 2 x n bitmap and the output lists per call — this path serves every
+/// small member graph of a collection scan.
+std::vector<std::vector<NodeId>> ScanAllNodes(
     const algebra::GraphPattern& pattern, const Graph& data,
-    const LabelIndex& index, const PipelineOptions& options,
-    PipelineStats* stats, int workers, RetrieveParallelInfo* info,
-    const GraphSnapshot* snap) {
+    const GraphSnapshot& snap, const PipelineOptions& options,
+    PipelineStats* stats) {
+  const size_t k = pattern.graph().NumNodes();
+  const size_t n = snap.num_nodes();
+  std::vector<std::vector<NodeId>> out(k);
+  if (stats != nullptr) {
+    stats->size_attr.assign(k, 0);
+    stats->size_retrieved.assign(k, 0);
+  }
+  // Bulk-charge the scan's probes; on a trip return empty candidate lists
+  // (the search then finds nothing — partial-result semantics).
+  if (!GovCharge(options.governor, k * n, GovernPoint::kRetrieve)) return out;
+  SelectionPlan plan(pattern, snap, options.metrics);
+  PackedBits bits(2, n);
+  algebra::PatternScratch scratch;
+  size_t kept = 0;
+  for (size_t u = 0; u < k; ++u) {
+    NodeId pu = static_cast<NodeId>(u);
+    plan.FillStructuralBitmap(pu, &bits);
+    const bool preds = plan.HasPreds(pu);
+    bits.ForEachInRow(0, [&](size_t v) {
+      NodeId dv = static_cast<NodeId>(v);
+      if (!preds || plan.PredsOk(pu, data, dv, &scratch)) out[u].push_back(dv);
+      return true;
+    });
+    kept += out[u].size();
+    if (stats != nullptr) {
+      stats->size_attr[u] = out[u].size();
+      stats->size_retrieved[u] = out[u].size();
+    }
+  }
+  if (options.metrics != nullptr) {
+    obs::MetricsRegistry* metrics = options.metrics;
+    metrics->GetCounter("match.retrieve.scans")->Increment();
+    metrics->GetCounter("match.retrieve.feasible_hits")->Increment(kept);
+    metrics->GetCounter("match.retrieve.feasible_misses")
+        ->Increment(k * n - kept);
+  }
+  return out;
+}
+
+/// Indexed retrieval (first phase of Algorithm 4.1 + Section 4.2 pruning).
+/// Each pattern node scans its base list — the label index's list, a
+/// B+-tree range, or every node — with the kernel its density picks, then
+/// applies the candidate mode's local pruning. The calling thread scans
+/// node by node, charging the governor directly; with two or more workers
+/// one task per pattern node fans out, charging through per-worker shards.
+/// Anything that touches non-thread-safe structures (B+-tree lookups,
+/// pattern profile / neighborhood construction, the all-nodes list) runs
+/// before the scans.
+std::vector<std::vector<NodeId>> RetrieveIndexed(
+    const algebra::GraphPattern& pattern, const Graph& data,
+    const GraphSnapshot& snap, const LabelIndex& index,
+    const PipelineOptions& options, PipelineStats* stats,
+    ThreadPool::RunStats* run_stats) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   std::vector<std::vector<NodeId>> out(k);
@@ -184,12 +215,11 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
     stats->size_retrieved.assign(k, 0);
   }
   if (k == 0) return out;
-  ThreadPool& tp =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
   obs::MetricsRegistry* metrics = options.metrics;
   ResourceGovernor* gov = options.governor;
+  const int workers = ResolveWorkers(options.num_threads, options.pool);
+  const bool parallel = workers > 1;
 
-  // Coordinator-side preparation (serial).
   std::vector<NodeId> all_nodes;
   std::vector<std::vector<NodeId>> owned_base(k);
   std::vector<const std::vector<NodeId>*> base(k, nullptr);
@@ -211,176 +241,116 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
       base[u] = &all_nodes;
     }
   }
+  // Pattern profiles are interned into the process-wide symbol table (the
+  // id space data profiles use), so a pattern label absent from the data
+  // never occurs in any data profile and containment fails for it.
   const bool use_profiles =
       options.candidate_mode == CandidateMode::kProfile && index.has_profiles();
   const bool use_neighborhoods =
       options.candidate_mode == CandidateMode::kNeighborhood &&
       index.has_neighborhoods();
-  std::vector<Profile> want_profile;
-  std::vector<NeighborhoodSubgraph> want_nbh;
-  if (use_profiles) {
-    want_profile.resize(k);
-    for (size_t u = 0; u < k; ++u) {
-      want_profile[u] =
-          PatternProfile(p, static_cast<NodeId>(u), index.options().radius);
-    }
-  } else if (use_neighborhoods) {
-    want_nbh.resize(k);
-    for (size_t u = 0; u < k; ++u) {
-      want_nbh[u] = ExtractNeighborhood(p, static_cast<NodeId>(u),
-                                        index.options().radius);
-    }
+  const int radius = index.options().radius;
+  std::vector<Profile> want_profile(use_profiles ? k : 0);
+  std::vector<NeighborhoodSubgraph> want_nbh(use_neighborhoods ? k : 0);
+  for (size_t u = 0; u < want_profile.size(); ++u) {
+    want_profile[u] = BuildProfile(p, static_cast<NodeId>(u), radius);
   }
-
-  // Vectorized selection: one read-only plan shared by all workers; each
-  // worker owns its bitmap scratch (allocated lazily — the auto kernel may
-  // never resolve to bitmap for selective base lists).
-  std::optional<SelectionPlan> sel_plan;
-  if (snap != nullptr && options.selection != SelectionKernel::kScalar) {
-    sel_plan.emplace(pattern, *snap, metrics);
+  for (size_t u = 0; u < want_nbh.size(); ++u) {
+    want_nbh[u] = ExtractNeighborhood(p, static_cast<NodeId>(u), radius);
   }
+  // One read-only plan shared by every worker.
+  SelectionPlan plan(pattern, snap, metrics);
 
-  struct WorkerState {
+  struct Worker {
     GovernorShard shard;      // Feasible-mate probes (GovernPoint::kRetrieve).
     GovernorShard nbh_shard;  // Sub-iso DFS steps (GovernPoint::kNeighborhood).
+    obs::MetricsRegistry* metrics = nullptr;  // Neighborhood-test counters.
+    std::unique_ptr<obs::MetricsRegistry> metric_shard;
     algebra::PatternScratch scratch;
     std::unique_ptr<PackedBits> bits;  // Bitmap-kernel scratch (2 x n).
-    std::unique_ptr<obs::MetricsRegistry> metric_shard;
     uint64_t feasible_hits = 0;
     uint64_t feasible_misses = 0;
-    uint64_t profile_pruned = 0;
+    uint64_t pruned = 0;  // By profiles or neighborhood subgraphs.
   };
-  std::vector<WorkerState> ws(static_cast<size_t>(workers));
-  for (WorkerState& s : ws) {
-    s.shard = GovernorShard(gov, GovernPoint::kRetrieve);
-    s.nbh_shard = GovernorShard(gov, GovernPoint::kNeighborhood);
-    if (metrics != nullptr && use_neighborhoods) {
-      s.metric_shard = std::make_unique<obs::MetricsRegistry>();
-    }
-  }
-
-  uint64_t stolen = 0;
-  int workers_seen = 0;
-
-  // Phase A: per-pattern-node feasible-mate scans (+ profile filter).
-  // Neighborhood mode stops at the attribute stage; its per-candidate
-  // tests fan out again below.
-  std::vector<std::vector<NodeId>> attr_stage(k);
-  auto scan_node = [&](size_t u, int w) {
-    WorkerState& s = ws[static_cast<size_t>(w)];
+  auto scan = [&](size_t u, Worker& w) {
     NodeId pu = static_cast<NodeId>(u);
-    // One charge per feasible-mate probe; a tripped governor leaves this
-    // node's candidate list empty (partial-result semantics, as serial).
-    if (!s.shard.Charge(base[u]->size())) return;
+    const std::vector<NodeId>& b = *base[u];
     std::vector<NodeId> stage;
-    stage.reserve(base[u]->size());
-    if (sel_plan.has_value()) {
-      SelectionKernel ku =
-          ResolveSelectionKernel(options.selection, base[u]->size(),
-                                 snap->num_nodes(), base[u] == &all_nodes);
-      if (ku == SelectionKernel::kBitmap && s.bits == nullptr) {
-        s.bits = std::make_unique<PackedBits>(2, snap->num_nodes());
-      }
-      ScanBaseList(*sel_plan, pu, data, *base[u], ku, &s.scratch, s.bits.get(),
-                   &stage);
-    } else {
-      for (NodeId v : *base[u]) {
-        bool ok = snap != nullptr
-                      ? pattern.NodeCompatible(pu, *snap, data, v, &s.scratch)
-                      : pattern.NodeCompatible(pu, data, v, &s.scratch);
-        if (ok) stage.push_back(v);
-      }
+    stage.reserve(b.size());
+    SelectionKernel kernel = ResolveSelectionKernel(
+        b.size(), snap.num_nodes(), base[u] == &all_nodes);
+    if (kernel == SelectionKernel::kBitmap && w.bits == nullptr) {
+      w.bits = std::make_unique<PackedBits>(2, snap.num_nodes());
     }
-    s.feasible_hits += stage.size();
-    s.feasible_misses += base[u]->size() - stage.size();
+    ScanBaseList(plan, pu, data, b, kernel, &w.scratch, w.bits.get(), &stage);
+    w.feasible_hits += stage.size();
+    w.feasible_misses += b.size() - stage.size();
     if (stats != nullptr) stats->size_attr[u] = stage.size();
     if (use_profiles) {
-      out[u].reserve(stage.size());
       for (NodeId v : stage) {
         if (ProfileContains(index.profile(v), want_profile[u])) {
           out[u].push_back(v);
         }
       }
-      s.profile_pruned += stage.size() - out[u].size();
     } else if (use_neighborhoods) {
-      attr_stage[u] = std::move(stage);
-    } else {
-      out[u] = std::move(stage);
-    }
-  };
-  ThreadPool::RunStats run = tp.ParallelFor(k, workers, scan_node);
-  stolen += run.stolen;
-  workers_seen = run.workers;
-  if (info != nullptr) MergeWorkerLanes(&info->lanes, run.lanes);
-
-  uint64_t neighborhood_pruned = 0;
-  if (use_neighborhoods) {
-    // Phase B: chunk each Phi(u)'s sub-isomorphism tests into stealable
-    // ranges. keep defaults to 1 so a governor trip degrades to "no
-    // pruning", matching the serial conservative fallback.
-    struct Chunk {
-      size_t u;
-      size_t begin;
-      size_t end;
-    };
-    constexpr size_t kChunk = 64;
-    std::vector<Chunk> chunks;
-    std::vector<std::vector<char>> keep(k);
-    for (size_t u = 0; u < k; ++u) {
-      keep[u].assign(attr_stage[u].size(), 1);
-      for (size_t b = 0; b < attr_stage[u].size(); b += kChunk) {
-        chunks.push_back(
-            Chunk{u, b, std::min(b + kChunk, attr_stage[u].size())});
-      }
-    }
-    auto test_chunk = [&](size_t ci, int w) {
-      WorkerState& s = ws[static_cast<size_t>(w)];
-      const Chunk& c = chunks[ci];
-      for (size_t i = c.begin; i < c.end; ++i) {
-        if (!s.nbh_shard.ok()) return;  // Tripped: keep the rest unpruned.
-        NodeId v = attr_stage[c.u][i];
-        if (!NeighborhoodSubIsomorphic(want_nbh[c.u], index.neighborhood(v),
-                                       options.neighborhood_step_budget,
-                                       s.metric_shard.get(),
-                                       /*governor=*/nullptr, &s.nbh_shard)) {
-          keep[c.u][i] = 0;
+      for (NodeId v : stage) {
+        if (NeighborhoodSubIsomorphic(
+                want_nbh[u], index.neighborhood(v),
+                options.neighborhood_step_budget, w.metrics,
+                parallel ? nullptr : gov, parallel ? &w.nbh_shard : nullptr)) {
+          out[u].push_back(v);
         }
       }
-    };
-    ThreadPool::RunStats nbh_run =
-        tp.ParallelFor(chunks.size(), workers, test_chunk);
-    stolen += nbh_run.stolen;
-    workers_seen = std::max(workers_seen, nbh_run.workers);
-    if (info != nullptr) MergeWorkerLanes(&info->lanes, nbh_run.lanes);
-    for (size_t u = 0; u < k; ++u) {
-      out[u].reserve(attr_stage[u].size());
-      for (size_t i = 0; i < attr_stage[u].size(); ++i) {
-        if (keep[u][i]) out[u].push_back(attr_stage[u][i]);
-      }
-      neighborhood_pruned += attr_stage[u].size() - out[u].size();
+    } else {
+      out[u] = std::move(stage);
+      return;
     }
+    w.pruned += stage.size() - out[u].size();
+  };
+
+  std::vector<Worker> ws(parallel ? static_cast<size_t>(workers) : 1);
+  if (!parallel) {
+    ws[0].metrics = metrics;
+    // One charge per feasible-mate probe; on a trip the remaining
+    // candidate lists stay empty (partial-result semantics).
+    for (size_t u = 0; u < k; ++u) {
+      if (!GovCharge(gov, base[u]->size(), GovernPoint::kRetrieve)) break;
+      scan(u, ws[0]);
+    }
+  } else {
+    for (Worker& w : ws) {
+      w.shard = GovernorShard(gov, GovernPoint::kRetrieve);
+      w.nbh_shard = GovernorShard(gov, GovernPoint::kNeighborhood);
+      if (metrics != nullptr && use_neighborhoods) {
+        w.metric_shard = std::make_unique<obs::MetricsRegistry>();
+        w.metrics = w.metric_shard.get();
+      }
+    }
+    ThreadPool& tp =
+        options.pool != nullptr ? *options.pool : ThreadPool::Shared();
+    ThreadPool::RunStats run =
+        tp.ParallelFor(k, workers, [&](size_t u, int w) {
+          Worker& s = ws[static_cast<size_t>(w)];
+          if (s.shard.Charge(base[u]->size())) scan(u, s);
+        });
+    for (Worker& w : ws) {
+      w.shard.Flush();
+      w.nbh_shard.Flush();
+      if (w.metric_shard != nullptr) metrics->Merge(w.metric_shard->Snapshot());
+    }
+    if (run_stats != nullptr) *run_stats = std::move(run);
   }
 
   uint64_t feasible_hits = 0;
   uint64_t feasible_misses = 0;
-  uint64_t profile_pruned = 0;
-  for (WorkerState& s : ws) {
-    s.shard.Flush();
-    s.nbh_shard.Flush();
-    feasible_hits += s.feasible_hits;
-    feasible_misses += s.feasible_misses;
-    profile_pruned += s.profile_pruned;
-    if (metrics != nullptr && s.metric_shard != nullptr) {
-      metrics->Merge(s.metric_shard->Snapshot());
-    }
+  uint64_t pruned = 0;
+  for (const Worker& w : ws) {
+    feasible_hits += w.feasible_hits;
+    feasible_misses += w.feasible_misses;
+    pruned += w.pruned;
   }
   if (stats != nullptr) {
     for (size_t u = 0; u < k; ++u) stats->size_retrieved[u] = out[u].size();
-    stats->tasks_stolen += stolen;
-  }
-  if (info != nullptr) {
-    info->workers = workers_seen;
-    info->tasks_stolen = stolen;
   }
   if (metrics != nullptr) {
     metrics->GetCounter("match.retrieve.feasible_hits")
@@ -388,11 +358,10 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
     metrics->GetCounter("match.retrieve.feasible_misses")
         ->Increment(feasible_misses);
     if (options.candidate_mode == CandidateMode::kProfile) {
-      metrics->GetCounter("match.retrieve.profile_pruned")
-          ->Increment(profile_pruned);
+      metrics->GetCounter("match.retrieve.profile_pruned")->Increment(pruned);
     } else if (options.candidate_mode == CandidateMode::kNeighborhood) {
       metrics->GetCounter("match.retrieve.neighborhood_pruned")
-          ->Increment(neighborhood_pruned);
+          ->Increment(pruned);
     }
   }
   return out;
@@ -421,206 +390,12 @@ double PipelineStats::Space(const std::vector<size_t>& sizes) {
 std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
-    PipelineStats* stats, const GraphSnapshot* snap) {
-  if (index != nullptr) {
-    int workers = ResolveWorkers(options.num_threads, options.pool);
-    if (workers > 0) {
-      return RetrieveCandidatesParallel(pattern, data, *index, options, stats,
-                                        workers, /*info=*/nullptr, snap);
-    }
-  }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  std::vector<std::vector<NodeId>> out(k);
-  if (stats != nullptr) {
-    stats->size_attr.assign(k, 0);
-    stats->size_retrieved.assign(k, 0);
-  }
-  obs::MetricsRegistry* metrics = options.metrics;
-  ResourceGovernor* gov = options.governor;
-  // Feasible-mate accounting, accumulated locally and flushed once.
-  uint64_t feasible_hits = 0;
-  uint64_t feasible_misses = 0;
-  uint64_t profile_pruned = 0;
-  uint64_t neighborhood_pruned = 0;
-  if (index == nullptr) {
-    // Bulk-charge the scan's probes; on a trip return empty candidate
-    // lists (the search then finds nothing — partial-result semantics).
-    if (!GovCharge(gov, k * data.NumNodes(), GovernPoint::kRetrieve)) {
-      return out;
-    }
-    if (snap != nullptr &&
-        options.selection != SelectionKernel::kScalar) {
-      // Full scans are the densest base list possible, so auto resolves to
-      // the bitmap kernel; iterating set bits ascending reproduces the
-      // scalar v-loop order exactly.
-      SelectionPlan plan(pattern, *snap, metrics);
-      const size_t n = data.NumNodes();
-      SelectionKernel ku = ResolveSelectionKernel(options.selection, n, n,
-                                                  /*dense_base=*/true);
-      algebra::PatternScratch scratch;
-      if (ku == SelectionKernel::kBitmap) {
-        PackedBits bits(2, n);
-        for (size_t u = 0; u < k; ++u) {
-          NodeId pu = static_cast<NodeId>(u);
-          plan.FillStructuralBitmap(pu, &bits);
-          const bool preds = plan.HasPreds(pu);
-          bits.ForEachInRow(0, [&](size_t v) {
-            NodeId dv = static_cast<NodeId>(v);
-            if (!preds || plan.PredsOk(pu, data, dv, &scratch)) {
-              out[u].push_back(dv);
-            }
-            return true;
-          });
-        }
-      } else {
-        for (size_t u = 0; u < k; ++u) {
-          for (size_t v = 0; v < n; ++v) {
-            if (plan.NodeCompatible(static_cast<NodeId>(u), data,
-                                    static_cast<NodeId>(v), &scratch)) {
-              out[u].push_back(static_cast<NodeId>(v));
-            }
-          }
-        }
-      }
-    } else if (snap != nullptr) {
-      for (size_t u = 0; u < k; ++u) {
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          if (pattern.NodeCompatible(static_cast<NodeId>(u), *snap, data,
-                                     static_cast<NodeId>(v))) {
-            out[u].push_back(static_cast<NodeId>(v));
-          }
-        }
-      }
-    } else {
-      out = ScanCandidates(pattern, data);
-    }
-    size_t kept = 0;
-    for (size_t u = 0; u < k; ++u) {
-      kept += out[u].size();
-      if (stats != nullptr) {
-        stats->size_attr[u] = out[u].size();
-        stats->size_retrieved[u] = out[u].size();
-      }
-    }
-    if (metrics != nullptr) {
-      metrics->GetCounter("match.retrieve.scans")->Increment();
-      metrics->GetCounter("match.retrieve.feasible_hits")->Increment(kept);
-      metrics->GetCounter("match.retrieve.feasible_misses")
-          ->Increment(k * data.NumNodes() - kept);
-    }
-    return out;
-  }
-
-  std::vector<NodeId> all_nodes;  // Lazy: built only for wildcard nodes.
-  // Vectorized selection state (plan compiled once per retrieve; bitmap
-  // scratch allocated on first bitmap-resolved node).
-  std::optional<SelectionPlan> sel_plan;
-  std::optional<PackedBits> sel_bits;
-  algebra::PatternScratch sel_scratch;
-  if (snap != nullptr && options.selection != SelectionKernel::kScalar) {
-    sel_plan.emplace(pattern, *snap, metrics);
-  }
-  for (size_t u = 0; u < k; ++u) {
-    NodeId pu = static_cast<NodeId>(u);
-    std::string_view label = p.Label(pu);
-    std::vector<NodeId> attr_base;  // Owned storage for B+-tree retrieval.
-    const std::vector<NodeId>* base = nullptr;
-    if (!label.empty()) {
-      base = &index->NodesWithLabel(label);
-    } else if (auto from_attr = AttrIndexBaseList(pattern, pu, *index)) {
-      attr_base = std::move(*from_attr);
-      base = &attr_base;
-    } else {
-      if (all_nodes.empty() && data.NumNodes() > 0) {
-        all_nodes.resize(data.NumNodes());
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          all_nodes[v] = static_cast<NodeId>(v);
-        }
-      }
-      base = &all_nodes;
-    }
-
-    // One charge per feasible-mate probe for this pattern node; on a trip
-    // the remaining candidate lists stay empty (partial-result semantics).
-    if (!GovCharge(gov, base->size(), GovernPoint::kRetrieve)) break;
-
-    // Stage 1: attribute retrieval + remaining feasible-mate predicates.
-    std::vector<NodeId> attr_stage;
-    attr_stage.reserve(base->size());
-    if (sel_plan.has_value()) {
-      SelectionKernel ku =
-          ResolveSelectionKernel(options.selection, base->size(),
-                                 snap->num_nodes(), base == &all_nodes);
-      if (ku == SelectionKernel::kBitmap && !sel_bits.has_value()) {
-        sel_bits.emplace(2, snap->num_nodes());
-      }
-      ScanBaseList(*sel_plan, pu, data, *base, ku, &sel_scratch,
-                   sel_bits.has_value() ? &*sel_bits : nullptr, &attr_stage);
-    } else {
-      for (NodeId v : *base) {
-        bool ok = snap != nullptr ? pattern.NodeCompatible(pu, *snap, data, v)
-                                  : pattern.NodeCompatible(pu, data, v);
-        if (ok) attr_stage.push_back(v);
-      }
-    }
-    feasible_hits += attr_stage.size();
-    feasible_misses += base->size() - attr_stage.size();
-    if (stats != nullptr) stats->size_attr[u] = attr_stage.size();
-
-    // Stage 2: local pruning by profiles or neighborhood subgraphs.
-    switch (options.candidate_mode) {
-      case CandidateMode::kLabelOnly:
-        out[u] = std::move(attr_stage);
-        break;
-      case CandidateMode::kProfile: {
-        if (!index->has_profiles()) {
-          out[u] = std::move(attr_stage);
-          break;
-        }
-        Profile want = PatternProfile(p, pu, index->options().radius);
-        for (NodeId v : attr_stage) {
-          if (ProfileContains(index->profile(v), want)) {
-            out[u].push_back(v);
-          }
-        }
-        profile_pruned += attr_stage.size() - out[u].size();
-        break;
-      }
-      case CandidateMode::kNeighborhood: {
-        if (!index->has_neighborhoods()) {
-          out[u] = std::move(attr_stage);
-          break;
-        }
-        NeighborhoodSubgraph want =
-            ExtractNeighborhood(p, pu, index->options().radius);
-        for (NodeId v : attr_stage) {
-          if (NeighborhoodSubIsomorphic(want, index->neighborhood(v),
-                                        options.neighborhood_step_budget,
-                                        metrics, gov)) {
-            out[u].push_back(v);
-          }
-        }
-        neighborhood_pruned += attr_stage.size() - out[u].size();
-        break;
-      }
-    }
-    if (stats != nullptr) stats->size_retrieved[u] = out[u].size();
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.retrieve.feasible_hits")
-        ->Increment(feasible_hits);
-    metrics->GetCounter("match.retrieve.feasible_misses")
-        ->Increment(feasible_misses);
-    if (options.candidate_mode == CandidateMode::kProfile) {
-      metrics->GetCounter("match.retrieve.profile_pruned")
-          ->Increment(profile_pruned);
-    } else if (options.candidate_mode == CandidateMode::kNeighborhood) {
-      metrics->GetCounter("match.retrieve.neighborhood_pruned")
-          ->Increment(neighborhood_pruned);
-    }
-  }
-  return out;
+    PipelineStats* stats) {
+  std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
+  return index != nullptr
+             ? RetrieveIndexed(pattern, data, *snap, *index, options, stats,
+                               /*run_stats=*/nullptr)
+             : ScanAllNodes(pattern, data, *snap, options, stats);
 }
 
 Result<std::vector<algebra::MatchedGraph>> MatchPattern(
@@ -634,25 +409,20 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   // Trip counters are emitted on the not-tripped -> tripped transition so
   // collection loops over many member graphs count each trip once.
   const bool was_tripped = gov != nullptr && gov->tripped();
-  // Intra-query parallelism: 0 = the bit-exact serial path. Parallel runs
-  // produce the same match set and order (see SearchMatchesParallel).
+  // Intra-query parallelism: 0 or 1 runs every stage on the calling
+  // thread; parallel runs produce the same match set and order.
   const int workers = ResolveWorkers(options.num_threads, options.pool);
 
   // Compile (or fetch) the data graph's snapshot on the coordinator before
   // any fan-out, so worker threads only ever read the finished immutable
-  // structure. A caller-provided MatchOptions::snapshot wins.
-  std::shared_ptr<const GraphSnapshot> snap_holder;
-  const GraphSnapshot* snap = options.match.snapshot;
+  // structure.
   bool snap_fresh = false;
-  if (snap == nullptr && options.use_snapshot) {
-    snap_holder = data.snapshot(&snap_fresh);
-    snap = snap_holder.get();
-    if (snap_fresh && metrics != nullptr) {
-      metrics->GetCounter("snapshot.builds")->Increment();
-      metrics->GetCounter("snapshot.bytes")->Increment(snap->bytes());
-      metrics->GetHistogram("snapshot.build_us")
-          ->Record(static_cast<uint64_t>(snap->build_micros()));
-    }
+  std::shared_ptr<const GraphSnapshot> snap = data.snapshot(&snap_fresh);
+  if (snap_fresh && metrics != nullptr) {
+    metrics->GetCounter("snapshot.builds")->Increment();
+    metrics->GetCounter("snapshot.bytes")->Increment(snap->bytes());
+    metrics->GetHistogram("snapshot.build_us")
+        ->Record(static_cast<uint64_t>(snap->build_micros()));
   }
   // A freshly compiled snapshot is new memory this query caused; account
   // it for the query's duration. Cache hits were paid for by the query
@@ -672,38 +442,36 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
                        static_cast<int64_t>(data.NumNodes()));
     query_span.SetAttr("mode", CandidateModeName(options.candidate_mode));
     query_span.SetAttr("indexed", static_cast<int64_t>(index != nullptr));
-    query_span.SetAttr("snapshot", static_cast<int64_t>(snap != nullptr));
     if (workers > 0) {
       query_span.SetAttr("threads", static_cast<int64_t>(workers));
     }
   }
 
   obs::Span retrieve_span(tracer, "retrieve", obs::Span::Timing::kAlways);
-  RetrieveParallelInfo retrieve_info;
+  ThreadPool::RunStats retrieve_run;
   std::vector<std::vector<NodeId>> candidates =
-      workers > 0 && index != nullptr
-          ? RetrieveCandidatesParallel(pattern, data, *index, options, stats,
-                                       workers, &retrieve_info, snap)
-          : RetrieveCandidates(pattern, data, index, options, stats, snap);
+      index != nullptr ? RetrieveIndexed(pattern, data, *snap, *index, options,
+                                         stats, &retrieve_run)
+                       : ScanAllNodes(pattern, data, *snap, options, stats);
   if (retrieve_span.active()) {
     size_t total = 0;
     for (const auto& c : candidates) total += c.size();
     retrieve_span.SetAttr("candidates", static_cast<int64_t>(total));
-    if (retrieve_info.workers > 0) {
+    if (retrieve_run.workers > 0) {
       retrieve_span.SetAttr("threads",
-                            static_cast<int64_t>(retrieve_info.workers));
+                            static_cast<int64_t>(retrieve_run.workers));
       retrieve_span.SetAttr("tasks_stolen",
-                            static_cast<int64_t>(retrieve_info.tasks_stolen));
+                            static_cast<int64_t>(retrieve_run.stolen));
     }
   }
-  EmitWorkerLanes(tracer, retrieve_info.lanes);
+  EmitWorkerLanes(tracer, retrieve_run.lanes);
   retrieve_span.End();
 
   obs::Span refine_span(tracer, "refine", obs::Span::Timing::kAlways);
   int level = options.refine_level;
   if (level < 0) level = static_cast<int>(k);
   RefineStats refine_stats;
-  ParallelRefineStats refine_parallel;
+  ThreadPool::RunStats refine_run;
   bool refine_degraded = false;
   if (level > 0 && GovOk(gov)) {
     // Snapshot the candidate sets so a degradable budget trip can fall
@@ -711,15 +479,9 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     std::vector<std::vector<NodeId>> snapshot;
     const bool can_degrade = gov != nullptr && gov->HasLimits();
     if (can_degrade) snapshot = candidates;
-    if (workers > 0) {
-      RefineSearchSpaceParallel(pattern, data, level, &candidates,
-                                &refine_stats, options.refine_use_marking,
-                                metrics, gov, options.num_threads, options.pool,
-                                &refine_parallel, snap);
-    } else {
-      RefineSearchSpace(pattern, data, level, &candidates, &refine_stats,
-                        options.refine_use_marking, metrics, gov, snap);
-    }
+    RefineSearchSpace(pattern, *snap, level, &candidates, &refine_stats,
+                      options.refine_use_marking, metrics, gov,
+                      options.num_threads, options.pool, &refine_run);
     if (refine_stats.aborted && can_degrade && gov->DegradableTrip()) {
       candidates = std::move(snapshot);
       gov->RefundSteps(refine_stats.pairs_charged);
@@ -740,15 +502,14 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
                         static_cast<int64_t>(refine_stats.removed));
     refine_span.SetAttr("dirty_skips",
                         static_cast<int64_t>(refine_stats.dirty_skips));
-    if (refine_parallel.workers > 0) {
-      refine_span.SetAttr("threads",
-                          static_cast<int64_t>(refine_parallel.workers));
+    if (refine_run.workers > 0) {
+      refine_span.SetAttr("threads", static_cast<int64_t>(refine_run.workers));
       refine_span.SetAttr("tasks_stolen",
-                          static_cast<int64_t>(refine_parallel.tasks_stolen));
+                          static_cast<int64_t>(refine_run.stolen));
     }
     if (refine_degraded) refine_span.SetAttr("degraded", "fallback-unrefined");
   }
-  EmitWorkerLanes(tracer, refine_parallel.lanes);
+  EmitWorkerLanes(tracer, refine_run.lanes);
   refine_span.End();
   if (stats != nullptr) {
     stats->refine.bipartite_checks += refine_stats.bipartite_checks;
@@ -777,18 +538,12 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
 
   obs::Span search_span(tracer, "search", obs::Span::Timing::kAlways);
   SearchStats search_stats;
-  ParallelSearchStats search_parallel;
+  ThreadPool::RunStats search_run;
   MatchOptions match_options = options.match;
   if (match_options.governor == nullptr) match_options.governor = gov;
-  if (match_options.snapshot == nullptr) match_options.snapshot = snap;
-  Result<std::vector<algebra::MatchedGraph>> matches =
-      workers > 0
-          ? SearchMatchesParallel(pattern, data, candidates, order,
-                                  match_options, options.num_threads,
-                                  options.pool, &search_stats, metrics,
-                                  &search_parallel)
-          : SearchMatches(pattern, data, candidates, order, match_options,
-                          &search_stats, metrics);
+  Result<std::vector<algebra::MatchedGraph>> matches = SearchMatchesParallel(
+      pattern, data, *snap, candidates, order, match_options,
+      options.num_threads, options.pool, &search_stats, metrics, &search_run);
   if (search_span.active()) {
     search_span.SetAttr("steps", static_cast<int64_t>(search_stats.steps));
     search_span.SetAttr("backtracks",
@@ -801,14 +556,13 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     if (search_stats.governor_tripped) {
       search_span.SetAttr("governor_tripped", static_cast<int64_t>(1));
     }
-    if (search_parallel.workers > 0) {
-      search_span.SetAttr("threads",
-                          static_cast<int64_t>(search_parallel.workers));
+    if (search_run.workers > 0) {
+      search_span.SetAttr("threads", static_cast<int64_t>(search_run.workers));
       search_span.SetAttr("tasks_stolen",
-                          static_cast<int64_t>(search_parallel.tasks_stolen));
+                          static_cast<int64_t>(search_run.stolen));
     }
   }
-  EmitWorkerLanes(tracer, search_parallel.lanes);
+  EmitWorkerLanes(tracer, search_run.lanes);
   search_span.End();
 
   const bool newly_tripped = gov != nullptr && gov->tripped() && !was_tripped;
@@ -851,9 +605,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     stats->order = order;
     stats->num_matches = matches.ok() ? matches.value().size() : 0;
     stats->threads = workers;
-    // Retrieve-stage steals were already added by RetrieveCandidatesParallel.
     stats->tasks_stolen +=
-        refine_parallel.tasks_stolen + search_parallel.tasks_stolen;
+        retrieve_run.stolen + refine_run.stolen + search_run.stolen;
   }
   if (metrics != nullptr) {
     metrics->GetCounter("match.queries")->Increment();

@@ -13,7 +13,6 @@
 #include "match/label_index.h"
 #include "match/matcher.h"
 #include "match/refine.h"
-#include "match/vectorized.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,20 +46,6 @@ struct PipelineOptions {
   bool refine_use_marking = true;
   /// Greedy cost-based search order (Section 4.4) vs declaration order.
   bool optimize_order = true;
-  /// Run retrieval, refinement, and search over the data graph's compiled
-  /// GraphSnapshot (interned symbols, CSR adjacency, columnar attributes).
-  /// The snapshot is compiled lazily on first use and cached on the graph;
-  /// results — content and order — are bit-identical to the legacy path.
-  /// Disable to force the mutable-structure code paths (ablation/bench).
-  bool use_snapshot = true;
-  /// Candidate-selection kernel for the snapshot retrieve stage: scalar
-  /// per-candidate probes, column-at-a-time bitmap evaluation over
-  /// PackedBits, compiled predicate bytecode, or a per-node automatic
-  /// choice. Verdicts, candidate order, governor charge sites/amounts,
-  /// and stage metrics are identical across kernels; non-scalar kernels
-  /// require the snapshot path (ignored when use_snapshot is off or no
-  /// snapshot is supplied). Defaults to $GQL_SELECTION (auto if unset).
-  SelectionKernel selection = DefaultSelectionKernel();
   OrderOptions order;
   MatchOptions match;
   /// Step budget for each neighborhood sub-isomorphism test; 0 = unlimited
@@ -68,11 +53,11 @@ struct PipelineOptions {
   /// from the governor; set this only to bound individual tests).
   uint64_t neighborhood_step_budget = 0;
   /// Intra-query parallelism: total workers (including the calling thread)
-  /// for the parallel retrieve / refine / search stages. 0 runs the
-  /// bit-exact serial path; 1 runs the parallel code path on the calling
-  /// thread alone (useful for determinism tests); N > 1 adds pool threads,
-  /// capped at the pool's capacity. Defaults to $GQL_THREADS (0 if unset).
-  /// Parallel match results — set and order — are identical to serial.
+  /// for the retrieve / refine / search stages. 0 and 1 both run every
+  /// stage on the calling thread alone; N > 1 adds pool threads, capped at
+  /// the pool's capacity. Defaults to $GQL_THREADS (0 if unset). Parallel
+  /// match results — set and order — are identical to serial; parallel
+  /// refinement may keep a superset of the serial candidates (refine.h).
   int num_threads = DefaultNumThreads();
   /// Pool serving the parallel stages; null = the process-wide shared pool.
   ThreadPool* pool = nullptr;
@@ -113,7 +98,7 @@ struct PipelineStats {
   /// Refinement tripped a degradable budget and the pipeline fell back to
   /// the unrefined candidate sets (search still ran to completion).
   bool refine_degraded = false;
-  /// Workers serving the parallel stages (0 = serial run).
+  /// Workers serving the stages (ResolveWorkers; 0 or 1 = calling thread).
   int threads = 0;
   /// Work-stealing events summed across the retrieve/refine/search stages.
   uint64_t tasks_stolen = 0;
@@ -143,14 +128,13 @@ struct PipelineStats {
 };
 
 /// Retrieval of feasible mates (first phase of Algorithm 4.1 + Section 4.2
-/// pruning). Exposed separately so benchmarks can measure it; stats may be
-/// null. When `index` is null, falls back to a full scan (label-only).
-/// When `snap` is given (compiled from `data`), feasible-mate tests run
-/// through the snapshot's symbol/column fast path.
+/// pruning) over the data graph's compiled snapshot. Exposed separately so
+/// benchmarks can measure it; stats may be null. When `index` is null,
+/// falls back to a full scan (label-only).
 std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
-    PipelineStats* stats = nullptr, const GraphSnapshot* snap = nullptr);
+    PipelineStats* stats = nullptr);
 
 /// Full selection over a single large graph: retrieve, refine, order,
 /// search. This is sigma_P({G}) with all graph-specific optimizations.

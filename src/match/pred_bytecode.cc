@@ -60,7 +60,7 @@ class PredProgram::Compiler {
   /// the resolution Bindings::ResolvePath performs under NodePredsOk's
   /// environment (current node = v, default + pattern-name binding over
   /// the pattern's node names, mapping live only for u_). Paths that
-  /// resolve to anything else — another node (scalar path: unmapped →
+  /// resolve to anything else — another node (AST path: unmapped →
   /// error → reject), a graph attribute ({pattern-name, attr}), a data
   /// edge name — are not compiled.
   std::optional<uint16_t> AttrSlotFor(const std::vector<std::string>& path) {

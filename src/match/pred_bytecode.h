@@ -18,7 +18,7 @@ class GraphPattern;
 namespace graphql::match {
 
 /// Three-valued predicate verdict. kError stands for an evaluation error
-/// (e.g. ordering a string against a number), which the scalar path treats
+/// (e.g. ordering a string against a number), which the AST path treats
 /// as "predicate rejects" — but which must still poison And/Or exactly the
 /// way GQL_ASSIGN_OR_RETURN propagates through EvalExpr.
 enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kError = 2 };
@@ -26,7 +26,7 @@ enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kError = 2 };
 /// A pushed-down single-node predicate compiled to a flat register
 /// bytecode executed against snapshot columns, replacing the per-candidate
 /// AST walk (Bindings setup + ResolvePath + recursive EvalExpr) of the
-/// scalar path.
+/// interpreter.
 ///
 /// Covered ISA: comparisons (== != < <= > >=) between an attribute of the
 /// predicate's own pattern node and a literal (or attribute/attribute,
@@ -39,8 +39,8 @@ enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kError = 2 };
 ///
 /// Exactness contract: for every data node the program's verdict equals
 /// `EvalPredicate(pred, bindings)` under NodePredsOk's bindings — kTrue
-/// iff the scalar predicate accepts, kFalse/kError iff it rejects (the
-/// scalar path folds errors into rejection). Eager evaluation plus
+/// iff the AST predicate accepts, kFalse/kError iff it rejects (the
+/// AST path folds errors into rejection). Eager evaluation plus
 /// three-valued And/Or combinators reproduces EvalExpr's short-circuit
 /// semantics because every compiled operand is side-effect-free:
 /// And(lhs=false, rhs=would-error) is kFalse on both paths.

@@ -2,25 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <unordered_set>
+#include <utility>
 
 #include "common/packed_bits.h"
-#include "graph/snapshot.h"
 #include "match/bipartite.h"
 
 namespace graphql::match {
 
 namespace {
 
-uint64_t PairKey(NodeId u, NodeId v) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-         static_cast<uint32_t>(v);
-}
-
-/// Unique undirected neighbor list of a node (parallel edges collapsed;
-/// for directed graphs, in- and out-neighbors are merged — this weakens
-/// but never unsounds the pruning).
+/// Unique undirected neighbor list of a pattern node (parallel edges
+/// collapsed; for directed graphs, in- and out-neighbors are merged — this
+/// weakens but never unsounds the pruning). The data side reads the same
+/// sorted, deduplicated lists from GraphSnapshot::unique_neighbors.
 std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
   std::vector<NodeId> out;
   out.reserve(g.Degree(v));
@@ -54,27 +48,29 @@ void FlushRefineStats(const RefineStats& local, RefineStats* stats,
   }
 }
 
-/// Snapshot (packed-bitmap) serial refinement. Decisions and their order
-/// are identical to the legacy path: marked pairs drain in ascending
-/// (u, v) order (what the legacy sort over PairKeys produces), the
-/// no-marking ablation walks candidate-list order against a level-start
-/// copy, and neighbor sets come from the snapshot's sorted unique-neighbor
-/// spans (the same sorted+deduped lists UniqueNeighbors builds per pair).
-void RefineSnapSerial(const algebra::GraphPattern& pattern,
-                      const GraphSnapshot& snap, int level,
-                      std::vector<std::vector<NodeId>>* candidates,
-                      RefineStats* stats, bool use_marking,
-                      obs::MetricsRegistry* metrics,
-                      ResourceGovernor* governor) {
+}  // namespace
+
+void RefineSearchSpace(const algebra::GraphPattern& pattern,
+                       const GraphSnapshot& snap, int level,
+                       std::vector<std::vector<NodeId>>* candidates,
+                       RefineStats* stats, bool use_marking,
+                       obs::MetricsRegistry* metrics,
+                       ResourceGovernor* governor, int num_threads,
+                       ThreadPool* pool, ThreadPool::RunStats* run_stats) {
   const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
+  const size_t k = p.NumNodes();
   if (k == 0 || level <= 0) return;
   const size_t n = snap.num_nodes();
+  const int workers = ResolveWorkers(num_threads, pool);
+  const bool parallel = workers > 1;
   RefineStats local;
 
+  // The calling thread removes pairs mid-level, so it walks a level-start
+  // copy of the pending bits (`todo`); parallel levels walk a pair list
+  // and touch the bitmaps only at the barrier.
   PackedBits in_cand(k, n);
   PackedBits marked(k, n);
-  PackedBits todo(k, n);  // Level-start copy (marked or in_cand).
+  PackedBits todo = parallel ? PackedBits() : PackedBits(k, n);
   ScopedReserve bitmap_mem(governor,
                            in_cand.bytes() + marked.bytes() + todo.bytes(),
                            GovernPoint::kRefine);
@@ -84,616 +80,173 @@ void RefineSnapSerial(const algebra::GraphPattern& pattern,
     pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
   }
 
-  size_t marked_count = 0;
+  size_t live = 0;          // Bits set in in_cand.
+  size_t marked_count = 0;  // Bits set in marked (always within in_cand).
   for (size_t u = 0; u < k; ++u) {
     for (NodeId v : (*candidates)[u]) {
+      if (in_cand.Test(u, v)) continue;
       in_cand.Set(u, v);
-      if (!marked.Test(u, v)) {
-        marked.Set(u, v);
-        ++marked_count;
-      }
+      marked.Set(u, v);
+      ++live;
+      ++marked_count;
     }
   }
 
-  auto clear_mark = [&](size_t u, size_t v) {
+  // B(u, v) test: true while every pattern neighbor of u can be matched to
+  // a distinct data neighbor of v that is still its candidate.
+  auto keeps = [&](NodeId u, NodeId v, std::vector<std::vector<int>>* adj,
+                   uint64_t* checks) {
+    const std::vector<NodeId>& nu = pnbr[u];
+    if (nu.empty()) return true;  // Isolated pattern node: keep.
+    std::span<const NodeId> nv = snap.unique_neighbors(v);
+    adj->assign(nu.size(), {});
+    for (size_t i = 0; i < nu.size(); ++i) {
+      for (size_t j = 0; j < nv.size(); ++j) {
+        if (in_cand.Test(nu[i], nv[j])) {
+          (*adj)[i].push_back(static_cast<int>(j));
+        }
+      }
+    }
+    ++*checks;
+    return HasSemiPerfectMatching(static_cast<int>(nu.size()),
+                                  static_cast<int>(nv.size()), *adj);
+  };
+
+  bool changed = false;
+  auto clear_mark = [&](NodeId u, NodeId v) {
     if (marked.Test(u, v)) {
       marked.Clear(u, v);
       --marked_count;
     }
   };
-
-  std::vector<std::vector<int>> adj;  // Reused bipartite adjacency buffer.
-  bool changed = false;
-  // Returns false to stop the level (governor trip).
-  auto process = [&](NodeId u, NodeId v) {
-    ++local.pairs_charged;
-    if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
-      local.aborted = true;
-      return false;
-    }
-    if (!in_cand.Test(u, v)) {  // Already removed this level.
-      ++local.dirty_skips;
-      return true;
-    }
-    const std::vector<NodeId>& nu = pnbr[u];
-    if (nu.empty()) {
-      clear_mark(u, v);
-      return true;  // Isolated pattern node: trivially matchable.
-    }
-    std::span<const NodeId> nv = snap.unique_neighbors(v);
-    adj.assign(nu.size(), {});
-    for (size_t i = 0; i < nu.size(); ++i) {
-      for (size_t j = 0; j < nv.size(); ++j) {
-        if (in_cand.Test(nu[i], nv[j])) adj[i].push_back(static_cast<int>(j));
-      }
-    }
-    ++local.bipartite_checks;
-    if (HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                               static_cast<int>(nv.size()), adj)) {
-      clear_mark(u, v);
-      return true;
-    }
+  // Drops v from Phi(u) and marks the pairs whose test the removal can flip.
+  auto prune = [&](NodeId u, NodeId v) {
     in_cand.Clear(u, v);
-    clear_mark(u, v);
+    --live;
     changed = true;
     ++local.removed;
-    for (NodeId u2 : nu) {
-      for (NodeId v2 : nv) {
+    for (NodeId u2 : pnbr[u]) {
+      for (NodeId v2 : snap.unique_neighbors(v)) {
         if (in_cand.Test(u2, v2) && !marked.Test(u2, v2)) {
           marked.Set(u2, v2);
           ++marked_count;
         }
       }
     }
-    return true;
   };
+  // Visits the pairs set in `pending` in processing order — ascending
+  // (u, v) with marking, candidate-list order without — until fn is false.
+  auto for_each_pair = [&](const PackedBits& pending, auto&& fn) {
+    for (size_t u = 0; u < k; ++u) {
+      const NodeId pu = static_cast<NodeId>(u);
+      if (use_marking) {
+        if (!pending.ForEachInRow(u, [&](size_t v) {
+              return fn(pu, static_cast<NodeId>(v));
+            })) {
+          return;
+        }
+        continue;
+      }
+      for (NodeId v : (*candidates)[u]) {
+        if (pending.Test(u, v) && !fn(pu, v)) return;
+      }
+    }
+  };
+
+  std::vector<std::vector<int>> adj;  // Calling thread's bipartite buffer.
+  struct WorkerState {
+    GovernorShard shard;
+    std::vector<std::vector<int>> adj;
+    uint64_t bipartite_checks = 0;
+  };
+  std::vector<WorkerState> ws(parallel ? static_cast<size_t>(workers) : 0);
+  for (WorkerState& s : ws) {
+    s.shard = GovernorShard(governor, GovernPoint::kRefine);
+  }
+  ThreadPool::RunStats runs;
+  std::atomic<bool> aborted{false};
 
   for (int l = 0; l < level; ++l) {
     local.levels_run = l + 1;
     changed = false;
-    if (use_marking) {
-      if (marked_count == 0) break;
-      todo.CopyFrom(marked);
-      for (size_t u = 0; u < k && !local.aborted; ++u) {
-        todo.ForEachInRow(u, [&](size_t v) {
-          return process(static_cast<NodeId>(u), static_cast<NodeId>(v));
-        });
-      }
-    } else {
-      todo.CopyFrom(in_cand);
-      bool any = false;
-      for (size_t u = 0; u < k && !local.aborted; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (!todo.Test(u, v)) continue;
-          any = true;
-          if (!process(static_cast<NodeId>(u), v)) break;
+    const PackedBits& pending = use_marking ? marked : in_cand;
+    if ((use_marking ? marked_count : live) == 0) break;
+    if (!parallel) {
+      todo.CopyFrom(pending);
+      for_each_pair(todo, [&](NodeId u, NodeId v) {
+        ++local.pairs_charged;
+        if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
+          local.aborted = true;
+          return false;
         }
-      }
-      if (!any) break;
-    }
-    if (local.aborted) break;
-    if (!changed && use_marking && marked_count == 0) break;
-    if (!changed && !use_marking) break;
-  }
-
-  // Write the surviving candidates back, preserving order.
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand.Test(u, v); }),
-               list.end());
-  }
-
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.snapshot_passes")->Increment();
-  }
-  FlushRefineStats(local, stats, metrics);
-}
-
-}  // namespace
-
-void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
-                       int level, std::vector<std::vector<NodeId>>* candidates,
-                       RefineStats* stats, bool use_marking,
-                       obs::MetricsRegistry* metrics,
-                       ResourceGovernor* governor, const GraphSnapshot* snap) {
-  if (snap != nullptr) {
-    RefineSnapSerial(pattern, *snap, level, candidates, stats, use_marking,
-                     metrics, governor);
-    return;
-  }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k == 0 || level <= 0) return;
-  RefineStats local;  // Counted unconditionally; flushed once at the end.
-
-  // The k x n membership bitmaps are the big transient structure here.
-  ScopedReserve bitmap_mem(governor, k * data.NumNodes(), GovernPoint::kRefine);
-
-  // Pattern neighbor lists (tiny, precompute once).
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  // Membership bitmaps: in_cand[u][v] == 1 iff v in candidates[u]. The
-  // hashed pair bookkeeping below implements the paper's second
-  // improvement (no k x n matrix is materialized for the marks).
-  std::vector<std::vector<char>> in_cand(k,
-                                         std::vector<char>(data.NumNodes(), 0));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) in_cand[u][v] = 1;
-  }
-
-  // The marked-pair set grows with the dirty frontier; route its
-  // allocations through the governor's accounting allocator.
-  using MarkedSet =
-      std::unordered_set<uint64_t, std::hash<uint64_t>, std::equal_to<uint64_t>,
-                         GovernedAllocator<uint64_t>>;
-  MarkedSet marked(0, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-                   GovernedAllocator<uint64_t>(governor, GovernPoint::kRefine));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) marked.insert(PairKey(static_cast<NodeId>(u), v));
-  }
-
-  std::vector<std::vector<int>> adj;  // Reused bipartite adjacency buffer.
-  for (int l = 0; l < level; ++l) {
-    local.levels_run = l + 1;
-    std::vector<uint64_t> todo;
-    if (use_marking) {
-      todo.assign(marked.begin(), marked.end());
-      // Deterministic processing order regardless of hash iteration.
-      std::sort(todo.begin(), todo.end());
-    } else {
-      for (size_t u = 0; u < k; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (in_cand[u][v]) todo.push_back(PairKey(static_cast<NodeId>(u), v));
+        if (!in_cand.Test(u, v)) {  // Already removed this level.
+          ++local.dirty_skips;
+          return true;
         }
-      }
-    }
-    if (todo.empty()) break;
-    bool changed = false;
-
-    for (uint64_t key : todo) {
-      ++local.pairs_charged;
-      if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
+        const bool keep = keeps(u, v, &adj, &local.bipartite_checks);
+        clear_mark(u, v);
+        if (!keep) prune(u, v);
+        return true;
+      });
+      if (local.aborted) break;
+    } else {
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      pairs.reserve(use_marking ? marked_count : live);
+      for_each_pair(pending, [&](NodeId u, NodeId v) {
+        pairs.emplace_back(u, v);
+        return true;
+      });
+      std::vector<char> failed(pairs.size(), 0);
+      // The worklist and verdict buffer are the level's real transient
+      // allocations (up to k*n pairs); released at the barrier.
+      ScopedReserve level_mem(
+          governor, pairs.size() * sizeof(pairs[0]) + failed.size(),
+          GovernPoint::kRefine);
+      ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
+      runs.Merge(tp.ParallelFor(pairs.size(), workers, [&](size_t i, int w) {
+        if (aborted.load(std::memory_order_relaxed)) return;
+        WorkerState& s = ws[static_cast<size_t>(w)];
+        if (!s.shard.Charge()) {
+          aborted.store(true, std::memory_order_relaxed);
+          return;
+        }
+        failed[i] = !keeps(pairs[i].first, pairs[i].second, &s.adj,
+                           &s.bipartite_checks);
+      }));
+      if (aborted.load(std::memory_order_relaxed)) {
+        // The level's verdicts are incomplete: discard them (earlier
+        // levels' removals stand and are sound).
         local.aborted = true;
         break;
       }
-      NodeId u = static_cast<NodeId>(key >> 32);
-      NodeId v = static_cast<NodeId>(key & 0xffffffffu);
-      if (!in_cand[u][v]) {  // Already removed this level.
-        ++local.dirty_skips;
-        continue;
-      }
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) {
-        marked.erase(key);
-        continue;  // Isolated pattern node: trivially matchable.
-      }
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      adj.assign(nu.size(), {});
-      for (size_t i = 0; i < nu.size(); ++i) {
-        const std::vector<char>& row = in_cand[nu[i]];
-        for (size_t j = 0; j < nv.size(); ++j) {
-          if (row[nv[j]]) adj[i].push_back(static_cast<int>(j));
-        }
-      }
-      ++local.bipartite_checks;
-      if (HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                 static_cast<int>(nv.size()), adj)) {
-        marked.erase(key);
-        continue;
-      }
-      // Remove v from candidates[u]; mark affected neighbor pairs.
-      in_cand[u][v] = 0;
-      marked.erase(key);
-      changed = true;
-      ++local.removed;
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : nv) {
-          if (in_cand[u2][v2]) {
-            marked.insert(PairKey(u2, v2));
-          }
-        }
+      // Barrier: apply the buffered verdicts in pair order.
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        clear_mark(pairs[i].first, pairs[i].second);
+        if (failed[i]) prune(pairs[i].first, pairs[i].second);
       }
     }
-    if (local.aborted) break;
-    if (!changed && use_marking && marked.empty()) break;
-    if (!changed && !use_marking) break;
+    if (!changed && (!use_marking || marked_count == 0)) break;
   }
 
   // Write the surviving candidates back, preserving order.
   for (size_t u = 0; u < k; ++u) {
     std::vector<NodeId>& list = (*candidates)[u];
     list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand[u][v]; }),
-               list.end());
-  }
-
-  if (stats != nullptr) {
-    stats->bipartite_checks += local.bipartite_checks;
-    stats->removed += local.removed;
-    stats->dirty_skips += local.dirty_skips;
-    stats->levels_run = local.levels_run;
-    stats->pairs_charged += local.pairs_charged;
-    stats->aborted |= local.aborted;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.bipartite_checks")
-        ->Increment(local.bipartite_checks);
-    metrics->GetCounter("match.refine.removed")->Increment(local.removed);
-    metrics->GetCounter("match.refine.dirty_skips")
-        ->Increment(local.dirty_skips);
-    metrics->GetCounter("match.refine.levels")
-        ->Increment(static_cast<uint64_t>(local.levels_run));
-  }
-}
-
-namespace {
-
-/// Snapshot (packed-bitmap) parallel refinement: the same Jacobi
-/// level-barrier scheme as the legacy parallel path, with the byte bitmap
-/// and hashed marked set replaced by bit matrices and per-pair neighbor
-/// lists replaced by snapshot spans. The todo vector (needed to index the
-/// fan-out) is built by draining the marked bitmap in ascending (u, v)
-/// order — the order the legacy path gets by sorting.
-void RefineSnapParallel(const algebra::GraphPattern& pattern,
-                        const GraphSnapshot& snap, int level,
-                        std::vector<std::vector<NodeId>>* candidates,
-                        RefineStats* stats, bool use_marking,
-                        obs::MetricsRegistry* metrics,
-                        ResourceGovernor* governor, int workers,
-                        ThreadPool& tp, ParallelRefineStats* pstats) {
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k == 0 || level <= 0) return;
-  const size_t n = snap.num_nodes();
-  RefineStats local;
-
-  PackedBits in_cand(k, n);
-  PackedBits marked(k, n);
-  ScopedReserve bitmap_mem(governor, in_cand.bytes() + marked.bytes(),
-                           GovernPoint::kRefine);
-
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  size_t marked_count = 0;
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) {
-      in_cand.Set(u, v);
-      if (!marked.Test(u, v)) {
-        marked.Set(u, v);
-        ++marked_count;
-      }
-    }
-  }
-
-  struct WorkerState {
-    GovernorShard shard;
-    std::vector<std::vector<int>> adj;  // Reused bipartite buffer.
-    uint64_t bipartite_checks = 0;
-  };
-  std::vector<WorkerState> ws(static_cast<size_t>(workers));
-  for (WorkerState& s : ws) {
-    s.shard = GovernorShard(governor, GovernPoint::kRefine);
-  }
-
-  uint64_t tasks_stolen = 0;
-  int max_workers_seen = 0;
-  std::vector<ThreadPool::WorkerLane> lanes;
-  std::atomic<bool> aborted{false};
-
-  for (int l = 0; l < level; ++l) {
-    local.levels_run = l + 1;
-    std::vector<uint64_t> todo;
-    if (use_marking) {
-      todo.reserve(marked_count);
-      for (size_t u = 0; u < k; ++u) {
-        marked.ForEachInRow(u, [&](size_t v) {
-          todo.push_back(PairKey(static_cast<NodeId>(u),
-                                 static_cast<NodeId>(v)));
-          return true;
-        });
-      }
-    } else {
-      for (size_t u = 0; u < k; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (in_cand.Test(u, v)) {
-            todo.push_back(PairKey(static_cast<NodeId>(u), v));
-          }
-        }
-      }
-    }
-    if (todo.empty()) break;
-
-    std::vector<char> remove(todo.size(), 0);
-    // The materialized worklist and verdict buffer are the level's real
-    // transient allocations (up to k*n pairs); charge them so a memory
-    // budget smaller than the refinement state trips here, not only at
-    // the bitmap reserve above. Released at the level barrier.
-    ScopedReserve level_mem(governor,
-                            todo.size() * sizeof(uint64_t) + remove.size(),
-                            GovernPoint::kRefine);
-    auto check_pair = [&](size_t i, int w) {
-      if (aborted.load(std::memory_order_relaxed)) return;
-      WorkerState& s = ws[static_cast<size_t>(w)];
-      if (!s.shard.Charge()) {
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      NodeId u = static_cast<NodeId>(todo[i] >> 32);
-      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) return;  // Isolated pattern node: keep.
-      std::span<const NodeId> nv = snap.unique_neighbors(v);
-      s.adj.assign(nu.size(), {});
-      for (size_t a = 0; a < nu.size(); ++a) {
-        for (size_t b = 0; b < nv.size(); ++b) {
-          if (in_cand.Test(nu[a], nv[b])) {
-            s.adj[a].push_back(static_cast<int>(b));
-          }
-        }
-      }
-      ++s.bipartite_checks;
-      if (!HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), s.adj)) {
-        remove[i] = 1;
-      }
-    };
-    ThreadPool::RunStats run = tp.ParallelFor(todo.size(), workers, check_pair);
-    tasks_stolen += run.stolen;
-    max_workers_seen = std::max(max_workers_seen, run.workers);
-    MergeWorkerLanes(&lanes, run.lanes);
-
-    if (aborted.load(std::memory_order_relaxed)) {
-      local.aborted = true;
-      break;
-    }
-
-    bool changed = false;
-    for (size_t i = 0; i < todo.size(); ++i) {
-      NodeId u = static_cast<NodeId>(todo[i] >> 32);
-      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      if (marked.Test(u, v)) {
-        marked.Clear(u, v);
-        --marked_count;
-      }
-      if (!remove[i]) continue;
-      in_cand.Clear(u, v);
-      changed = true;
-      ++local.removed;
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : snap.unique_neighbors(v)) {
-          if (in_cand.Test(u2, v2) && !marked.Test(u2, v2)) {
-            marked.Set(u2, v2);
-            ++marked_count;
-          }
-        }
-      }
-    }
-    if (!changed && use_marking && marked_count == 0) break;
-    if (!changed && !use_marking) break;
-  }
-
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
                               [&](NodeId v) { return !in_cand.Test(u, v); }),
-               list.end());
-  }
-
-  for (WorkerState& s : ws) {
-    if (!s.shard.Flush()) local.aborted = true;
-    local.bipartite_checks += s.bipartite_checks;
-    local.pairs_charged += s.shard.charged();
-  }
-  if (pstats != nullptr) {
-    pstats->workers = max_workers_seen;
-    pstats->tasks_stolen = tasks_stolen;
-    pstats->lanes = std::move(lanes);
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.snapshot_passes")->Increment();
-  }
-  FlushRefineStats(local, stats, metrics);
-}
-
-}  // namespace
-
-void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
-                               const Graph& data, int level,
-                               std::vector<std::vector<NodeId>>* candidates,
-                               RefineStats* stats, bool use_marking,
-                               obs::MetricsRegistry* metrics,
-                               ResourceGovernor* governor, int num_threads,
-                               ThreadPool* pool, ParallelRefineStats* pstats,
-                               const GraphSnapshot* snap) {
-  int workers = ResolveWorkers(num_threads, pool);
-  if (workers <= 0) {
-    RefineSearchSpace(pattern, data, level, candidates, stats, use_marking,
-                      metrics, governor, snap);
-    return;
-  }
-  if (snap != nullptr) {
-    ThreadPool& stp = pool != nullptr ? *pool : ThreadPool::Shared();
-    RefineSnapParallel(pattern, *snap, level, candidates, stats, use_marking,
-                       metrics, governor, workers, stp, pstats);
-    return;
-  }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k == 0 || level <= 0) return;
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
-  RefineStats local;
-
-  ScopedReserve bitmap_mem(governor, k * data.NumNodes(), GovernPoint::kRefine);
-
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  // The candidate bitmaps are written only at level barriers by the
-  // coordinator; during a level the workers read them concurrently.
-  std::vector<std::vector<char>> in_cand(k,
-                                         std::vector<char>(data.NumNodes(), 0));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) in_cand[u][v] = 1;
-  }
-
-  using MarkedSet =
-      std::unordered_set<uint64_t, std::hash<uint64_t>, std::equal_to<uint64_t>,
-                         GovernedAllocator<uint64_t>>;
-  MarkedSet marked(0, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-                   GovernedAllocator<uint64_t>(governor, GovernPoint::kRefine));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) {
-      marked.insert(PairKey(static_cast<NodeId>(u), v));
-    }
-  }
-
-  struct WorkerState {
-    GovernorShard shard;
-    std::vector<std::vector<int>> adj;  // Reused bipartite buffer.
-    uint64_t bipartite_checks = 0;
-  };
-  std::vector<WorkerState> ws(static_cast<size_t>(workers));
-  for (WorkerState& s : ws) {
-    s.shard = GovernorShard(governor, GovernPoint::kRefine);
-  }
-
-  uint64_t tasks_stolen = 0;
-  int max_workers_seen = 0;
-  std::vector<ThreadPool::WorkerLane> lanes;
-  std::atomic<bool> aborted{false};
-
-  for (int l = 0; l < level; ++l) {
-    local.levels_run = l + 1;
-    std::vector<uint64_t> todo;
-    if (use_marking) {
-      todo.assign(marked.begin(), marked.end());
-      std::sort(todo.begin(), todo.end());
-    } else {
-      for (size_t u = 0; u < k; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (in_cand[u][v]) todo.push_back(PairKey(static_cast<NodeId>(u), v));
-        }
-      }
-    }
-    if (todo.empty()) break;
-
-    // Jacobi check phase: every pair is tested against the level-start
-    // bitmaps; failing pairs are buffered, never applied in-flight.
-    std::vector<char> remove(todo.size(), 0);
-    // Charge the level's worklist and verdict buffers (mirrors the
-    // snapshot parallel path); released at the level barrier.
-    ScopedReserve level_mem(governor,
-                            todo.size() * sizeof(uint64_t) + remove.size(),
-                            GovernPoint::kRefine);
-    auto check_pair = [&](size_t i, int w) {
-      if (aborted.load(std::memory_order_relaxed)) return;
-      WorkerState& s = ws[static_cast<size_t>(w)];
-      if (!s.shard.Charge()) {
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      NodeId u = static_cast<NodeId>(todo[i] >> 32);
-      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) return;  // Isolated pattern node: keep.
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      s.adj.assign(nu.size(), {});
-      for (size_t a = 0; a < nu.size(); ++a) {
-        const std::vector<char>& row = in_cand[nu[a]];
-        for (size_t b = 0; b < nv.size(); ++b) {
-          if (row[nv[b]]) s.adj[a].push_back(static_cast<int>(b));
-        }
-      }
-      ++s.bipartite_checks;
-      if (!HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), s.adj)) {
-        remove[i] = 1;
-      }
-    };
-    ThreadPool::RunStats run = tp.ParallelFor(todo.size(), workers, check_pair);
-    tasks_stolen += run.stolen;
-    max_workers_seen = std::max(max_workers_seen, run.workers);
-    MergeWorkerLanes(&lanes, run.lanes);
-
-    if (aborted.load(std::memory_order_relaxed)) {
-      // The level's verdicts are incomplete: discard them (earlier levels'
-      // removals stand and are sound).
-      local.aborted = true;
-      break;
-    }
-
-    // Barrier: apply buffered removals in deterministic pair order and
-    // re-mark the neighbors whose bipartite test they can affect.
-    bool changed = false;
-    for (size_t i = 0; i < todo.size(); ++i) {
-      uint64_t key = todo[i];
-      NodeId u = static_cast<NodeId>(key >> 32);
-      NodeId v = static_cast<NodeId>(key & 0xffffffffu);
-      if (!remove[i]) {
-        marked.erase(key);
-        continue;
-      }
-      in_cand[u][v] = 0;
-      marked.erase(key);
-      changed = true;
-      ++local.removed;
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : nv) {
-          if (in_cand[u2][v2]) marked.insert(PairKey(u2, v2));
-        }
-      }
-    }
-    if (!changed && use_marking && marked.empty()) break;
-    if (!changed && !use_marking) break;
-  }
-
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand[u][v]; }),
                list.end());
   }
 
   for (WorkerState& s : ws) {
     // A trip surfacing only at this final flush (small workloads never
     // reach an in-stage flush) still aborts the refinement: the pipeline's
-    // degrade fallback then restores the snapshot and refunds the charge,
-    // matching the serial per-pair cadence.
+    // degrade fallback then restores the unrefined space and refunds the
+    // charge, as it does for a per-pair trip on the calling thread.
     if (!s.shard.Flush()) local.aborted = true;
     local.bipartite_checks += s.bipartite_checks;
     local.pairs_charged += s.shard.charged();
   }
-  if (pstats != nullptr) {
-    pstats->workers = max_workers_seen;
-    pstats->tasks_stolen = tasks_stolen;
-    pstats->lanes = std::move(lanes);
-  }
-
-  if (stats != nullptr) {
-    stats->bipartite_checks += local.bipartite_checks;
-    stats->removed += local.removed;
-    stats->dirty_skips += local.dirty_skips;
-    stats->levels_run = local.levels_run;
-    stats->pairs_charged += local.pairs_charged;
-    stats->aborted |= local.aborted;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.bipartite_checks")
-        ->Increment(local.bipartite_checks);
-    metrics->GetCounter("match.refine.removed")->Increment(local.removed);
-    metrics->GetCounter("match.refine.levels")
-        ->Increment(static_cast<uint64_t>(local.levels_run));
-  }
+  if (run_stats != nullptr) *run_stats = std::move(runs);
+  FlushRefineStats(local, stats, metrics);
 }
 
 }  // namespace graphql::match

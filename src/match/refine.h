@@ -8,6 +8,7 @@
 #include "common/governor.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "obs/metrics.h"
 
 namespace graphql::match {
@@ -27,18 +28,31 @@ struct RefineStats {
 };
 
 /// Joint (global) reduction of the search space by pseudo subgraph
-/// isomorphism (Algorithm 4.2, Section 4.3).
+/// isomorphism (Algorithm 4.2, Section 4.3), over the data graph's
+/// compiled snapshot.
 ///
 /// For each pattern node u and candidate v, a bipartite graph B(u,v) is
 /// built between N(u) and N(v) with an edge (u', v') iff v' is currently in
 /// candidates[u']; if B(u,v) has no semi-perfect matching (some neighbor of
 /// u cannot be matched), v is removed from candidates[u]. Iterating to
-/// `level` approximates level-l pseudo subgraph isomorphism.
+/// `level` approximates level-l pseudo subgraph isomorphism. Candidate and
+/// dirty-mark sets are packed k x n bit matrices; N(v) is the snapshot's
+/// unique-neighbor span, so no pair allocates.
 ///
 /// `use_marking` enables the paper's first implementation improvement:
-/// only pairs whose neighborhood changed are re-checked (dirty marking).
-/// Disabling it re-checks every surviving pair at every level (exposed for
-/// the ablation benchmark); the final space is identical.
+/// only pairs whose neighborhood changed are re-checked (dirty marking),
+/// drained in ascending (u, v) order. Disabling it re-checks every
+/// surviving pair at every level in candidate-list order (exposed for the
+/// ablation benchmark); the final space is identical.
+///
+/// `num_threads` 0 or 1 runs on the calling thread: a failed pair is
+/// removed at once, so later pairs of the same level see it (Gauss-Seidel,
+/// the paper's algorithm). With two or more workers (capped by `pool`,
+/// null = the shared pool) a level's pair checks fan out as independent
+/// reads of the level-start bitmaps, and removals are applied at the level
+/// barrier (Jacobi). After a bounded level count the parallel space can
+/// therefore keep candidates the serial pass drops; it is always a
+/// superset of the serial space, still sound, and yields the same matches.
 ///
 /// The refinement is sound: it never removes a candidate that participates
 /// in a real match (verified by property tests).
@@ -47,55 +61,23 @@ struct RefineStats {
 /// match.refine.{bipartite_checks, removed, dirty_skips, levels}.
 ///
 /// When `governor` is given, every (u, v) pair processed charges one step
-/// to GovernPoint::kRefine and the membership bitmaps / marked-pair set are
-/// accounted against the memory budget. A trip aborts the pass early with
-/// `stats->aborted` set; removals already applied remain (they are sound),
-/// and `stats->pairs_charged` lets the caller refund the spent steps when
-/// it discards the partial refinement.
+/// to GovernPoint::kRefine (through per-worker shards when parallel) and
+/// the bit matrices are accounted against the memory budget. A trip aborts
+/// the pass early with `stats->aborted` set; removals already applied
+/// remain (they are sound), a parallel level's buffered verdicts are
+/// discarded, and `stats->pairs_charged` lets the caller refund the spent
+/// steps when it discards the partial refinement.
 ///
-/// When `snap` is given (a snapshot compiled from `data`), the pass runs
-/// over packed 64-bit candidate/marked bitmaps and the snapshot's unique-
-/// neighbor spans: identical removal decisions in the identical order, at
-/// roughly 1/8 the governed transient memory (byte bitmap + hashed marked
-/// set replaced by two bit matrices) and without per-pair neighbor-list
-/// allocation.
-void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
-                       int level, std::vector<std::vector<NodeId>>* candidates,
+/// `run_stats`, when given, receives the parallel levels' ThreadPool runs
+/// merged into one (untouched on the calling-thread path).
+void RefineSearchSpace(const algebra::GraphPattern& pattern,
+                       const GraphSnapshot& snap, int level,
+                       std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats = nullptr, bool use_marking = true,
                        obs::MetricsRegistry* metrics = nullptr,
                        ResourceGovernor* governor = nullptr,
-                       const GraphSnapshot* snap = nullptr);
-
-/// Execution counters specific to the parallel refinement fan-out.
-struct ParallelRefineStats {
-  int workers = 0;  ///< Participants (0 when the serial path was taken).
-  uint64_t tasks_stolen = 0;  ///< Pair checks run off their home deque.
-  /// One lane per OS thread that served the refinement's ParallelFor jobs
-  /// (levels merged via MergeWorkerLanes); drawn by the trace exporter.
-  std::vector<ThreadPool::WorkerLane> lanes;
-};
-
-/// Parallel refinement: within each level the (u, v) pair checks are
-/// independent reads of the level-start candidate bitmaps, so they fan out
-/// across workers; removals are buffered per pair and applied at a level
-/// barrier by the coordinator (which also re-marks dirty neighbors).
-///
-/// Semantics: the serial pass is Gauss-Seidel within a level (a removal is
-/// visible to later pairs of the same level) while this pass is Jacobi (it
-/// becomes visible at the barrier), so the candidate sets after a BOUNDED
-/// level count can differ — both are sound over-approximations and
-/// converge to the same fixpoint, and the final match sets are identical.
-/// Workers charge the governor through per-worker shards; on a trip the
-/// current level's buffered removals are discarded (`stats->aborted`), and
-/// `stats->pairs_charged` reports exactly the steps flushed so the
-/// degrade-fallback refund stays balanced.
-void RefineSearchSpaceParallel(
-    const algebra::GraphPattern& pattern, const Graph& data, int level,
-    std::vector<std::vector<NodeId>>* candidates, RefineStats* stats = nullptr,
-    bool use_marking = true, obs::MetricsRegistry* metrics = nullptr,
-    ResourceGovernor* governor = nullptr, int num_threads = 0,
-    ThreadPool* pool = nullptr, ParallelRefineStats* pstats = nullptr,
-    const GraphSnapshot* snap = nullptr);
+                       int num_threads = 0, ThreadPool* pool = nullptr,
+                       ThreadPool::RunStats* run_stats = nullptr);
 
 }  // namespace graphql::match
 

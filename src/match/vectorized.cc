@@ -1,41 +1,15 @@
 #include "match/vectorized.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
-
 #include "obs/metrics.h"
 
 namespace graphql::match {
 
 const char* SelectionKernelName(SelectionKernel k) {
-  switch (k) {
-    case SelectionKernel::kAuto:
-      return "auto";
-    case SelectionKernel::kScalar:
-      return "scalar";
-    case SelectionKernel::kBitmap:
-      return "bitmap";
-    case SelectionKernel::kBytecode:
-      return "bytecode";
-  }
-  return "auto";
+  return k == SelectionKernel::kBitmap ? "bitmap" : "bytecode";
 }
 
-SelectionKernel DefaultSelectionKernel() {
-  const char* env = std::getenv("GQL_SELECTION");
-  if (env == nullptr) return SelectionKernel::kAuto;
-  std::string_view s(env);
-  if (s == "scalar") return SelectionKernel::kScalar;
-  if (s == "bitmap") return SelectionKernel::kBitmap;
-  if (s == "bytecode") return SelectionKernel::kBytecode;
-  return SelectionKernel::kAuto;
-}
-
-SelectionKernel ResolveSelectionKernel(SelectionKernel requested,
-                                       size_t base_size, size_t num_nodes,
+SelectionKernel ResolveSelectionKernel(size_t base_size, size_t num_nodes,
                                        bool dense_base) {
-  if (requested != SelectionKernel::kAuto) return requested;
   // A bitmap fill scans every requirement column in full no matter how
   // selective the base list is; a bytecode probe is O(log column) per
   // candidate. Break even when the base list covers a decent fraction of
@@ -139,7 +113,7 @@ bool SelectionPlan::PredsOk(NodeId u, const Graph& data, NodeId v,
                             algebra::PatternScratch* scratch) const {
   const NodePlan& np = nodes_[u];
   for (const auto& c : np.preds.compiled) {
-    // kError rejects, exactly like the scalar path's error fold.
+    // kError rejects, exactly like the AST path's error fold.
     if (c.program.Eval(c.cols, v) != Tri::kTrue) return false;
   }
   if (np.preds.residual.empty()) return true;

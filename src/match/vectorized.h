@@ -15,38 +15,28 @@ class MetricsRegistry;
 
 namespace graphql::match {
 
-/// Candidate-selection kernel for the snapshot retrieve stage.
-///  - kScalar:   per-candidate NodeCompatible probes (the legacy path).
+/// Candidate-selection kernel for the retrieve stage.
 ///  - kBitmap:   column-at-a-time evaluation — tag and attribute-equality
 ///               requirements fill a PackedBits verdict row over all data
 ///               nodes, survivors evaluate pushed predicates.
 ///  - kBytecode: per-candidate probes against pre-bound columns with pushed
 ///               predicates run as compiled bytecode (AST fallback for
 ///               uncovered conjuncts).
-///  - kAuto:     per-pattern-node choice — bitmap for dense base lists
-///               (full scans), bytecode for selective label-indexed lists.
-/// All kernels produce bit-identical candidate lists (content and order),
-/// charge the governor at the same sites with the same amounts, and feed
-/// the same stage metrics as kScalar.
-enum class SelectionKernel : uint8_t { kAuto = 0, kScalar, kBitmap, kBytecode };
+/// Both produce the candidate list the AST feasible-mate test
+/// (GraphPattern::NodeCompatible) produces, in base-list order.
+enum class SelectionKernel : uint8_t { kBitmap = 0, kBytecode };
 
-/// Stable lowercase name ("auto", "scalar", "bitmap", "bytecode") for
-/// metrics, EXPLAIN output, and bench provenance stamps.
+/// Stable lowercase name ("bitmap", "bytecode") for metrics, EXPLAIN
+/// output, and bench provenance stamps.
 const char* SelectionKernelName(SelectionKernel k);
 
-/// Session default: parses $GQL_SELECTION (auto|scalar|bitmap|bytecode,
-/// case-sensitive); kAuto when unset or unrecognized.
-SelectionKernel DefaultSelectionKernel();
-
-/// Picks the concrete kernel for one pattern node's scan. `base_size` is
+/// Picks the kernel for one pattern node's scan by density. `base_size` is
 /// the candidate base-list length, `num_nodes` the snapshot node count,
 /// `dense_base` whether the base list is the full node range (no label
-/// index). kScalar/kBitmap/kBytecode pass through; kAuto resolves by
-/// density: a bitmap fill costs one pass over the requirement columns
+/// index). A bitmap fill costs one pass over the requirement columns
 /// regardless of base size, so it only pays off when the base list covers
 /// a large fraction of the graph.
-SelectionKernel ResolveSelectionKernel(SelectionKernel requested,
-                                       size_t base_size, size_t num_nodes,
+SelectionKernel ResolveSelectionKernel(size_t base_size, size_t num_nodes,
                                        bool dense_base);
 
 /// Per-(pattern, snapshot) compiled selection state shared by the bitmap
@@ -65,7 +55,7 @@ class SelectionPlan {
   const algebra::GraphPattern& pattern() const { return *pattern_; }
 
   /// Bytecode-kernel feasible-mate test: verdict identical to
-  /// pattern.NodeCompatible(u, snap, data, v, scratch).
+  /// pattern.NodeCompatible(u, data, v).
   bool NodeCompatible(NodeId u, const Graph& data, NodeId v,
                       algebra::PatternScratch* scratch) const;
 
@@ -100,8 +90,8 @@ class SelectionPlan {
   std::vector<NodePlan> nodes_;
 };
 
-/// Scans one base list with a resolved (non-scalar) kernel, appending the
-/// surviving candidates to `out` in base-list order. For kBitmap, `bits`
+/// Scans one base list with a resolved kernel, appending the surviving
+/// candidates to `out` in base-list order. For kBitmap, `bits`
 /// must be a 2 x num_nodes scratch (filled here); unused for kBytecode.
 void ScanBaseList(const SelectionPlan& plan, NodeId u, const Graph& data,
                   const std::vector<NodeId>& base, SelectionKernel resolved,

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "match/matcher.h"
+#include "match_oracle.h"
 #include "motif/deriver.h"
 
 namespace graphql::match {
@@ -212,7 +213,7 @@ TEST(CostTest, SearchWithAnyOrderFindsSameMatches) {
     })");
   ASSERT_TRUE(g.ok());
   algebra::GraphPattern p = PathPattern();
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(p, *g);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(p, *g);
   std::vector<NodeId> greedy = GreedySearchOrder(p, cand, nullptr);
   auto m1 = SearchMatches(p, *g, cand, greedy);
   auto m2 = SearchMatches(p, *g, cand, DeclarationOrder(p));

@@ -1,4 +1,5 @@
 #include "match/matcher.h"
+#include "match_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@ Graph Sample() {
 Result<std::vector<algebra::MatchedGraph>> RunBasic(
     const algebra::GraphPattern& p, const Graph& g,
     MatchOptions options = {}) {
-  auto cand = ScanCandidates(p, g);
+  auto cand = oracle::ScanCandidates(p, g);
   return SearchMatches(p, g, cand, DeclarationOrder(p), options);
 }
 
@@ -84,7 +85,7 @@ TEST(MatcherTest, MaxMatchesTruncates) {
   MatchOptions options;
   options.max_matches = 5;
   SearchStats stats;
-  auto cand = ScanCandidates(*p, g);
+  auto cand = oracle::ScanCandidates(*p, g);
   auto matches =
       SearchMatches(*p, g, cand, DeclarationOrder(*p), options, &stats);
   ASSERT_TRUE(matches.ok());
@@ -99,7 +100,7 @@ TEST(MatcherTest, StepBudgetStopsSearch) {
   MatchOptions options;
   options.max_steps = 3;
   SearchStats stats;
-  auto cand = ScanCandidates(*p, g);
+  auto cand = oracle::ScanCandidates(*p, g);
   auto matches =
       SearchMatches(*p, g, cand, DeclarationOrder(*p), options, &stats);
   ASSERT_TRUE(matches.ok());
@@ -219,20 +220,6 @@ TEST(MatcherTest, ParallelEdgeWithPredicatesPicksCompatibleOne) {
   }
 }
 
-TEST(MatcherTest, StreamingSinkCanStopEarly) {
-  Graph g = Sample();
-  auto p = algebra::GraphPattern::Parse(
-      "graph P { node u; node v; edge (u, v); }");
-  ASSERT_TRUE(p.ok());
-  auto cand = ScanCandidates(*p, g);
-  int seen = 0;
-  auto status = SearchMatchesStreaming(
-      *p, g, cand, DeclarationOrder(*p), MatchOptions{},
-      [&](const algebra::MatchedGraph&) { return ++seen < 3; });
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(seen, 3);
-}
-
 TEST(MatcherTest, EmptyPatternYieldsNothing) {
   Graph g = Sample();
   auto p = algebra::GraphPattern::Parse("graph P { }");
@@ -246,7 +233,7 @@ TEST(MatcherTest, BadOrderIsRejected) {
   Graph g = Sample();
   auto p = algebra::GraphPattern::Parse("graph P { node u; node v; }");
   ASSERT_TRUE(p.ok());
-  auto cand = ScanCandidates(*p, g);
+  auto cand = oracle::ScanCandidates(*p, g);
   auto r = SearchMatches(*p, g, cand, {0});  // Too short.
   EXPECT_FALSE(r.ok());
 }

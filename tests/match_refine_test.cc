@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "match/matcher.h"
+#include "match_oracle.h"
 #include "motif/deriver.h"
 #include "workload/erdos_renyi.h"
 #include "workload/queries.h"
@@ -38,13 +39,13 @@ TEST(RefineTest, Figure418LevelByLevel) {
   // level 1 removes A2 and C1; level 2 removes B2.
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(p, g);
   ASSERT_EQ(cand[0].size(), 2u);
   ASSERT_EQ(cand[1].size(), 2u);
   ASSERT_EQ(cand[2].size(), 2u);
 
   std::vector<std::vector<NodeId>> level1 = cand;
-  RefineSearchSpace(p, g, 1, &level1);
+  RefineSearchSpace(p, *g.snapshot(), 1, &level1);
   // Level 1 certainly removes the degree-1 nodes A2 and C1; B2's removal
   // may happen at level 1 or 2 depending on in-place processing order
   // (Algorithm 4.2 removes immediately, line 13).
@@ -52,7 +53,7 @@ TEST(RefineTest, Figure418LevelByLevel) {
   EXPECT_EQ(level1[2].size(), 1u);  // C1 gone.
 
   std::vector<std::vector<NodeId>> level2 = cand;
-  RefineSearchSpace(p, g, 2, &level2);
+  RefineSearchSpace(p, *g.snapshot(), 2, &level2);
   EXPECT_EQ(level2[0].size(), 1u);
   EXPECT_EQ(level2[1].size(), 1u);  // B2 gone at level 2.
   EXPECT_EQ(level2[2].size(), 1u);
@@ -64,9 +65,9 @@ TEST(RefineTest, Figure418LevelByLevel) {
 TEST(RefineTest, LevelZeroIsNoop) {
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(p, g);
   std::vector<std::vector<NodeId>> copy = cand;
-  RefineSearchSpace(p, g, 0, &copy);
+  RefineSearchSpace(p, *g.snapshot(), 0, &copy);
   EXPECT_EQ(copy, cand);
 }
 
@@ -74,10 +75,12 @@ TEST(RefineTest, MarkingAndNoMarkingAgree) {
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
   for (int level = 1; level <= 4; ++level) {
-    std::vector<std::vector<NodeId>> with = ScanCandidates(p, g);
+    std::vector<std::vector<NodeId>> with = oracle::ScanCandidates(p, g);
     std::vector<std::vector<NodeId>> without = with;
-    RefineSearchSpace(p, g, level, &with, nullptr, /*use_marking=*/true);
-    RefineSearchSpace(p, g, level, &without, nullptr, /*use_marking=*/false);
+    RefineSearchSpace(p, *g.snapshot(), level, &with, nullptr,
+                      /*use_marking=*/true);
+    RefineSearchSpace(p, *g.snapshot(), level, &without, nullptr,
+                      /*use_marking=*/false);
     EXPECT_EQ(with, without) << "level " << level;
   }
 }
@@ -85,9 +88,9 @@ TEST(RefineTest, MarkingAndNoMarkingAgree) {
 TEST(RefineTest, StatsPopulated) {
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(p, g);
   RefineStats stats;
-  RefineSearchSpace(p, g, 3, &cand, &stats);
+  RefineSearchSpace(p, *g.snapshot(), 3, &cand, &stats);
   EXPECT_GT(stats.bipartite_checks, 0u);
   EXPECT_EQ(stats.removed, 3u);  // A2, C1, B2.
   EXPECT_GE(stats.levels_run, 2);
@@ -98,8 +101,8 @@ TEST(RefineTest, IsolatedPatternNodeSurvives) {
   auto p = algebra::GraphPattern::Parse(
       "graph P { node u <label=\"A\">; }");
   ASSERT_TRUE(p.ok());
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(*p, g);
-  RefineSearchSpace(*p, g, 3, &cand);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(*p, g);
+  RefineSearchSpace(*p, *g.snapshot(), 3, &cand);
   EXPECT_EQ(cand[0].size(), 2u);  // No neighbors to demand: no pruning.
 }
 
@@ -120,9 +123,9 @@ TEST_P(RefineSoundnessTest, NeverRemovesTrueCandidates) {
   ASSERT_TRUE(q.ok()) << q.status();
   algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
 
-  std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+  std::vector<std::vector<NodeId>> cand = oracle::ScanCandidates(p, g);
   std::vector<std::vector<NodeId>> refined = cand;
-  RefineSearchSpace(p, g, qsize, &refined);
+  RefineSearchSpace(p, *g.snapshot(), qsize, &refined);
 
   // All matches found in the unrefined space must survive refinement.
   auto matches = SearchMatches(p, g, cand, DeclarationOrder(p));

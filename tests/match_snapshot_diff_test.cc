@@ -1,31 +1,46 @@
-// Differential acceptance tests for the compiled-snapshot selection path:
-// MatchPattern must produce byte-for-byte identical results — the same
-// matches, in the same order — whether it runs over the mutable Graph
-// structures or over the frozen GraphSnapshot (CSR + interned symbols +
-// columnar attributes), across every pipeline configuration. A second
-// sweep runs every example query under both paths through the full
-// Evaluator. A final test pins down that the snapshot inner loops count
-// symbol-id probes (no std::string comparisons).
+// Differential tests for the selection pipeline, which runs every stage
+// over the compiled GraphSnapshot (CSR + interned symbols + columnar
+// attributes). The references live in match_oracle.h and read the mutable
+// Graph instead:
+//  - match sets equal the brute-force matcher in every candidate mode,
+//    thread count, refine level and marking setting, and the match order
+//    does not depend on the thread count;
+//  - label-only retrieval equals the AST scan, and the pruned modes keep a
+//    subsequence of it that still holds every true match;
+//  - refinement on one worker equals ReferenceRefine (Algorithm 4.2 over
+//    the mutable Graph) at every level, spaces and counters; with three
+//    workers every space is a superset of the one-worker space;
+//  - every example query returns the same text at 0 and 3 threads through
+//    the full Evaluator.
+// A final test pins down that the search inner loop counts CSR probes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "exec/evaluator.h"
 #include "io/serialize.h"
 #include "match/pipeline.h"
+#include "match_oracle.h"
 #include "motif/deriver.h"
 #include "obs/metrics.h"
 #include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
+#include "workload/queries.h"
 
 namespace graphql::match {
 namespace {
+
+constexpr CandidateMode kAllModes[] = {CandidateMode::kLabelOnly,
+                                       CandidateMode::kProfile,
+                                       CandidateMode::kNeighborhood};
 
 /// A flat, order-sensitive fingerprint of a match list: any difference in
 /// content OR order shows up as a string diff.
@@ -41,11 +56,19 @@ std::string Fingerprint(const std::vector<algebra::MatchedGraph>& matches) {
   return out.str();
 }
 
+std::set<std::vector<NodeId>> MappingSet(
+    const std::vector<algebra::MatchedGraph>& matches) {
+  std::set<std::vector<NodeId>> out;
+  for (const algebra::MatchedGraph& m : matches) out.insert(m.node_mapping);
+  return out;
+}
+
+/// Small enough for the factorial brute-force matcher.
 Graph MakeData() {
   Rng rng(424242);
   workload::ErdosRenyiOptions opts;
-  opts.num_nodes = 150;
-  opts.num_edges = 450;
+  opts.num_nodes = 40;
+  opts.num_edges = 120;
   opts.num_labels = 4;
   return workload::MakeErdosRenyi(opts, &rng);
 }
@@ -61,7 +84,7 @@ std::vector<algebra::GraphPattern> MakePatterns() {
            R"(graph P { node a <label="L0">; node b <label="L1">;
                         node c <label="L0">;
                         edge (a, b); edge (b, c); })",
-           // Star with an attribute predicate on the center.
+           // Star with unlabeled leaves (all-nodes base lists).
            R"(graph P { node hub <label="L2">; node s1; node s2; node s3;
                         edge (hub, s1); edge (hub, s2); edge (hub, s3); })",
        }) {
@@ -75,37 +98,37 @@ std::vector<algebra::GraphPattern> MakePatterns() {
 TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
+  ThreadPool pool(2);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
 
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
-      for (int threads : {0, 1, 3}) {
-        for (int refine_level : {-1, 0, 2}) {
-          for (bool marking : {true, false}) {
-            PipelineOptions legacy;
-            legacy.candidate_mode = mode;
-            legacy.num_threads = threads;
-            legacy.refine_level = refine_level;
-            legacy.refine_use_marking = marking;
-            legacy.use_snapshot = false;
-            legacy.metrics = nullptr;
-            PipelineOptions snap = legacy;
-            snap.use_snapshot = true;
-
-            auto legacy_result =
-                MatchPattern(patterns[pi], data, &index, legacy);
-            auto snap_result = MatchPattern(patterns[pi], data, &index, snap);
-            ASSERT_TRUE(legacy_result.ok()) << legacy_result.status();
-            ASSERT_TRUE(snap_result.ok()) << snap_result.status();
-            EXPECT_EQ(Fingerprint(*legacy_result), Fingerprint(*snap_result))
-                << "pattern " << pi << " mode " << CandidateModeName(mode)
-                << " threads " << threads << " refine " << refine_level
-                << " marking " << marking;
-            if (mode == CandidateMode::kProfile && threads == 0 &&
-                refine_level == -1 && marking) {
-              EXPECT_FALSE(legacy_result->empty()) << "vacuous differential";
+    const std::set<std::vector<NodeId>> expected =
+        oracle::BruteForceMatches(patterns[pi], data);
+    EXPECT_FALSE(expected.empty()) << "vacuous differential, pattern " << pi;
+    for (CandidateMode mode : kAllModes) {
+      for (int refine_level : {-1, 0, 1, 2}) {
+        for (bool marking : {true, false}) {
+          std::string serial;
+          for (int threads : {0, 1, 3}) {
+            PipelineOptions options;
+            options.candidate_mode = mode;
+            options.num_threads = threads;
+            options.pool = &pool;
+            options.refine_level = refine_level;
+            options.refine_use_marking = marking;
+            options.metrics = nullptr;
+            auto got = MatchPattern(patterns[pi], data, &index, options);
+            ASSERT_TRUE(got.ok()) << got.status();
+            std::string where = "pattern " + std::to_string(pi) + " mode " +
+                                CandidateModeName(mode) + " threads " +
+                                std::to_string(threads) + " refine " +
+                                std::to_string(refine_level) + " marking " +
+                                std::to_string(marking);
+            EXPECT_EQ(MappingSet(*got), expected) << where;
+            if (threads == 0) {
+              serial = Fingerprint(*got);
+            } else {
+              EXPECT_EQ(Fingerprint(*got), serial) << where;
             }
           }
         }
@@ -117,21 +140,111 @@ TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
 TEST(SnapshotDifferentialTest, RetrieveCandidatesIdentical) {
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
-  auto snap = data.snapshot();
+  ThreadPool pool(2);
   for (const algebra::GraphPattern& p : MakePatterns()) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
-      PipelineOptions options;
-      options.candidate_mode = mode;
-      options.metrics = nullptr;
-      auto legacy = RetrieveCandidates(p, data, &index, options, nullptr,
-                                       nullptr);
-      auto fast = RetrieveCandidates(p, data, &index, options, nullptr,
-                                     snap.get());
-      EXPECT_EQ(legacy, fast) << CandidateModeName(mode);
+    const std::vector<std::vector<NodeId>> scan =
+        oracle::ScanCandidates(p, data);
+    const std::set<std::vector<NodeId>> matches =
+        oracle::BruteForceMatches(p, data);
+    for (CandidateMode mode : kAllModes) {
+      std::vector<std::vector<NodeId>> serial;
+      for (int threads : {0, 1, 3}) {
+        PipelineOptions options;
+        options.candidate_mode = mode;
+        options.num_threads = threads;
+        options.pool = &pool;
+        options.metrics = nullptr;
+        auto got = RetrieveCandidates(p, data, &index, options);
+        if (threads == 0) serial = got;
+        EXPECT_EQ(got, serial)
+            << CandidateModeName(mode) << " threads " << threads;
+      }
+      if (mode == CandidateMode::kLabelOnly) {
+        EXPECT_EQ(serial, scan);
+        continue;
+      }
+      ASSERT_EQ(serial.size(), scan.size());
+      for (size_t u = 0; u < scan.size(); ++u) {
+        EXPECT_TRUE(std::includes(scan[u].begin(), scan[u].end(),
+                                  serial[u].begin(), serial[u].end()))
+            << CandidateModeName(mode) << " u" << u;
+        for (const std::vector<NodeId>& m : matches) {
+          EXPECT_TRUE(std::binary_search(serial[u].begin(), serial[u].end(),
+                                         m[u]))
+              << CandidateModeName(mode) << " pruned true mate " << m[u]
+              << " of u" << u;
+        }
+      }
     }
   }
+}
+
+TEST(SnapshotDifferentialTest, RefineMatchesReferenceRefine) {
+  ThreadPool pool(2);
+  size_t cases = 0;
+  size_t shrunk = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 7919 + 5);
+    workload::ErdosRenyiOptions opts;
+    opts.num_nodes = 120;
+    opts.num_edges = 360;
+    opts.num_labels = 4;
+    Graph data = workload::MakeErdosRenyi(opts, &rng);
+    LabelIndex index = LabelIndex::Build(data);
+    std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
+    for (size_t qsize : {3u, 5u, 7u}) {
+      auto q = workload::ExtractConnectedQuery(data, qsize, &rng);
+      ASSERT_TRUE(q.ok()) << q.status();
+      algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
+      for (CandidateMode mode : kAllModes) {
+        PipelineOptions retrieve;
+        retrieve.candidate_mode = mode;
+        retrieve.num_threads = 0;
+        retrieve.metrics = nullptr;
+        const std::vector<std::vector<NodeId>> input =
+            RetrieveCandidates(p, data, &index, retrieve);
+        for (int level : {1, 2, 3, static_cast<int>(qsize)}) {
+          for (bool marking : {true, false}) {
+            std::string where = "seed " + std::to_string(seed) + " qsize " +
+                                std::to_string(qsize) + " mode " +
+                                CandidateModeName(mode) + " level " +
+                                std::to_string(level) + " marking " +
+                                std::to_string(marking);
+            std::vector<std::vector<NodeId>> want = input;
+            RefineStats want_stats;
+            oracle::ReferenceRefine(p, data, level, &want, marking,
+                                    &want_stats);
+            for (int threads : {0, 1}) {
+              std::vector<std::vector<NodeId>> got = input;
+              RefineStats stats;
+              RefineSearchSpace(p, *snap, level, &got, &stats, marking,
+                                nullptr, nullptr, threads, &pool);
+              EXPECT_EQ(got, want) << where << " threads " << threads;
+              EXPECT_EQ(stats.bipartite_checks, want_stats.bipartite_checks)
+                  << where;
+              EXPECT_EQ(stats.removed, want_stats.removed) << where;
+              EXPECT_EQ(stats.dirty_skips, want_stats.dirty_skips) << where;
+              EXPECT_EQ(stats.levels_run, want_stats.levels_run) << where;
+            }
+            std::vector<std::vector<NodeId>> par = input;
+            RefineSearchSpace(p, *snap, level, &par, nullptr, marking,
+                              nullptr, nullptr, /*num_threads=*/3, &pool);
+            for (size_t u = 0; u < want.size(); ++u) {
+              std::set<NodeId> kept(par[u].begin(), par[u].end());
+              for (NodeId v : want[u]) {
+                EXPECT_TRUE(kept.count(v))
+                    << where << " threads 3 dropped " << v << " of u" << u;
+              }
+            }
+            ++cases;
+            if (want != input) ++shrunk;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8u * 3u * 3u * 4u * 2u);
+  EXPECT_GT(shrunk, cases / 4) << "refinement rarely pruned: vacuous sweep";
 }
 
 /// Synthetic documents that give every example query real matches.
@@ -209,7 +322,7 @@ TEST(SnapshotDifferentialTest, ExampleQueriesBitIdentical) {
       exec::DocumentRegistry docs;
       RegisterExampleDocs(&docs);
       exec::Evaluator evaluator(&docs);
-      evaluator.mutable_match_options()->use_snapshot = pass == 1;
+      evaluator.mutable_match_options()->num_threads = pass == 0 ? 0 : 3;
       evaluator.mutable_match_options()->metrics = nullptr;
       auto result = evaluator.RunSource(source.str());
       ASSERT_TRUE(result.ok())
@@ -234,13 +347,12 @@ TEST(SnapshotDifferentialTest, ExampleQueriesBitIdentical) {
 }
 
 TEST(SnapshotDifferentialTest, InnerLoopsCountSymbolProbes) {
-  // The snapshot path's edge probes and refinement passes are observable
-  // through dedicated counters; the legacy path leaves them untouched.
-  // Together with the code structure (SymbolId compares in
-  // FindCompatibleEdgeSnap / RefineSnap*), this pins the "no std::string
-  // in the inner loop" property.
-  // Tagged pattern edges are the non-trivial case: each one routes through
-  // FindCompatibleEdge, whose snapshot variant scans the CSR run.
+  // Edge probes are observable through a dedicated counter. Together with
+  // the code structure (SymbolId compares in FindCompatibleEdge, which the
+  // snapshot-string-compare lint rule watches), this pins the "no
+  // std::string in the inner loop" property. Tagged pattern edges are the
+  // non-trivial case: each one routes through FindCompatibleEdge, which
+  // scans the CSR run.
   auto data_or = motif::GraphFromSource(R"(
     graph G {
       node a <label="A">; node b <label="B">; node c <label="B">;
@@ -257,24 +369,13 @@ TEST(SnapshotDifferentialTest, InnerLoopsCountSymbolProbes) {
   algebra::GraphPattern pattern =
       algebra::GraphPattern::FromGraph(*pattern_or);
 
-  obs::MetricsRegistry legacy_reg;
-  PipelineOptions legacy;
-  legacy.use_snapshot = false;
-  legacy.metrics = &legacy_reg;
-  ASSERT_TRUE(MatchPattern(pattern, data, &index, legacy).ok());
-  EXPECT_EQ(legacy_reg.GetCounter("match.search.csr_edge_probes")->Value(),
-            0u);
-  EXPECT_EQ(legacy_reg.GetCounter("match.refine.snapshot_passes")->Value(),
-            0u);
-  EXPECT_EQ(legacy_reg.GetCounter("snapshot.builds")->Value(), 0u);
-
-  obs::MetricsRegistry snap_reg;
-  PipelineOptions snap;
-  snap.use_snapshot = true;
-  snap.metrics = &snap_reg;
-  ASSERT_TRUE(MatchPattern(pattern, data, &index, snap).ok());
-  EXPECT_GT(snap_reg.GetCounter("match.search.csr_edge_probes")->Value(), 0u);
-  EXPECT_GT(snap_reg.GetCounter("match.refine.snapshot_passes")->Value(), 0u);
+  obs::MetricsRegistry reg;
+  PipelineOptions options;
+  options.metrics = &reg;
+  auto got = MatchPattern(pattern, data, &index, options);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_GT(reg.GetCounter("match.search.csr_edge_probes")->Value(), 0u);
 }
 
 }  // namespace

@@ -1,40 +1,35 @@
-// Differential acceptance tests for the vectorized selection kernels:
-// MatchPattern must produce byte-for-byte identical results — the same
-// matches, in the same order — whether candidate selection runs the
-// scalar per-candidate probes, the column-at-a-time bitmap kernel, the
-// compiled predicate bytecode, or the automatic per-node choice. The
-// sweep covers candidate modes, serial and parallel runs, predicates
-// inside and outside the bytecode ISA, and governed queries (where the
-// identical charge schedule must make every kernel trip at the same
-// point and return the same partial results). A final sweep runs every
-// example query under all kernels through the full Evaluator.
+// Differential tests for the vectorized selection kernels. At the kernel
+// seam, ScanBaseList under the column-at-a-time bitmap kernel and under
+// the compiled predicate bytecode must keep exactly the candidates — in
+// base-list order — that the AST feasible-mate test
+// GraphPattern::NodeCompatible keeps, for every pattern node, with
+// predicates inside and outside the bytecode ISA. Through the pipeline,
+// retrieval (which picks the kernel by base-list density) must equal the
+// AST scan in the match_oracle.h reference, indexed or not, at any thread
+// count. Governed queries must trip at the same point and return the same
+// partial results on every repeated run.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/governor.h"
-#include "exec/evaluator.h"
-#include "io/serialize.h"
+#include "common/packed_bits.h"
+#include "common/thread_pool.h"
 #include "match/pipeline.h"
 #include "match/vectorized.h"
-#include "motif/deriver.h"
+#include "match_oracle.h"
 #include "obs/metrics.h"
-#include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
 
 namespace graphql::match {
 namespace {
 
-constexpr SelectionKernel kAllKernels[] = {
-    SelectionKernel::kScalar, SelectionKernel::kBitmap,
-    SelectionKernel::kBytecode, SelectionKernel::kAuto};
+constexpr SelectionKernel kKernels[] = {SelectionKernel::kBitmap,
+                                        SelectionKernel::kBytecode};
 
 /// A flat, order-sensitive fingerprint of a match list: any difference in
 /// content OR order shows up as a string diff.
@@ -102,92 +97,118 @@ std::vector<algebra::GraphPattern> MakePatterns() {
 TEST(VectorizedDifferentialTest, KernelsBitIdenticalAcrossConfigs) {
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
-  std::vector<algebra::GraphPattern> patterns = MakePatterns();
+  std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
+  // Base lists of every shape retrieval produces: all nodes, a label
+  // list, and a value-ordered (not ascending) subset like a B+-tree range.
+  std::vector<NodeId> all_nodes(data.NumNodes());
+  for (size_t v = 0; v < all_nodes.size(); ++v) {
+    all_nodes[v] = static_cast<NodeId>(v);
+  }
+  std::vector<NodeId> shuffled;
+  for (size_t v = 0; v < data.NumNodes(); v += 3) {
+    shuffled.push_back(static_cast<NodeId>((v * 37) % data.NumNodes()));
+  }
+  const std::vector<const std::vector<NodeId>*> bases = {
+      &all_nodes, &index.NodesWithLabel("L1"), &shuffled};
 
-  for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
-      for (int threads : {0, 1, 3}) {
-        PipelineOptions base;
-        base.candidate_mode = mode;
-        base.num_threads = threads;
-        base.metrics = nullptr;
-        base.selection = SelectionKernel::kScalar;
-        auto scalar = MatchPattern(patterns[pi], data, &index, base);
-        ASSERT_TRUE(scalar.ok()) << scalar.status();
-        std::string want = Fingerprint(*scalar);
-        if (mode == CandidateMode::kProfile && threads == 0 && pi < 4) {
-          EXPECT_FALSE(scalar->empty()) << "vacuous differential, pattern "
-                                        << pi;
+  size_t kept = 0;
+  for (const algebra::GraphPattern& p : MakePatterns()) {
+    SelectionPlan plan(p, *snap, nullptr);
+    for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
+      const NodeId pu = static_cast<NodeId>(u);
+      for (size_t bi = 0; bi < bases.size(); ++bi) {
+        std::vector<NodeId> want;
+        for (NodeId v : *bases[bi]) {
+          if (p.NodeCompatible(pu, data, v)) want.push_back(v);
         }
-        for (SelectionKernel kernel : kAllKernels) {
-          if (kernel == SelectionKernel::kScalar) continue;
-          PipelineOptions options = base;
-          options.selection = kernel;
-          auto got = MatchPattern(patterns[pi], data, &index, options);
-          ASSERT_TRUE(got.ok()) << got.status();
-          EXPECT_EQ(want, Fingerprint(*got))
-              << "pattern " << pi << " mode " << CandidateModeName(mode)
-              << " threads " << threads << " kernel "
-              << SelectionKernelName(kernel);
+        kept += want.size();
+        for (SelectionKernel kernel : kKernels) {
+          algebra::PatternScratch scratch;
+          PackedBits bits(2, snap->num_nodes());
+          std::vector<NodeId> got;
+          ScanBaseList(plan, pu, data, *bases[bi], kernel, &scratch, &bits,
+                       &got);
+          EXPECT_EQ(got, want) << SelectionKernelName(kernel) << " u" << u
+                               << " base " << bi;
         }
       }
     }
   }
+  EXPECT_GT(kept, 0u) << "vacuous differential";
+}
+
+TEST(VectorizedDifferentialTest, DensityRulePicksKernel) {
+  // Full scans and base lists covering at least a quarter of the graph
+  // fill a bitmap; sparser lists probe per candidate with bytecode.
+  EXPECT_EQ(ResolveSelectionKernel(10, 100, /*dense_base=*/true),
+            SelectionKernel::kBitmap);
+  EXPECT_EQ(ResolveSelectionKernel(25, 100, false), SelectionKernel::kBitmap);
+  EXPECT_EQ(ResolveSelectionKernel(24, 100, false),
+            SelectionKernel::kBytecode);
 }
 
 TEST(VectorizedDifferentialTest, RetrieveCandidatesIdenticalAcrossKernels) {
+  // The label lists of MakeData's Zipf labels straddle the density
+  // threshold, so label-only retrieval runs both kernels; either way it
+  // must keep what the AST scan keeps, at any thread count.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
-  auto snap = data.snapshot();
+  ThreadPool pool(2);
+  std::set<SelectionKernel> resolved;
   for (const algebra::GraphPattern& p : MakePatterns()) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
+    const std::vector<std::vector<NodeId>> want =
+        oracle::ScanCandidates(p, data);
+    for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
+      std::string_view label = p.graph().Label(static_cast<NodeId>(u));
+      if (label.empty()) continue;
+      resolved.insert(ResolveSelectionKernel(
+          index.NodesWithLabel(label).size(), data.NumNodes(), false));
+    }
+    for (int threads : {0, 1, 3}) {
       PipelineOptions options;
-      options.candidate_mode = mode;
+      options.candidate_mode = CandidateMode::kLabelOnly;
+      options.num_threads = threads;
+      options.pool = &pool;
       options.metrics = nullptr;
-      options.selection = SelectionKernel::kScalar;
-      auto want = RetrieveCandidates(p, data, &index, options, nullptr,
-                                     snap.get());
-      for (SelectionKernel kernel : kAllKernels) {
-        options.selection = kernel;
-        auto got = RetrieveCandidates(p, data, &index, options, nullptr,
-                                      snap.get());
-        EXPECT_EQ(want, got) << CandidateModeName(mode) << " kernel "
-                             << SelectionKernelName(kernel);
-      }
+      EXPECT_EQ(RetrieveCandidates(p, data, &index, options), want)
+          << "threads " << threads;
     }
   }
+  EXPECT_EQ(resolved.size(), 2u) << "sweep does not reach both kernels";
 }
 
 TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
-  // index == nullptr exercises the full-scan retrieve, which has its own
-  // kernel dispatch (dense base: every node is a candidate).
+  // index == nullptr exercises the full-scan retrieve (dense base: the
+  // bitmap kernel over every node); it must equal the AST scan, and the
+  // scan-fed pipeline must find the index-fed pipeline's matches.
   Graph data = MakeData();
+  LabelIndex index = LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    PipelineOptions base;
-    base.metrics = nullptr;
-    base.selection = SelectionKernel::kScalar;
-    auto scalar = MatchPattern(patterns[pi], data, nullptr, base);
-    ASSERT_TRUE(scalar.ok()) << scalar.status();
-    for (SelectionKernel kernel : kAllKernels) {
-      PipelineOptions options = base;
-      options.selection = kernel;
-      auto got = MatchPattern(patterns[pi], data, nullptr, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(Fingerprint(*scalar), Fingerprint(*got))
-          << "pattern " << pi << " kernel " << SelectionKernelName(kernel);
-    }
+    PipelineOptions options;
+    options.metrics = nullptr;
+    EXPECT_EQ(RetrieveCandidates(patterns[pi], data, nullptr, options),
+              oracle::ScanCandidates(patterns[pi], data))
+        << "pattern " << pi;
+    auto scanned = MatchPattern(patterns[pi], data, nullptr, options);
+    auto indexed = MatchPattern(patterns[pi], data, &index, options);
+    ASSERT_TRUE(scanned.ok()) << scanned.status();
+    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    std::set<std::vector<NodeId>> a;
+    std::set<std::vector<NodeId>> b;
+    for (const auto& m : *scanned) a.insert(m.node_mapping);
+    for (const auto& m : *indexed) b.insert(m.node_mapping);
+    EXPECT_EQ(a, b) << "pattern " << pi;
   }
 }
 
 TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
-  // The kernels charge the governor at the same sites with the same
-  // amounts, so a step budget must trip at the same point on every kernel
-  // and the degraded/partial results must match bit-for-bit.
+  // Every stage charges the governor at fixed sites with fixed amounts,
+  // so a step budget must trip at the same point on every run and the
+  // degraded/partial results must match bit-for-bit. Runs at the default
+  // thread count: under GQL_THREADS > 1 the parallel stages race one
+  // shared step budget and this sweep fails until governed parallelism is
+  // made deterministic (ROADMAP.md).
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
@@ -195,27 +216,24 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
     for (uint64_t max_steps : {50u, 400u, 5000u}) {
       std::string want;
       TripKind want_trip = TripKind::kNone;
-      bool first = true;
-      for (SelectionKernel kernel : kAllKernels) {
+      for (int run = 0; run < 8; ++run) {
         ResourceGovernor governor(GovernorLimits{.max_steps = max_steps});
         PipelineOptions options;
         options.metrics = nullptr;
-        options.selection = kernel;
         options.governor = &governor;
         auto got = MatchPattern(patterns[pi], data, &index, options);
         ASSERT_TRUE(got.ok()) << got.status();
-        if (first) {
+        if (run == 0) {
           want = Fingerprint(*got);
           want_trip = governor.trip_kind();
-          first = false;
-        } else {
-          EXPECT_EQ(want, Fingerprint(*got))
-              << "pattern " << pi << " max_steps " << max_steps << " kernel "
-              << SelectionKernelName(kernel);
-          EXPECT_EQ(want_trip, governor.trip_kind())
-              << "pattern " << pi << " max_steps " << max_steps << " kernel "
-              << SelectionKernelName(kernel);
+          continue;
         }
+        EXPECT_EQ(want, Fingerprint(*got))
+            << "pattern " << pi << " max_steps " << max_steps << " run "
+            << run;
+        EXPECT_EQ(want_trip, governor.trip_kind())
+            << "pattern " << pi << " max_steps " << max_steps << " run "
+            << run;
       }
     }
   }
@@ -233,7 +251,6 @@ TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {
   ASSERT_TRUE(covered.ok()) << covered.status();
   obs::MetricsRegistry covered_reg;
   PipelineOptions options;
-  options.selection = SelectionKernel::kBytecode;
   options.metrics = &covered_reg;
   ASSERT_TRUE(MatchPattern(*covered, data, &index, options).ok());
   EXPECT_GT(covered_reg.GetCounter("match.bytecode.pred_compiled")->Value(),
@@ -252,130 +269,17 @@ TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {
   EXPECT_GT(fallback_reg.GetCounter("match.bytecode.pred_fallback")->Value(),
             0u);
 
-  // The scalar kernel never builds a plan, so neither counter moves.
-  obs::MetricsRegistry scalar_reg;
-  options.selection = SelectionKernel::kScalar;
-  options.metrics = &scalar_reg;
-  ASSERT_TRUE(MatchPattern(*covered, data, &index, options).ok());
-  EXPECT_EQ(scalar_reg.GetCounter("match.bytecode.pred_compiled")->Value(),
+  // A pattern without pushed predicates compiles nothing.
+  auto plain = algebra::GraphPattern::Parse(
+      R"(graph P { node a <label="L0">; node b; edge (a, b); })");
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  obs::MetricsRegistry plain_reg;
+  options.metrics = &plain_reg;
+  ASSERT_TRUE(MatchPattern(*plain, data, &index, options).ok());
+  EXPECT_EQ(plain_reg.GetCounter("match.bytecode.pred_compiled")->Value(),
             0u);
-  EXPECT_EQ(scalar_reg.GetCounter("match.bytecode.pred_fallback")->Value(),
+  EXPECT_EQ(plain_reg.GetCounter("match.bytecode.pred_fallback")->Value(),
             0u);
-}
-
-TEST(VectorizedDifferentialTest, DefaultKernelParsesEnvironment) {
-  ::setenv("GQL_SELECTION", "scalar", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kScalar);
-  ::setenv("GQL_SELECTION", "bitmap", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kBitmap);
-  ::setenv("GQL_SELECTION", "bytecode", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kBytecode);
-  ::setenv("GQL_SELECTION", "nonsense", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kAuto);
-  ::unsetenv("GQL_SELECTION");
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kAuto);
-}
-
-/// Synthetic documents that give every example query real matches.
-void RegisterExampleDocs(exec::DocumentRegistry* docs) {
-  {
-    Rng rng(7);
-    workload::DblpOptions opts;
-    opts.num_papers = 12;
-    docs->Register("DBLP", workload::MakeDblpCollection(opts, &rng));
-  }
-  {
-    Rng rng(9);
-    workload::ErdosRenyiOptions opts;
-    opts.num_nodes = 12;
-    opts.num_edges = 18;
-    opts.num_labels = 2;
-    GraphCollection network("Network");
-    network.Add(workload::MakeErdosRenyi(opts, &rng));
-    docs->Register("Network", std::move(network));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Catalog {
-        node a <item weight=5>; node b <item weight=3>;
-        node c <item weight=12>; node d <item weight=1>;
-        edge (a, b); edge (a, c); edge (b, d); edge (c, d);
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Catalog");
-    c.Add(std::move(g).value());
-    docs->Register("Catalog", std::move(c));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Shipping {
-        node oslo <port country="NO">; node bergen <port country="NO">;
-        node hamburg <port country="DE">; node rotterdam <port country="NL">;
-        edge leg1 (oslo, hamburg); edge leg2 (hamburg, rotterdam);
-        edge leg3 (bergen, oslo);
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Shipping");
-    c.Add(std::move(g).value());
-    docs->Register("Shipping", std::move(c));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Topology {
-        node r1 <router name="r1">; node r2 <router name="r2">;
-        node r3 <router name="r3">;
-        edge (r1, r2) <capacity=400>; edge (r2, r3) <capacity=40>;
-        edge (r3, r1) <capacity=1000>;
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Topology");
-    c.Add(std::move(g).value());
-    docs->Register("Topology", std::move(c));
-  }
-}
-
-TEST(VectorizedDifferentialTest, ExampleQueriesBitIdenticalAcrossKernels) {
-  namespace fs = std::filesystem;
-  fs::path dir(GQL_EXAMPLE_QUERIES_DIR);
-  ASSERT_TRUE(fs::is_directory(dir)) << dir;
-  size_t ran = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".gql") continue;
-    std::ifstream file(entry.path());
-    ASSERT_TRUE(file.good()) << entry.path();
-    std::ostringstream source;
-    source << file.rdbuf();
-
-    std::string want;
-    for (SelectionKernel kernel : kAllKernels) {
-      exec::DocumentRegistry docs;
-      RegisterExampleDocs(&docs);
-      exec::Evaluator evaluator(&docs);
-      evaluator.mutable_match_options()->selection = kernel;
-      evaluator.mutable_match_options()->metrics = nullptr;
-      auto result = evaluator.RunSource(source.str());
-      ASSERT_TRUE(result.ok()) << entry.path() << ": " << result.status();
-      std::ostringstream text;
-      text << io::WriteCollectionText(result->returned);
-      std::vector<std::string> names;
-      for (const auto& [name, graph] : result->variables) {
-        names.push_back(name);
-      }
-      std::sort(names.begin(), names.end());
-      for (const std::string& name : names) {
-        text << "--- " << name << "\n"
-             << io::WriteGraphText(result->variables.at(name)) << "\n";
-      }
-      if (kernel == SelectionKernel::kScalar) {
-        want = text.str();
-      } else {
-        EXPECT_EQ(want, text.str())
-            << entry.path() << " kernel " << SelectionKernelName(kernel);
-      }
-    }
-    ++ran;
-  }
-  EXPECT_GE(ran, 5u) << "example queries missing from " << dir;
 }
 
 }  // namespace

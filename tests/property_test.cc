@@ -1,55 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include <set>
 
 #include "algebra/pattern.h"
 #include "match/pipeline.h"
+#include "match_oracle.h"
 #include "workload/erdos_renyi.h"
 #include "workload/queries.h"
 
 namespace graphql {
 namespace {
 
-/// Exhaustive reference matcher: tries every injective assignment of
-/// pattern nodes to data nodes (factorial; tiny inputs only).
-std::set<std::vector<NodeId>> BruteForceMatches(
-    const algebra::GraphPattern& p, const Graph& g) {
-  size_t k = p.graph().NumNodes();
-  std::set<std::vector<NodeId>> out;
-  std::vector<NodeId> assign(k, kInvalidNode);
-  std::vector<char> used(g.NumNodes(), 0);
-  std::function<void(size_t)> go = [&](size_t u) {
-    if (u == k) {
-      // All edges present?
-      for (size_t e = 0; e < p.graph().NumEdges(); ++e) {
-        const Graph::Edge& pe = p.graph().edge(static_cast<EdgeId>(e));
-        if (!g.HasEdgeBetween(assign[pe.src], assign[pe.dst])) return;
-      }
-      if (p.has_global_pred()) {
-        auto r = p.EvalGlobalPred(g, assign, {});
-        if (!r.ok() || !r.value()) return;
-      }
-      out.insert(assign);
-      return;
-    }
-    for (size_t v = 0; v < g.NumNodes(); ++v) {
-      if (used[v]) continue;
-      if (!p.NodeCompatible(static_cast<NodeId>(u), g,
-                            static_cast<NodeId>(v))) {
-        continue;
-      }
-      assign[u] = static_cast<NodeId>(v);
-      used[v] = 1;
-      go(u + 1);
-      used[v] = 0;
-      assign[u] = kInvalidNode;
-    }
-  };
-  go(0);
-  return out;
-}
+using match::oracle::BruteForceMatches;
 
 class MatcherPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "match/matcher.h"
+#include "match_oracle.h"
 #include "motif/deriver.h"
 #include "workload/erdos_renyi.h"
 #include "workload/queries.h"
@@ -174,7 +175,7 @@ TEST_P(SqlAgreementTest, AgreesWithNativeMatcher) {
   ASSERT_TRUE(q.ok()) << q.status();
   algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
 
-  auto cand = match::ScanCandidates(p, g);
+  auto cand = match::oracle::ScanCandidates(p, g);
   auto native = match::SearchMatches(p, g, cand, match::DeclarationOrder(p));
   ASSERT_TRUE(native.ok());
 

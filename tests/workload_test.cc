@@ -5,6 +5,7 @@
 #include "algebra/pattern.h"
 #include "match/label_index.h"
 #include "match/matcher.h"
+#include "match_oracle.h"
 #include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
 #include "workload/protein_network.h"
@@ -137,7 +138,7 @@ TEST(ConnectedQueryTest, ExtractedQueryAlwaysMatchesItsSource) {
     auto q = ExtractConnectedQuery(g, 5, &rng);
     ASSERT_TRUE(q.ok());
     algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
-    auto cand = match::ScanCandidates(p, g);
+    auto cand = match::oracle::ScanCandidates(p, g);
     match::MatchOptions options;
     options.exhaustive = false;
     auto m = match::SearchMatches(p, g, cand, match::DeclarationOrder(p),

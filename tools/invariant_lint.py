@@ -12,9 +12,11 @@ mechanical. Rules:
   graph-version-bump      Every Graph mutator bumps version_; the cached
                           snapshot is keyed by it, so a missed bump means
                           queries silently run against stale data.
-  snapshot-string-compare Snapshot hot loops in src/match/ compare
-                          interned symbol ids, never std::string — the
-                          whole point of compiling a snapshot.
+  snapshot-string-compare The selection hot loops (every function in the
+                          match search, refine, kernel and bytecode
+                          files) compare interned symbol ids, never
+                          std::string — the whole point of compiling a
+                          snapshot.
   governor-charge-loop    Unbounded worklist loops in the match stages
                           charge the governor, so runaway queries stay
                           cancellable and limits mean what they say.
@@ -194,10 +196,10 @@ STRING_CMP = re.compile(
 
 
 def rule_snapshot_string_compare(path, lines, out):
+    # Scoped by file (TREE_SCOPE), not by function name: every function in
+    # a hot-path file is checked.
     text = "\n".join(lines)
     for name, lineno, body in extract_functions(text):
-        if "Snap" not in name:
-            continue
         for off, bline in enumerate(body.splitlines()):
             code = strip_line_comment(bline)
             m = STRING_CMP.search(code)
@@ -353,7 +355,8 @@ TREE_SCOPE = {
     "graph-version-bump": (
         ["src/graph/graph.cc", "src/graph/graph.h"], set()),
     "snapshot-string-compare": (
-        ["src/match"], set()),
+        ["src/match/matcher.cc", "src/match/refine.cc",
+         "src/match/vectorized.cc", "src/match/pred_bytecode.cc"], set()),
     "governor-charge-loop": (
         ["src/match/matcher.cc", "src/match/refine.cc",
          "src/match/neighborhood.cc", "src/match/pipeline.cc",

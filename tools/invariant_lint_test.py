@@ -58,14 +58,23 @@ class SnapshotStringCompareTest(unittest.TestCase):
     def test_catches_string_compare_in_snap_function(self):
         vs = run_rule("snapshot-string-compare",
                       "snapshot_string_compare.cc")
-        self.assertTrue(vs)
-        self.assertTrue(all("LabelMatchesSnap" in v.message for v in vs))
+        self.assertTrue(any("LabelMatchesSnap" in v.message for v in vs))
 
-    def test_non_snap_function_out_of_scope(self):
+    def test_catches_string_compare_in_any_function(self):
+        # Scoped by file, not by name: a hot-loop helper without "Snap" in
+        # its name (Check, Dfs, the kernels) is inspected too.
         vs = run_rule("snapshot-string-compare",
                       "snapshot_string_compare.cc")
-        self.assertFalse(
-            any("PlainHelper" in v.message for v in vs))
+        hits = [v for v in vs if "CheckEdgeTag" in v.message]
+        self.assertEqual(len(hits), 1)
+        self.assertEqual(hits[0].line, 20)
+
+    def test_hot_path_files_are_in_tree_scope(self):
+        scopes, exclude = invariant_lint.TREE_SCOPE["snapshot-string-compare"]
+        paths = list(invariant_lint.iter_sources(ROOT, scopes, exclude))
+        for tail in ("match/matcher.cc", "match/refine.cc",
+                     "match/vectorized.cc", "match/pred_bytecode.cc"):
+            self.assertTrue(any(p.endswith(tail) for p in paths), tail)
 
 
 class GovernorChargeLoopTest(unittest.TestCase):

@@ -1,6 +1,7 @@
-// Seeded violation corpus: a snapshot hot-path helper that compares raw
+// Seeded violation corpus: selection hot-path helpers that compare raw
 // strings instead of interned symbol ids. Never compiled; drives the
-// snapshot-string-compare rule test.
+// snapshot-string-compare rule test. The rule is scoped by file, so both
+// functions fire whatever their names say.
 #include <string>
 
 namespace graphql {
@@ -14,8 +15,8 @@ bool LabelMatchesSnap(const FakeSnap& snap) {
   return snap.label == "person" || snap.label.compare(wanted) == 0;
 }
 
-int PlainHelper(const FakeSnap& snap) {
-  // Same comparison outside a *Snap* function is out of scope.
+int CheckEdgeTag(const FakeSnap& snap) {
+  // A search-loop helper without "Snap" in its name is in scope too.
   return snap.label == "ok" ? 1 : 0;
 }
 

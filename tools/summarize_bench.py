@@ -136,11 +136,11 @@ def summarize_storage(path, data):
                   f"{lane.get('peak_bytes', 0):>12} "
                   f"{lane.get('sum_peak_bytes', 0):>15} "
                   f"{lane.get('matches', 0):>8}")
-    if len(lanes) >= 2 and lanes[1].get("ms"):
-        speedup = lanes[0].get("ms", 0) / lanes[1]["ms"]
-        print(f"  governed peak reduction: "
-              f"{data.get('peak_reduction', 0) * 100:.1f}%  "
-              f"throughput: {speedup:.2f}x")
+    budget = data.get("sum_peak_budget")
+    if budget is not None and lanes:
+        print(f"  serial sum of governed peaks: "
+              f"{lanes[0].get('sum_peak_bytes', 0)} bytes "
+              f"(budget {budget})")
     if "recorder_overhead" in data:
         print(f"  flight-recorder overhead: "
               f"{data['recorder_overhead'] * 100:+.2f}% (budget 2%)")
@@ -178,18 +178,20 @@ def summarize_selection(path, data):
         print(stamp)
     print(f"  workload: {data.get('workload', '?')}  "
           f"reps={data.get('reps', '?')}  quick={data.get('quick')}")
-    print(f"  match lists identical across kernels: {data.get('identical')}")
+    print(f"  candidate lists identical across lanes: "
+          f"{data.get('identical')}")
     lanes = data.get("lanes", [])
     if lanes:
-        print(f"  {'kernel':>10} {'retrieve_ms':>12} {'match_ms':>10} "
-              f"{'candidates':>11} {'matches':>8} {'speedup':>8}")
+        print(f"  {'lane':>10} {'retrieve_ms':>12} {'candidates':>11} "
+              f"{'vs_ast':>8}")
         for lane in lanes:
             print(f"  {lane.get('lane', '?'):>10} "
                   f"{lane.get('retrieve_ms', 0):>12.3f} "
-                  f"{lane.get('match_ms', 0):>10.2f} "
                   f"{lane.get('candidates', 0):>11} "
-                  f"{lane.get('matches', 0):>8} "
                   f"{lane.get('retrieve_speedup', 0):>7.2f}x")
+    if "match_ms" in data:
+        print(f"  MatchPattern (auto): {data['match_ms']:.2f} ms, "
+              f"{data.get('matches', 0)} matches")
 
 
 def summarize_server(path, data):
