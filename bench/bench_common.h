@@ -235,6 +235,27 @@ inline SyntheticWorkload MakeSyntheticWorkload(size_t n,
   return w;
 }
 
+/// Erdos-Renyi graph with per-node predicate columns, shared by the
+/// selection-kernel and parallel-scaling benches: 20k nodes / 80k edges
+/// (2k / 8k when `quick`), 6 Zipf labels. "score" feeds comparisons,
+/// "tier" feeds the interned string-equality path, and its absence on 2/3
+/// of nodes exercises the absent-attribute reject.
+inline Graph MakeScoredErdosRenyi(bool quick) {
+  Rng rng(20080610);
+  workload::ErdosRenyiOptions opts;
+  opts.num_nodes = quick ? 2000 : 20000;
+  opts.num_edges = quick ? 8000 : 80000;
+  opts.num_labels = 6;
+  Graph data = workload::MakeErdosRenyi(opts, &rng);
+  for (NodeId v = 0; v < static_cast<NodeId>(data.NumNodes()); ++v) {
+    data.node(v).attrs.Set("score", Value(int64_t{(v * 13) % 100}));
+    if (v % 3 == 0) {
+      data.node(v).attrs.Set("tier", Value(v % 6 == 0 ? "gold" : "silver"));
+    }
+  }
+  return data;
+}
+
 /// Random connected queries with at least one answer and under the hit cap
 /// ("low hits"), per Section 5.2.
 inline std::vector<Graph> MakeLowHitConnectedQueries(

@@ -1,23 +1,31 @@
 // Intra-query parallel selection scaling: wall-clock speedup of the
-// work-stealing retrieve/refine/search pipeline over the serial path on
-// the protein-network clique workload (low-hit queries, exhaustive under
-// the paper's hit cap, so serial and parallel do identical work).
+// work-stealing retrieve/refine/search pipeline over the serial path.
+//
+// Workload: the Erdos-Renyi 20k/80k 6-label graph with per-node "score" and
+// "tier" columns that bench_selection_vectorized also runs, and low-hit
+// cycle queries with node predicates. Retrieval uses profiles and
+// refinement runs to the full level, so every stage has work to split. The
+// search keeps declaration order: the parallel (Jacobi) refinement may keep
+// a larger candidate space than the serial one, and a cost-based order
+// computed from it could enumerate the same matches in a different order.
 //
 // Unlike the figure benches this is a plain binary (no google-benchmark):
 // it sweeps a thread count, verifies that every parallel run produces a
 // bit-identical match list (same bindings, same order) to the serial run,
 // prints a speedup table, and dumps machine-readable results as JSON for
-// tools/summarize_bench.py.
+// tools/summarize_bench.py. Exits 2 when a match list diverges.
 //
-// Knobs (environment):
+// Knobs (environment / argv):
 //   GQL_BENCH_PARALLEL_JSON   output path (default BENCH_parallel.json)
 //   GQL_BENCH_PARALLEL_REPS   timed repetitions per thread count, best-of
-//                             (default 3)
+//                             (default 3; 1 with --quick)
+//   --quick / GQL_BENCH_QUICK the 2k/8k graph (CI smoke)
 //   GQL_BENCH_THREADS / GQL_BENCH_NEIGHBORHOOD_BUDGET are ignored here:
 //   the sweep sets num_threads itself.
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,25 +35,55 @@
 namespace graphql::bench {
 namespace {
 
-constexpr size_t kCliqueSizes[] = {5, 6};
 constexpr int kThreadSweep[] = {0, 1, 2, 4, 8};
 
-struct QuerySet {
-  std::vector<Graph> graphs;
-  std::vector<algebra::GraphPattern> patterns;
-};
-
-QuerySet BuildQueries() {
-  QuerySet qs;
-  for (size_t size : kCliqueSizes) {
-    ClassifiedQueries q = MakeClassifiedCliqueQueries(
-        size, /*want_each=*/10, /*max_attempts=*/400, /*seed=*/size * 977);
-    for (Graph& g : q.low_hits) qs.graphs.push_back(std::move(g));
+/// Cycles over the frequent labels, with score and tier
+/// predicates on some nodes: few answers, so each query searches its
+/// whole space and serial and parallel runs do the same search work.
+std::vector<algebra::GraphPattern> MakeQueries() {
+  std::vector<algebra::GraphPattern> out;
+  for (const char* source : {
+           R"(graph P { node a <label="L0">; node b <label="L0">;
+                        node c <label="L0">; node d <label="L0">;
+                        node e <label="L0">;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, a); })",
+           R"(graph P { node a <label="L0"> where score > 20;
+                        node b <label="L1">; node c <label="L0">;
+                        node d <label="L0">; node e <label="L1">;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, a); })",
+           R"(graph P { node a <label="L0"> where score < 50;
+                        node b <label="L0">; node c <label="L0">;
+                        node d <label="L0"> where score >= 50;
+                        node e <label="L0">; node f <label="L0">;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, f); edge (f, a); })",
+           R"(graph P { node a <label="L0">; node b <label="L1">;
+                        node c <label="L0">; node d <label="L2">;
+                        node e <label="L0">; node f <label="L1">;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, f); edge (f, a); })",
+           R"(graph P { node a <label="L0"> where tier == "gold";
+                        node b <label="L0">; node c <label="L0">;
+                        node d <label="L0">; node e <label="L0">;
+                        node f <label="L0"> where score >= 50;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, f); edge (f, a); })",
+           R"(graph P { node a <label="L1"> where score < 30;
+                        node b <label="L0">; node c <label="L0">;
+                        node d <label="L2">; node e <label="L0">;
+                        edge (a, b); edge (b, c); edge (c, d); edge (d, e);
+                        edge (e, a); })",
+       }) {
+    auto p = algebra::GraphPattern::Parse(source);
+    if (!p.ok()) {
+      std::fprintf(stderr, "bad query: %s\n", p.status().ToString().c_str());
+      std::exit(1);
+    }
+    out.push_back(std::move(p).value());
   }
-  for (const Graph& g : qs.graphs) {
-    qs.patterns.push_back(algebra::GraphPattern::FromGraph(g));
-  }
-  return qs;
+  return out;
 }
 
 /// One match list rendered as a comparable token: bindings and their order
@@ -71,10 +109,11 @@ struct SweepResult {
   bool identical = true;        ///< Match lists == serial run's.
 };
 
-SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
+SweepResult RunSweep(const Graph& data, const match::LabelIndex& index,
+                     const std::vector<algebra::GraphPattern>& queries,
+                     int threads, int reps,
                      const std::vector<std::string>* serial_sigs,
                      std::vector<std::string>* sigs_out) {
-  const ProteinWorkload& w = GetProteinWorkload();
   SweepResult r;
   r.threads = threads;
   r.ms = -1;
@@ -85,23 +124,18 @@ SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
     uint64_t stolen = 0;
     size_t total_matches = 0;
     std::vector<std::string> sigs;
-    sigs.reserve(qs.patterns.size());
+    sigs.reserve(queries.size());
     auto t0 = std::chrono::steady_clock::now();
-    for (const algebra::GraphPattern& p : qs.patterns) {
-      // Label-only retrieval, no refinement, declaration order: the
-      // paper's Baseline. Its unreduced search space is where intra-query
-      // parallelism matters (the optimized pipeline finishes these
-      // queries in microseconds, leaving nothing to parallelize), and
-      // every root candidate becomes a stealable search task.
+    for (const algebra::GraphPattern& p : queries) {
       match::PipelineOptions o;
-      o.candidate_mode = match::CandidateMode::kLabelOnly;
-      o.refine_level = 0;
+      o.candidate_mode = match::CandidateMode::kProfile;
+      o.refine_level = -1;
       o.optimize_order = false;
       o.match.max_matches = kMaxHits;
       o.num_threads = threads;
       o.metrics = nullptr;
       match::PipelineStats stats;
-      auto m = match::MatchPattern(p, w.graph, &w.index, o, &stats);
+      auto m = match::MatchPattern(p, data, &index, o, &stats);
       ms_retrieve += stats.us_retrieve / 1000.0;
       ms_refine += stats.us_refine / 1000.0;
       ms_search += stats.us_search / 1000.0;
@@ -130,23 +164,27 @@ SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
   return r;
 }
 
-int Main() {
-  int reps = 3;
+int Main(int argc, char** argv) {
+  bool quick = std::getenv("GQL_BENCH_QUICK") != nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
+  int reps = quick ? 1 : 3;
   if (const char* v = std::getenv("GQL_BENCH_PARALLEL_REPS")) {
     int n = std::atoi(v);
     if (n > 0) reps = n;
   }
-  std::printf("building clique workload (protein network, sizes 5-6, "
-              "low-hit)...\n");
-  QuerySet qs = BuildQueries();
-  if (qs.patterns.empty()) {
-    std::fprintf(stderr, "no queries generated\n");
-    return 1;
-  }
+  const char* size = quick ? "2k/8k" : "20k/80k";
+  std::printf("building workload (ER %s, 6 labels, score/tier attrs, "
+              "profiles + full refine, declaration order)...\n",
+              size);
+  Graph data = MakeScoredErdosRenyi(quick);
+  match::LabelIndex index = match::LabelIndex::Build(data);
+  std::vector<algebra::GraphPattern> queries = MakeQueries();
   unsigned hw = std::thread::hardware_concurrency();
   std::printf("%zu queries, %d reps per thread count (best-of), "
               "%u hardware threads\n",
-              qs.patterns.size(), reps, hw);
+              queries.size(), reps, hw);
   if (hw < 2) {
     std::printf("NOTE: single-core machine — speedup > 1 is not "
                 "achievable; this run only verifies determinism.\n");
@@ -157,7 +195,7 @@ int Main() {
   std::vector<SweepResult> results;
   for (int threads : kThreadSweep) {
     SweepResult r =
-        RunSweep(qs, threads, reps,
+        RunSweep(data, index, queries, threads, reps,
                  threads == 0 ? nullptr : &serial_sigs,
                  threads == 0 ? &serial_sigs : nullptr);
     results.push_back(r);
@@ -190,9 +228,12 @@ int Main() {
   }
   out << "{\n  \"bench\": \"parallel_scaling\",\n"
       << "  \"stamp\": " << BuildStampJson() << ",\n"
-      << "  \"workload\": \"protein clique low-hit (sizes 5-6)\",\n"
+      << "  \"workload\": \"erdos-renyi " << size
+      << ", 6 labels, score/tier attrs, low-hit cycles, profiles"
+      << " + full refine, declaration order\",\n"
       << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"queries\": " << qs.patterns.size() << ",\n"
+      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+      << "  \"queries\": " << queries.size() << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"matches\": " << results.front().matches << ",\n"
       << "  \"identical\": " << (all_identical ? "true" : "false") << ",\n"
@@ -216,4 +257,4 @@ int Main() {
 }  // namespace
 }  // namespace graphql::bench
 
-int main() { return graphql::bench::Main(); }
+int main(int argc, char** argv) { return graphql::bench::Main(argc, argv); }

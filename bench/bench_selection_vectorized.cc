@@ -31,7 +31,6 @@
 #include "graph/snapshot.h"
 #include "match/pipeline.h"
 #include "match/vectorized.h"
-#include "workload/erdos_renyi.h"
 
 namespace graphql::bench {
 namespace {
@@ -55,26 +54,6 @@ const char* LaneName(Lane lane) {
       return "auto";
   }
   return "?";
-}
-
-Graph MakeData(bool quick) {
-  Rng rng(20080610);
-  workload::ErdosRenyiOptions opts;
-  opts.num_nodes = quick ? 2000 : 20000;
-  opts.num_edges = quick ? 8000 : 80000;
-  opts.num_labels = 6;
-  Graph data = workload::MakeErdosRenyi(opts, &rng);
-  // Numeric and (sparse) string attributes give the predicate kernels
-  // real columns: "score" feeds comparisons, "tier" feeds the interned
-  // string-equality path, and its absence on 2/3 of nodes exercises the
-  // absent-attribute reject.
-  for (NodeId v = 0; v < static_cast<NodeId>(data.NumNodes()); ++v) {
-    data.node(v).attrs.Set("score", Value(int64_t{(v * 13) % 100}));
-    if (v % 3 == 0) {
-      data.node(v).attrs.Set("tier", Value(v % 6 == 0 ? "gold" : "silver"));
-    }
-  }
-  return data;
 }
 
 std::vector<algebra::GraphPattern> MakeQueries() {
@@ -196,7 +175,7 @@ int Main(int argc, char** argv) {
   std::printf("building synthetic workload (ER %s, 6 labels, score/tier "
               "attrs)...\n",
               quick ? "2k/8k" : "20k/80k");
-  Graph data = MakeData(quick);
+  Graph data = MakeScoredErdosRenyi(quick);
   match::LabelIndex index = match::LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> queries = MakeQueries();
   // Warm the snapshot outside the timed region — every lane runs over it;

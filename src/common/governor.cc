@@ -202,6 +202,42 @@ bool ResourceGovernor::SlowCheck(GovernPoint point) {
   return true;
 }
 
+uint64_t ResourceGovernor::ChargeEach(uint64_t n, GovernPoint point) {
+  uint64_t done = 0;
+  while (done < n) {
+    if (tripped()) return done;
+    // Single charges until the one that exceeds the budget, and until the
+    // one that fills the slow-check interval.
+    uint64_t to_trip = UINT64_MAX;
+    if (limits_.max_steps != 0) {
+      to_trip = steps_used_ < limits_.max_steps
+                    ? limits_.max_steps - steps_used_ + 1
+                    : 1;
+    }
+    uint64_t to_check = pending_steps_ < kCheckIntervalSteps
+                            ? kCheckIntervalSteps - pending_steps_
+                            : 1;
+    uint64_t left = n - done;
+    if (left < to_trip && left < to_check) {
+      steps_used_ += left;
+      pending_steps_ += left;
+      return n;
+    }
+    if (to_trip <= to_check) {
+      // Charge() tests the budget before it counts the step as pending.
+      steps_used_ += to_trip;
+      pending_steps_ += to_trip - 1;
+      Trip(TripKind::kSteps, point);
+      return done + to_trip - 1;
+    }
+    steps_used_ += to_check;
+    pending_steps_ += to_check;
+    done += to_check;
+    if (!SlowCheck(point)) return done - 1;
+  }
+  return done;
+}
+
 bool ResourceGovernor::CheckNow(GovernPoint point) {
   if (tripped()) return false;
   return SlowCheck(point);

@@ -196,6 +196,16 @@ class ResourceGovernor {
     return true;
   }
 
+  /// Charges `n` steps with exactly the outcome of n successive
+  /// Charge(1, point) calls that stop at the first one returning false: a
+  /// budget trip lands on the same step, and the slow-path check runs at
+  /// the same steps, one per kCheckIntervalSteps, with the remainder
+  /// carried over. Returns how many of the n single charges returned true;
+  /// a result below n means charge number (result + 1) tripped, or the
+  /// governor was already tripped. Costs O(1 + n / kCheckIntervalSteps).
+  /// Eval thread only.
+  uint64_t ChargeEach(uint64_t n, GovernPoint point);
+
   /// Forces the slow-path check (deadline, cancellation, fault injection)
   /// regardless of the amortization counter. Returns true to continue.
   bool CheckNow(GovernPoint point);

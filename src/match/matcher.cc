@@ -2,11 +2,60 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <span>
 
 namespace graphql::match {
 
 namespace {
+
+/// Which roots of a capped parallel search can still reach the root-order
+/// merge: once the finished roots before r hold `cap` matches between
+/// them, the merge stops before r. A Fenwick tree over root indices finds
+/// the first root where the finished matches reach the cap in O(log n)
+/// per finished root; workers read the resulting cutoff lock-free.
+class RootCutoff {
+ public:
+  RootCutoff(size_t roots, size_t cap)
+      : cap_(cap),
+        n_(cap == SIZE_MAX ? 0 : roots),
+        tree_(n_ == 0 ? 0 : n_ + 1, 0) {}
+
+  /// True when root r cannot contribute to the merged list.
+  bool Skip(size_t r) const {
+    return r >= cutoff_.load(std::memory_order_relaxed);
+  }
+
+  /// Records that root r finished holding `matches` matches.
+  void Finish(size_t r, size_t matches) {
+    if (matches == 0 || n_ == 0) return;
+    MutexLock lock(&mu_);
+    for (size_t i = r + 1; i <= n_; i += i & (~i + 1)) tree_[i] += matches;
+    // Binary lifting: the longest root prefix holding fewer than cap_.
+    size_t prefix = 0;
+    size_t need = cap_;
+    size_t step = 1;
+    while (step * 2 <= n_) step *= 2;
+    for (; step != 0; step /= 2) {
+      if (prefix + step <= n_ && tree_[prefix + step] < need) {
+        prefix += step;
+        need -= tree_[prefix];
+      }
+    }
+    // Roots 0..prefix hold cap_ matches; every later root is cut off.
+    if (prefix < n_ && prefix + 1 < cutoff_.load(std::memory_order_relaxed)) {
+      cutoff_.store(prefix + 1, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  const size_t cap_;
+  const size_t n_;  ///< Roots tracked; 0 when uncapped.
+  Mutex mu_;
+  std::vector<size_t> tree_ GQL_GUARDED_BY(mu_);
+  std::atomic<size_t> cutoff_{SIZE_MAX};
+};
 
 /// Shared DFS engine behind both SearchMatches entry points. Edge probes
 /// read the snapshot's CSR runs and interned tags; `data` supplies the
@@ -118,23 +167,41 @@ class SearchEngine {
   }
 
  private:
-  bool Budget() {
-    if (options_.max_steps != 0 && local_.steps >= options_.max_steps) {
-      local_.budget_exhausted = true;
-      return false;
-    }
+  /// Charges the next `n` candidate tries with exactly the outcome of n
+  /// single tries: the local max_steps budget, then the governor (or the
+  /// worker's shard). Returns false when one of them stops the search;
+  /// `steps` then ends on the try that stopped it, as a one-by-one loop
+  /// would leave it. Shard trips land at batch granularity.
+  bool ChargeTries(uint64_t n) {
+    if (n == 0) return true;
+    const uint64_t before = local_.steps;
+    // Tries that pass the local budget; the try that reaches max_steps is
+    // counted but never charged to the governor.
+    uint64_t ok = n;
+    const bool local_trip =
+        options_.max_steps != 0 && before + n >= options_.max_steps;
+    if (local_trip) ok = options_.max_steps - before - 1;
     if (shard_ != nullptr) {
-      if (!shard_->Charge()) {
+      if (ok != 0 && !shard_->Charge(ok)) {
+        local_.steps = before + ok;
         local_.governor_tripped = true;
         return false;
       }
-      return true;
+    } else if (options_.governor != nullptr && ok != 0) {
+      uint64_t accepted =
+          options_.governor->ChargeEach(ok, GovernPoint::kSearch);
+      if (accepted < ok) {
+        local_.steps = before + accepted + 1;
+        local_.governor_tripped = true;
+        return false;
+      }
     }
-    if (options_.governor != nullptr &&
-        !options_.governor->Charge(1, GovernPoint::kSearch)) {
-      local_.governor_tripped = true;
+    if (local_trip) {
+      local_.steps = options_.max_steps;
+      local_.budget_exhausted = true;
       return false;
     }
+    local_.steps = before + n;
     return true;
   }
 
@@ -218,7 +285,64 @@ class SearchEngine {
     return true;
   }
 
-  /// Returns false to abort the whole search (budget/limit/first match).
+  /// Maps u to v, searches the remaining positions, and undoes the
+  /// assignment. Returns false to abort the whole search.
+  bool Extend(size_t pos, NodeId u, NodeId v) {
+    assign_[u] = v;
+    used_[v] = 1;
+    bool keep_going = Dfs(pos + 1);
+    used_[v] = 0;
+    assign_[u] = kInvalidNode;
+    ++local_.backtracks;
+    return keep_going;
+  }
+
+  /// How many of candidates [first, last) are already mapped: the tries a
+  /// scan of that range would skip as used. Scans the at most k mapped
+  /// nodes instead of keeping a rank table.
+  uint64_t MappedIn(const NodeId* first, const NodeId* last,
+                    size_t pos) const {
+    if (first == last) return 0;
+    uint64_t mapped = 0;
+    for (size_t i = 0; i < pos; ++i) {
+      NodeId x = assign_[order_[i]];
+      if (x >= *first && x <= last[-1] && std::binary_search(first, last, x)) {
+        ++mapped;
+      }
+    }
+    return mapped;
+  }
+
+  /// Each back edge of order position `pos` to another, already-mapped
+  /// pattern node names a CSR run that u's image must appear in. Sets
+  /// `run` to the shortest one; returns false when there is none.
+  bool ShortestBackRun(size_t pos, NodeId u,
+                       std::span<const GraphSnapshot::AdjEntry>* run) const {
+    bool found = false;
+    for (EdgeId pe : back_edges_[pos]) {
+      const Graph::Edge& e = p_.edge(pe);
+      if (e.src == e.dst) continue;  // A self-loop does not reach the prefix.
+      NodeId mapped = assign_[e.src == u ? e.dst : e.src];
+      // A pattern edge u -> other needs data edge v -> mapped.
+      std::span<const GraphSnapshot::AdjEntry> r =
+          snap_.directed() && e.src == u ? snap_.in(mapped) : snap_.out(mapped);
+      if (!found || r.size() < run->size()) *run = r;
+      found = true;
+    }
+    return found;
+  }
+
+  /// Search(u_pos) of Algorithm 4.1. Returns false to abort the whole
+  /// search (budget/limit/first match).
+  ///
+  /// Where a back edge leads to an already-mapped pattern node m, only
+  /// data neighbours of m's image can pass Check, so the level walks the
+  /// shortest such CSR run and finds each neighbour in the ascending
+  /// Phi(u) with a lower_bound from a forward-moving cursor. Each
+  /// unmapped candidate skipped between two hits would have been tried
+  /// and failed Check, so it is charged as a try: steps, backtracks,
+  /// matches and every budget trip equal the plain scan of Phi(u), which
+  /// the root and positions unlinked to the prefix still run.
   bool Dfs(size_t pos) {
     if (pos == order_.size()) {
       if (pattern_.has_global_pred()) {
@@ -241,21 +365,37 @@ class SearchEngine {
       begin = &pinned_root_;
       end = begin + 1;
     }
-    for (const NodeId* it = begin; it != end; ++it) {
-      NodeId v = *it;
-      if (used_[v]) continue;
-      ++local_.steps;
-      if (!Budget()) return false;
-      if (!Check(pos, u, v)) continue;
-      assign_[u] = v;
-      used_[v] = 1;
-      bool keep_going = Dfs(pos + 1);
-      used_[v] = 0;
-      assign_[u] = kInvalidNode;
-      ++local_.backtracks;
-      if (!keep_going) return false;
+    std::span<const GraphSnapshot::AdjEntry> run;
+    if (!ShortestBackRun(pos, u, &run)) {
+      for (const NodeId* it = begin; it != end; ++it) {
+        NodeId v = *it;
+        if (used_[v]) continue;
+        if (!ChargeTries(1)) return false;
+        if (Check(pos, u, v) && !Extend(pos, u, v)) return false;
+      }
+      return true;
     }
-    return true;
+    const NodeId* uncharged = begin;  // First candidate not yet accounted.
+    const NodeId* cursor = begin;     // lower_bound start for the next hit.
+    NodeId prev = kInvalidNode;
+    for (const GraphSnapshot::AdjEntry& a : run) {
+      ++local_csr_probes_;
+      if (a.node == prev) continue;  // Parallel-edge repeat.
+      prev = a.node;
+      cursor = std::lower_bound(cursor, end, a.node);
+      if (cursor == end) break;
+      if (*cursor != a.node) continue;
+      const NodeId v = a.node;
+      const bool fresh = used_[v] == 0;
+      if (!ChargeTries(static_cast<uint64_t>(cursor - uncharged) -
+                       MappedIn(uncharged, cursor, pos) + (fresh ? 1 : 0))) {
+        return false;
+      }
+      uncharged = ++cursor;
+      if (fresh && Check(pos, u, v) && !Extend(pos, u, v)) return false;
+    }
+    return ChargeTries(static_cast<uint64_t>(end - uncharged) -
+                       MappedIn(uncharged, end, pos));
   }
 
   const algebra::GraphPattern& pattern_;
@@ -305,6 +445,13 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const std::vector<NodeId>& order, const MatchOptions& options,
     int num_threads, ThreadPool* pool, SearchStats* stats,
     obs::MetricsRegistry* metrics, ThreadPool::RunStats* run_stats) {
+  for (const std::vector<NodeId>& phi : candidates) {
+    if (std::adjacent_find(phi.begin(), phi.end(),
+                           std::greater_equal<NodeId>()) != phi.end()) {
+      return Status::InvalidArgument(
+          "candidate lists must be strictly ascending by node id");
+    }
+  }
   int workers = ResolveWorkers(num_threads, pool);
   // The local step budget counts candidate tries in global DFS order — a
   // per-root split cannot reproduce where it stops, so that knob stays on
@@ -335,15 +482,18 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
   };
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
 
-  // In first-match mode roots ordered after a known hit cannot contribute:
-  // skip them cheaply instead of searching them to completion.
-  std::atomic<size_t> first_hit{SIZE_MAX};
+  // The merge below keeps at most `cap` matches, so once finished roots
+  // before r hold that many, root r cannot contribute: skip it.
+  RootCutoff cutoff(n, options.exhaustive
+                          ? std::max<size_t>(options.max_matches, 1)
+                          : 1);
 
-  auto run_root = [&](size_t r, int w) {
-    if (!options.exhaustive &&
-        first_hit.load(std::memory_order_relaxed) < r) {
-      return;
-    }
+  auto run_root = [&](size_t item, int w) {
+    // The pool pops each worker's block from its high end, so dealing the
+    // roots in reverse lets every worker walk its block in ascending root
+    // order: the low roots the cap keeps finish first.
+    const size_t r = n - 1 - item;
+    if (cutoff.Skip(r)) return;
     WorkerState& s = ws[static_cast<size_t>(w)];
     if (s.engine == nullptr) {
       s.shard = GovernorShard(options.governor, GovernPoint::kSearch);
@@ -357,12 +507,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
       s.engine->set_scratch(&s.scratch);
     }
     per_status[r] = s.engine->RunRoot(roots[r], &per_root[r]);
-    if (!options.exhaustive && !per_root[r].empty()) {
-      size_t cur = first_hit.load(std::memory_order_relaxed);
-      while (r < cur && !first_hit.compare_exchange_weak(
-                            cur, r, std::memory_order_relaxed)) {
-      }
-    }
+    cutoff.Finish(r, per_root[r].size());
   };
   ThreadPool::RunStats run = tp.ParallelFor(n, workers, run_root);
 

@@ -51,16 +51,22 @@ struct SearchStats {
 /// evaluation.
 ///
 /// `candidates[u]` is the feasible-mate list Phi(u) for every pattern node
-/// (the first phase; see MatchPipeline for its construction), and `order`
-/// a permutation of the pattern's nodes.
+/// (the first phase; see MatchPipeline for its construction), strictly
+/// ascending by node id (InvalidArgument otherwise), and `order` a
+/// permutation of the pattern's nodes.
 ///
 /// Candidates are assumed NodeCompatible (F_u already evaluated during
 /// retrieval); the search re-checks only edges and the global predicate.
+/// A position with a back edge to an already-mapped pattern node draws its
+/// candidates from that node's CSR run instead of scanning all of Phi(u),
+/// and charges every skipped candidate as a failed try, so `steps` still
+/// counts Algorithm 4.1's candidate tries and every budget trips on the
+/// same try as a plain scan.
 ///
 /// Counters are accumulated locally during the DFS and flushed once into
 /// `metrics` (match.search.{steps, edge_checks, backtracks, matches,
-/// budget_exhausted}) when the search finishes, so instrumentation adds no
-/// per-step synchronization.
+/// csr_edge_probes, budget_exhausted}) when the search finishes, so
+/// instrumentation adds no per-step synchronization.
 ///
 /// Edge probes run over the data graph's compiled snapshot (CSR runs and
 /// interned tags), fetched here through data.snapshot().
@@ -78,7 +84,9 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
 /// root order, so the returned matches — set AND ordering — are
 /// bit-identical to SearchMatches on the same inputs (including
 /// max_matches truncation, non-exhaustive first-match selection, and error
-/// precedence).
+/// precedence). With a cap (max_matches, or 1 in first-match mode) a
+/// worker skips root r once finished roots before r hold the cap between
+/// them: the merge would discard r's list.
 ///
 /// Runs the serial search on the calling thread when `num_threads`
 /// resolves to fewer than two workers or when MatchOptions::max_steps is

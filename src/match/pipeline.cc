@@ -1,5 +1,6 @@
 #include "match/pipeline.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -229,7 +230,10 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
     if (!label.empty()) {
       base[u] = &index.NodesWithLabel(label);
     } else if (auto from_attr = AttrIndexBaseList(pattern, pu, index)) {
+      // B+-tree lookups return value order; the search needs every
+      // candidate list ascending by node id.
       owned_base[u] = std::move(*from_attr);
+      std::sort(owned_base[u].begin(), owned_base[u].end());
       base[u] = &owned_base[u];
     } else {
       if (all_nodes.empty() && data.NumNodes() > 0) {

@@ -108,6 +108,44 @@ TEST(ResourceGovernorTest, StepBudgetTripsExactlyAndSticks) {
   EXPECT_EQ(gov.trip_point(), GovernPoint::kSearch);
 }
 
+/// ChargeEach(n) must leave the governor exactly as n Charge(1) calls that
+/// stop at the first false: the same accepted count, consumption, trip
+/// kind, and injector slow-check count, whatever run lengths interleave.
+TEST(ResourceGovernorTest, ChargeEachEqualsSingleCharges) {
+  for (uint64_t budget : {0u, 1u, 50u, 1023u, 1024u, 5000u}) {
+    for (uint64_t fault_at : {0u, 1u, 3u}) {
+      ResourceGovernor each(GovernorLimits{.max_steps = budget});
+      ResourceGovernor single(GovernorLimits{.max_steps = budget});
+      FaultInjector each_inj;
+      FaultInjector single_inj;
+      if (fault_at != 0) {
+        each_inj.AddRule(GovernPoint::kSearch, fault_at, TripKind::kSteps);
+        single_inj.AddRule(GovernPoint::kSearch, fault_at, TripKind::kSteps);
+      }
+      each.set_fault_injector(&each_inj);
+      single.set_fault_injector(&single_inj);
+      Rng rng(budget * 7 + fault_at);
+      for (int run = 0; run < 60; ++run) {
+        uint64_t n = rng.NextBounded(run % 3 == 0 ? 3000 : 40);
+        uint64_t accepted = 0;
+        while (accepted < n && single.Charge(1, GovernPoint::kSearch)) {
+          ++accepted;
+        }
+        std::string where = "budget=" + std::to_string(budget) +
+                            " fault_at=" + std::to_string(fault_at) +
+                            " run=" + std::to_string(run);
+        ASSERT_EQ(each.ChargeEach(n, GovernPoint::kSearch), accepted) << where;
+        ASSERT_EQ(each.steps_used(), single.steps_used()) << where;
+        ASSERT_EQ(each.trip_kind(), single.trip_kind()) << where;
+      }
+      // One more slow check on each side must fire the same injector count.
+      EXPECT_EQ(each.CheckNow(GovernPoint::kSearch),
+                single.CheckNow(GovernPoint::kSearch));
+      EXPECT_EQ(each.trip_kind(), single.trip_kind());
+    }
+  }
+}
+
 TEST(ResourceGovernorTest, DeadlineTrips) {
   ResourceGovernor gov(GovernorLimits{.timeout_ms = 10});
   auto start = std::chrono::steady_clock::now();

@@ -17,7 +17,9 @@
 
 #include "algebra/pattern.h"
 #include "graph/graph.h"
+#include "common/governor.h"
 #include "match/bipartite.h"
+#include "match/matcher.h"
 #include "match/refine.h"
 
 namespace graphql::match::oracle {
@@ -77,6 +79,130 @@ inline std::vector<std::vector<NodeId>> ScanCandidates(
       }
     }
   }
+  return out;
+}
+
+/// Algorithm 4.1's Search as written: every order position scans all of
+/// Phi(u) in list order and Checks each unmapped candidate against the
+/// mapped prefix over the Graph's adjacency lists. Each try is one step,
+/// charged first to MatchOptions::max_steps and then to the governor with
+/// Charge(1); each emitted match reserves its mapping bytes. Edges without
+/// attributes or predicates resolve to their lowest-id data edge when the
+/// match is emitted, after the global predicate. SearchMatches must return
+/// the same matches (content and order) and leave the same steps,
+/// backtracks and trip flags in `stats` (overwritten) at every budget.
+inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
+    const algebra::GraphPattern& pattern, const Graph& data,
+    const std::vector<std::vector<NodeId>>& candidates,
+    const std::vector<NodeId>& order, const MatchOptions& options = {},
+    SearchStats* stats = nullptr) {
+  const Graph& p = pattern.graph();
+  const size_t k = p.NumNodes();
+  if (order.size() != k) {
+    return Status::InvalidArgument(
+        "search order must cover every pattern node");
+  }
+  std::vector<int> position(k, -1);
+  for (size_t i = 0; i < k; ++i) position[order[i]] = static_cast<int>(i);
+  std::vector<std::vector<EdgeId>> back(k);
+  for (size_t e = 0; e < p.NumEdges(); ++e) {
+    const Graph::Edge& pe = p.edge(static_cast<EdgeId>(e));
+    back[std::max(position[pe.src], position[pe.dst])].push_back(
+        static_cast<EdgeId>(e));
+  }
+  std::vector<NodeId> assign(k, kInvalidNode);
+  std::vector<EdgeId> edge_assign(p.NumEdges(), kInvalidEdge);
+  std::vector<char> used(data.NumNodes(), 0);
+  std::vector<algebra::MatchedGraph> out;
+  SearchStats local;
+  Status status;
+
+  auto trivial = [&](EdgeId pe) {
+    return p.edge(pe).attrs.empty() && !pattern.EdgeHasPredicates(pe);
+  };
+  auto check = [&](size_t pos, NodeId u, NodeId v) {
+    for (EdgeId pe : back[pos]) {
+      const Graph::Edge& e = p.edge(pe);
+      NodeId from = e.src == u ? v : assign[e.src];
+      NodeId to = e.dst == u ? v : assign[e.dst];
+      if (!data.HasEdgeBetween(from, to)) return false;
+      edge_assign[pe] = kInvalidEdge;
+      if (trivial(pe)) continue;
+      for (const Graph::Adj& a : data.neighbors(from)) {
+        if (a.node != to || !pattern.EdgeCompatible(pe, data, a.edge)) continue;
+        if (edge_assign[pe] == kInvalidEdge || a.edge < edge_assign[pe]) {
+          edge_assign[pe] = a.edge;
+        }
+      }
+      if (edge_assign[pe] == kInvalidEdge) return false;
+    }
+    return true;
+  };
+  auto emit = [&]() {
+    algebra::MatchedGraph m;
+    m.pattern = &pattern;
+    m.data = &data;
+    m.node_mapping = assign;
+    m.edge_mapping = edge_assign;
+    for (size_t e = 0; e < p.NumEdges(); ++e) {
+      const Graph::Edge& pe = p.edge(static_cast<EdgeId>(e));
+      if (m.edge_mapping[e] == kInvalidEdge) {
+        m.edge_mapping[e] = data.FindEdge(assign[pe.src], assign[pe.dst]);
+      }
+    }
+    if (options.governor != nullptr) {
+      options.governor->Reserve(
+          m.node_mapping.size() * sizeof(NodeId) +
+              m.edge_mapping.size() * sizeof(EdgeId),
+          GovernPoint::kSearch);
+    }
+    out.push_back(std::move(m));
+    if (!options.exhaustive) return false;
+    if (out.size() >= options.max_matches) {
+      local.truncated = true;
+      return false;
+    }
+    return true;
+  };
+  std::function<bool(size_t)> search = [&](size_t pos) {
+    if (pos == k) {
+      if (pattern.has_global_pred()) {
+        Result<bool> ok = pattern.EvalGlobalPred(data, assign, edge_assign);
+        if (!ok.ok()) {
+          status = ok.status();
+          return false;
+        }
+        if (!ok.value()) return true;
+      }
+      return emit();
+    }
+    NodeId u = order[pos];
+    for (NodeId v : candidates[u]) {
+      if (used[v]) continue;
+      ++local.steps;
+      if (options.max_steps != 0 && local.steps >= options.max_steps) {
+        local.budget_exhausted = true;
+        return false;
+      }
+      if (options.governor != nullptr &&
+          !options.governor->Charge(1, GovernPoint::kSearch)) {
+        local.governor_tripped = true;
+        return false;
+      }
+      if (!check(pos, u, v)) continue;
+      assign[u] = v;
+      used[v] = 1;
+      bool keep_going = search(pos + 1);
+      used[v] = 0;
+      assign[u] = kInvalidNode;
+      ++local.backtracks;
+      if (!keep_going) return false;
+    }
+    return true;
+  };
+  if (k != 0) search(0);
+  if (stats != nullptr) *stats = local;
+  if (!status.ok()) return status;
   return out;
 }
 

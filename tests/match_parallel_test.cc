@@ -201,6 +201,51 @@ TEST(MatchParallelTest, StealHeavySkewedRootsStayExact) {
   EXPECT_EQ(Bindings(*got), Bindings(*want));
 }
 
+/// Capped and first-match searches skip roots the root-order merge would
+/// discard; the merged lists must still equal serial at 2 and 4 workers.
+/// Declaration order over label-only spaces gives many roots with hits,
+/// so the cap is reached early and later roots are cut off.
+TEST(MatchParallelTest, CappedAndFirstMatchListsEqualSerial) {
+  ThreadPool pool(3);
+  Graph g = MakeData(400, 4242);
+  match::LabelIndex index = match::LabelIndex::Build(g);
+  Rng qrng(17);
+  int compared = 0;
+  for (size_t qsize : {3u, 4u}) {
+    auto q = workload::ExtractConnectedQuery(g, qsize, &qrng);
+    ASSERT_TRUE(q.ok());
+    algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
+    // {exhaustive, max_matches}: three caps, then first-match mode.
+    for (auto [exhaustive, cap] :
+         {std::pair{true, size_t{1}}, std::pair{true, size_t{5}},
+          std::pair{true, size_t{40}}, std::pair{false, SIZE_MAX}}) {
+      match::PipelineOptions serial;
+      serial.candidate_mode = match::CandidateMode::kLabelOnly;
+      serial.refine_level = 0;
+      serial.optimize_order = false;
+      serial.match.exhaustive = exhaustive;
+      serial.match.max_matches = cap;
+      serial.num_threads = 0;
+      auto want = match::MatchPattern(p, g, &index, serial);
+      ASSERT_TRUE(want.ok()) << want.status();
+      for (int threads : {2, 4}) {
+        match::PipelineOptions par = serial;
+        par.num_threads = threads;
+        par.pool = &pool;
+        match::PipelineStats stats;
+        auto got = match::MatchPattern(p, g, &index, par, &stats);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(Bindings(*got), Bindings(*want))
+            << "qsize=" << qsize << " exhaustive=" << exhaustive
+            << " cap=" << cap << " threads=" << threads;
+        EXPECT_EQ(stats.search.truncated, exhaustive && want->size() >= cap);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 16);
+}
+
 /// The shared pool honors an explicit thread ask even on small machines:
 /// PipelineOptions defaulted from $GQL_THREADS must actually produce
 /// multi-worker runs (this is what the GQL_THREADS=4 CI lane exercises).

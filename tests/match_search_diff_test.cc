@@ -1,0 +1,397 @@
+// Differential tests for the adjacency-driven search: SearchMatches and
+// SearchMatchesParallel against oracle::ScanSearch (match_oracle.h), the
+// plain Phi(u) scan of Algorithm 4.1 over the mutable Graph. Inputs cover
+// Erdos-Renyi and protein-style graphs, directed and undirected, with
+// parallel edges, self-loops, tagged and predicated edges, a global
+// predicate, attribute-range (B+-tree) retrieval, refined and unrefined
+// spaces, and declaration and greedy orders.
+//  - at 0, 1 and 3 threads: the same match list (content and order), steps
+//    and backtracks as the oracle;
+//  - on the calling thread: the same partial list, steps, trip flags and
+//    governor consumption under a local step budget, a governor step
+//    budget, and search@N fault injection;
+//  - every retrieved candidate list is ascending, and the search rejects
+//    one that is not.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/governor.h"
+#include "common/thread_pool.h"
+#include "match/cost.h"
+#include "match/pipeline.h"
+#include "match/refine.h"
+#include "match_oracle.h"
+#include "workload/erdos_renyi.h"
+#include "workload/protein_network.h"
+#include "workload/queries.h"
+
+namespace graphql::match {
+namespace {
+
+/// Content and order of a match list as one comparable string.
+std::string Fingerprint(const std::vector<algebra::MatchedGraph>& matches) {
+  std::ostringstream out;
+  for (const algebra::MatchedGraph& m : matches) {
+    out << "[";
+    for (NodeId v : m.node_mapping) out << v << " ";
+    out << "|";
+    for (EdgeId e : m.edge_mapping) out << e << " ";
+    out << "]";
+  }
+  return out.str();
+}
+
+/// A generated graph rebuilt with the features the search must handle:
+/// a `score` on every node, edge tags and `w` weights, random edge
+/// directions when directed, and extra parallel edges and self-loops.
+Graph MakeData(bool protein, bool directed, uint64_t seed) {
+  Rng rng(seed);
+  Graph base;
+  if (protein) {
+    workload::ProteinNetworkOptions o;
+    o.num_nodes = 160;
+    o.num_edges = 560;
+    o.num_labels = 5;
+    o.num_complexes = 12;
+    base = workload::MakeProteinNetwork(o, &rng);
+  } else {
+    workload::ErdosRenyiOptions o;
+    o.num_nodes = 160;
+    o.num_edges = 560;
+    o.num_labels = 4;
+    base = workload::MakeErdosRenyi(o, &rng);
+  }
+  Graph g("data", directed);
+  for (NodeId v = 0; v < static_cast<NodeId>(base.NumNodes()); ++v) {
+    AttrTuple attrs;
+    attrs.Set("label", Value(std::string(base.Label(v))));
+    attrs.Set("score", Value(rng.NextInt(0, 99)));
+    g.AddNode("", std::move(attrs));
+  }
+  auto add = [&](NodeId src, NodeId dst) {
+    AttrTuple attrs;
+    if (rng.NextBool(0.3)) attrs.set_tag(rng.NextBool() ? "knows" : "likes");
+    attrs.Set("w", Value(rng.NextInt(0, 9)));
+    if (directed && rng.NextBool()) std::swap(src, dst);
+    g.AddEdge(src, dst, "", std::move(attrs));
+  };
+  for (EdgeId e = 0; e < static_cast<EdgeId>(base.NumEdges()); ++e) {
+    add(base.edge(e).src, base.edge(e).dst);
+  }
+  for (int i = 0; i < 40; ++i) {
+    const Graph::Edge& e =
+        base.edge(static_cast<EdgeId>(rng.NextBounded(base.NumEdges())));
+    add(e.src, e.dst);
+  }
+  for (int i = 0; i < 12; ++i) {
+    NodeId v = static_cast<NodeId>(rng.NextBounded(base.NumNodes()));
+    add(v, v);
+  }
+  return g;
+}
+
+struct Dataset {
+  std::string name;
+  Graph graph;
+  LabelIndex index;
+  std::vector<algebra::GraphPattern> patterns;
+};
+
+/// One search input: a pattern, its candidate lists and a search order.
+struct Case {
+  const Dataset* data;
+  const algebra::GraphPattern* pattern;
+  std::vector<std::vector<NodeId>> candidates;
+  std::vector<NodeId> order;
+  std::string where;
+};
+
+std::vector<algebra::GraphPattern> MakePatterns(const Graph& g, Rng* rng) {
+  std::vector<algebra::GraphPattern> out;
+  for (size_t size : {3u, 4u, 5u}) {
+    auto q = workload::ExtractConnectedQuery(g, size, rng);
+    EXPECT_TRUE(q.ok()) << q.status();
+    if (q.ok()) out.push_back(algebra::GraphPattern::FromGraph(*q));
+  }
+  for (const char* source : {
+           // Tagged and predicated edges.
+           R"(graph P { node a where score < 50; node b;
+                        node c where score >= 30;
+                        edge e1 (a, b) <knows>; edge e2 (b, c) where w > 3;
+                        edge (c, a); })",
+           // Residual cross-node predicate.
+           R"(graph P { node a where score < 30; node b;
+                        node c where score > 60;
+                        edge (a, b); edge (b, c); }
+              where a.score + c.score > 100)",
+           // Range retrieval through the score B+-tree; both directions.
+           R"(graph P { node a where score >= 10 & score < 40;
+                        node b where score > 55; node c;
+                        edge (a, b); edge (b, a); edge (b, c); })",
+           // Declaration order maps c before anything links to it, and b
+           // carries a self-loop.
+           R"(graph P { node a where score < 30; node c where score > 70;
+                        node b; edge (a, b); edge (b, c); edge (b, b); })",
+           // Wildcard path: every level expands from the previous image.
+           R"(graph P { node a; node b; node c; edge (a, b); edge (b, c); })",
+       }) {
+    auto p = algebra::GraphPattern::Parse(source);
+    EXPECT_TRUE(p.ok()) << p.status();
+    if (p.ok()) out.push_back(std::move(p).value());
+  }
+  return out;
+}
+
+Dataset* NewDataset(bool protein, bool directed, uint64_t seed) {
+  Graph graph = MakeData(protein, directed, seed);
+  LabelIndexOptions io;
+  io.indexed_attributes = {"score"};
+  // The index points at the graph, so both live in their final place.
+  auto* d = new Dataset{std::string(protein ? "protein" : "er") +
+                            (directed ? "/directed" : "/undirected"),
+                        std::move(graph), LabelIndex(), {}};
+  d->index = LabelIndex::Build(d->graph, io);
+  Rng rng(seed * 31);
+  d->patterns = MakePatterns(d->graph, &rng);
+  return d;
+}
+
+const std::vector<const Dataset*>& Datasets() {
+  static const std::vector<const Dataset*>* const kData = [] {
+    auto* out = new std::vector<const Dataset*>();
+    uint64_t seed = 11;
+    for (bool protein : {false, true}) {
+      for (bool directed : {false, true}) {
+        out->push_back(NewDataset(protein, directed, seed++));
+      }
+    }
+    return out;
+  }();
+  return *kData;
+}
+
+/// Every dataset x pattern x {label-only, profile+refined} x {declaration,
+/// greedy} order.
+std::vector<Case> Cases() {
+  std::vector<Case> out;
+  for (const Dataset* dp : Datasets()) {
+    const Dataset& d = *dp;
+    std::shared_ptr<const GraphSnapshot> snap = d.graph.snapshot();
+    for (size_t pi = 0; pi < d.patterns.size(); ++pi) {
+      const algebra::GraphPattern& p = d.patterns[pi];
+      for (bool refined : {false, true}) {
+        PipelineOptions o;
+        o.candidate_mode =
+            refined ? CandidateMode::kProfile : CandidateMode::kLabelOnly;
+        o.metrics = nullptr;
+        std::vector<std::vector<NodeId>> cand =
+            RetrieveCandidates(p, d.graph, &d.index, o);
+        if (refined) {
+          RefineSearchSpace(p, *snap, static_cast<int>(p.graph().NumNodes()),
+                            &cand);
+        }
+        for (bool greedy : {false, true}) {
+          Case c;
+          c.data = &d;
+          c.pattern = &p;
+          c.candidates = cand;
+          c.order = greedy ? GreedySearchOrder(p, cand, &d.index)
+                           : DeclarationOrder(p);
+          c.where = d.name + " pattern " + std::to_string(pi) +
+                    (refined ? " refined" : " label-only") +
+                    (greedy ? " greedy" : " declaration");
+          out.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
+  ThreadPool pool(2);
+  uint64_t total_matches = 0;
+  for (const Case& c : Cases()) {
+    SearchStats want_stats;
+    auto want = oracle::ScanSearch(*c.pattern, c.data->graph, c.candidates,
+                                   c.order, {}, &want_stats);
+    ASSERT_TRUE(want.ok()) << want.status() << " " << c.where;
+    total_matches += want->size();
+    std::shared_ptr<const GraphSnapshot> snap = c.data->graph.snapshot();
+    for (int threads : {0, 1, 3}) {
+      SearchStats got_stats;
+      auto got = SearchMatchesParallel(*c.pattern, c.data->graph, *snap,
+                                       c.candidates, c.order, {}, threads,
+                                       &pool, &got_stats);
+      ASSERT_TRUE(got.ok()) << got.status() << " " << c.where;
+      std::string where = c.where + " threads " + std::to_string(threads);
+      EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << where;
+      EXPECT_EQ(got_stats.steps, want_stats.steps) << where;
+      EXPECT_EQ(got_stats.backtracks, want_stats.backtracks) << where;
+    }
+    // A cap keeps the list at 0 and 1 threads, steps included; 3 workers
+    // search beyond it but the root-order merge keeps the same matches.
+    MatchOptions capped;
+    capped.max_matches = 7;
+    SearchStats cap_stats;
+    auto want_cap = oracle::ScanSearch(*c.pattern, c.data->graph,
+                                       c.candidates, c.order, capped,
+                                       &cap_stats);
+    ASSERT_TRUE(want_cap.ok());
+    for (int threads : {0, 1, 3}) {
+      SearchStats got_stats;
+      auto got = SearchMatchesParallel(*c.pattern, c.data->graph, *snap,
+                                       c.candidates, c.order, capped, threads,
+                                       &pool, &got_stats);
+      ASSERT_TRUE(got.ok()) << got.status();
+      std::string where = c.where + " capped threads " +
+                          std::to_string(threads);
+      EXPECT_EQ(Fingerprint(*got), Fingerprint(*want_cap)) << where;
+      EXPECT_EQ(got_stats.truncated, cap_stats.truncated) << where;
+      if (threads < 2) {
+        EXPECT_EQ(got_stats.steps, cap_stats.steps) << where;
+        EXPECT_EQ(got_stats.backtracks, cap_stats.backtracks) << where;
+      }
+    }
+  }
+  EXPECT_GT(total_matches, 0u) << "vacuous differential";
+}
+
+/// Arms a fresh governor and its fault injector for one run.
+using ArmFn = std::function<void(ResourceGovernor*, FaultInjector*)>;
+
+/// Runs engine and oracle on the calling thread with the same options and,
+/// when `arm` is given, a governor each armed by it; everything observable
+/// must agree.
+void ExpectSameTrip(const Case& c, const MatchOptions& options,
+                    const ArmFn& arm, const std::string& where, int* trips) {
+  ResourceGovernor want_gov;
+  ResourceGovernor got_gov;
+  FaultInjector want_inj;
+  FaultInjector got_inj;
+  MatchOptions want_opts = options;
+  MatchOptions got_opts = options;
+  if (arm) {
+    arm(&want_gov, &want_inj);
+    arm(&got_gov, &got_inj);
+    want_opts.governor = &want_gov;
+    got_opts.governor = &got_gov;
+  }
+  SearchStats want_stats;
+  SearchStats got_stats;
+  auto want = oracle::ScanSearch(*c.pattern, c.data->graph, c.candidates,
+                                 c.order, want_opts, &want_stats);
+  auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order,
+                           got_opts, &got_stats);
+  ASSERT_TRUE(want.ok()) << want.status() << " " << where;
+  ASSERT_TRUE(got.ok()) << got.status() << " " << where;
+  EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << where;
+  EXPECT_EQ(got_stats.steps, want_stats.steps) << where;
+  EXPECT_EQ(got_stats.backtracks, want_stats.backtracks) << where;
+  EXPECT_EQ(got_stats.budget_exhausted, want_stats.budget_exhausted) << where;
+  EXPECT_EQ(got_stats.governor_tripped, want_stats.governor_tripped) << where;
+  EXPECT_EQ(got_stats.truncated, want_stats.truncated) << where;
+  EXPECT_EQ(got_gov.steps_used(), want_gov.steps_used()) << where;
+  EXPECT_EQ(got_gov.trip_kind(), want_gov.trip_kind()) << where;
+  if (want_stats.budget_exhausted || want_stats.governor_tripped) ++*trips;
+}
+
+TEST(SearchDifferentialTest, LocalStepBudgetTripsOnTheSameStep) {
+  int trips = 0;
+  for (const Case& c : Cases()) {
+    for (uint64_t budget : {1u, 17u, 1000u}) {
+      MatchOptions options;
+      options.max_steps = budget;
+      ExpectSameTrip(c, options, nullptr,
+                     c.where + " max_steps " + std::to_string(budget), &trips);
+    }
+  }
+  EXPECT_GT(trips, 0) << "no configuration tripped";
+}
+
+TEST(SearchDifferentialTest, GovernorStepBudgetTripsOnTheSameStep) {
+  int trips = 0;
+  for (const Case& c : Cases()) {
+    for (uint64_t budget : {50u, 400u, 5000u}) {
+      ExpectSameTrip(
+          c, {},
+          [budget](ResourceGovernor* gov, FaultInjector*) {
+            gov->Arm(GovernorLimits{.max_steps = budget});
+            gov->set_fault_injector(nullptr);
+          },
+          c.where + " governor max_steps " + std::to_string(budget), &trips);
+    }
+  }
+  EXPECT_GT(trips, 0) << "no configuration tripped";
+}
+
+TEST(SearchDifferentialTest, InjectedSearchFaultTripsOnTheSameStep) {
+  int trips = 0;
+  for (const Case& c : Cases()) {
+    for (uint64_t at : {1u, 2u, 5u}) {
+      ExpectSameTrip(
+          c, {},
+          [at](ResourceGovernor* gov, FaultInjector* inj) {
+            inj->AddRule(GovernPoint::kSearch, at, TripKind::kSteps);
+            gov->set_fault_injector(inj);
+          },
+          c.where + " search@" + std::to_string(at), &trips);
+    }
+  }
+  EXPECT_GT(trips, 0) << "no configuration tripped";
+}
+
+TEST(SearchDifferentialTest, RetrievedCandidateListsAreAscending) {
+  size_t lists = 0;
+  for (const Dataset* dp : Datasets()) {
+    const Dataset& d = *dp;
+    for (const algebra::GraphPattern& p : d.patterns) {
+      for (CandidateMode mode :
+           {CandidateMode::kLabelOnly, CandidateMode::kProfile,
+            CandidateMode::kNeighborhood}) {
+        for (const LabelIndex* index :
+             {&d.index, static_cast<const LabelIndex*>(nullptr)}) {
+          PipelineOptions o;
+          o.candidate_mode = mode;
+          o.metrics = nullptr;
+          for (const std::vector<NodeId>& list :
+               RetrieveCandidates(p, d.graph, index, o)) {
+            EXPECT_TRUE(std::adjacent_find(list.begin(), list.end(),
+                                           std::greater_equal<NodeId>()) ==
+                        list.end())
+                << d.name << " mode " << CandidateModeName(mode);
+            ++lists;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(lists, 0u);
+}
+
+TEST(SearchDifferentialTest, RejectsCandidateListsThatAreNotAscending) {
+  const Dataset& d = *Datasets().front();
+  auto p = algebra::GraphPattern::Parse(
+      "graph P { node a; node b; edge (a, b); }");
+  ASSERT_TRUE(p.ok());
+  for (const std::vector<NodeId>& bad :
+       {std::vector<NodeId>{3, 1, 2}, std::vector<NodeId>{1, 2, 2, 5}}) {
+    std::vector<std::vector<NodeId>> cand = {{0, 1, 2, 3, 4}, bad};
+    for (int threads : {0, 3}) {
+      std::shared_ptr<const GraphSnapshot> snap = d.graph.snapshot();
+      auto got = SearchMatchesParallel(*p, d.graph, *snap, cand,
+                                       DeclarationOrder(*p), {}, threads);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace graphql::match
