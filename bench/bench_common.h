@@ -106,34 +106,25 @@ inline const GovernorLimits& BenchGovernorLimits() {
   return kLimits;
 }
 
-/// Per-process pipeline knobs for bench runs, read once from the
-/// environment (unset = engine defaults):
-///   GQL_BENCH_THREADS               workers for the parallel selection
-///                                   stages (0 = serial); overrides the
-///                                   engine-wide $GQL_THREADS default
-///   GQL_BENCH_NEIGHBORHOOD_BUDGET   per-test neighborhood sub-iso step
-///                                   budget (0 = unlimited)
+/// Per-process pipeline knob for bench runs, read once from the
+/// environment (unset = engine default):
+///   GQL_BENCH_THREADS   workers for the parallel selection stages
+///                       (0 = serial); overrides the engine-wide
+///                       $GQL_THREADS default
 inline void ApplyBenchPipelineEnv(match::PipelineOptions* options) {
   static const int kThreads = [] {
     const char* v = std::getenv("GQL_BENCH_THREADS");
     return v != nullptr && *v != '\0' ? std::atoi(v) : -1;
   }();
-  static const long long kNbhBudget = [] {
-    const char* v = std::getenv("GQL_BENCH_NEIGHBORHOOD_BUDGET");
-    return v != nullptr && *v != '\0' ? std::atoll(v) : -1;
-  }();
   if (kThreads >= 0) options->num_threads = kThreads;
-  if (kNbhBudget >= 0) {
-    options->neighborhood_step_budget = static_cast<uint64_t>(kNbhBudget);
-  }
 }
 
 /// Installs a freshly re-armed governor (per-query deadline clock) into the
 /// options when any env knob is set; leaves them ungoverned otherwise.
 /// The governor is thread-local: google-benchmark runs each benchmark's
 /// iterations on one thread, and one governor belongs to one query at a
-/// time. Also applies the pipeline env knobs (threads, neighborhood
-/// budget) so every bench binary honors them without per-bench wiring.
+/// time. Also applies the pipeline env knob (threads) so every bench
+/// binary honors it without per-bench wiring.
 inline void GovernBenchQuery(match::PipelineOptions* options) {
   ApplyBenchPipelineEnv(options);
   const GovernorLimits& limits = BenchGovernorLimits();

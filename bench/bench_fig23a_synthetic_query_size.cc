@@ -93,8 +93,10 @@ void BM_Fig23a_Total(benchmark::State& state) {
           o.refine_level = 0;
           o.optimize_order = false;
           o.match.max_matches = kMaxHits;
-          o.match.max_steps = 200000000;  // Hang guard only.
           GovernBenchQuery(&o);
+          // Hang guard only, unless the environment governs the query.
+          ResourceGovernor guard(GovernorLimits{.max_steps = 200000000});
+          if (o.governor == nullptr) o.governor = &guard;
           auto m = match::MatchPattern(p, w.graph, &w.index, o);
           if (m.ok()) total_matches += m->size();
           break;

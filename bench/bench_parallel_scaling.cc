@@ -1,13 +1,14 @@
 // Intra-query parallel selection scaling: wall-clock speedup of the
-// work-stealing retrieve/refine/search pipeline over the serial path.
+// work-stealing retrieve/search pipeline over the serial path.
 //
 // Workload: the Erdos-Renyi 20k/80k 6-label graph with per-node "score" and
 // "tier" columns that bench_selection_vectorized also runs, and low-hit
 // cycle queries with node predicates. Retrieval uses profiles and
-// refinement runs to the full level, so every stage has work to split. The
-// search keeps declaration order: the parallel (Jacobi) refinement may keep
-// a larger candidate space than the serial one, and a cost-based order
-// computed from it could enumerate the same matches in a different order.
+// refinement runs to the full level. Refinement runs on the calling thread
+// at every thread count, so its time is a serial floor under the sweep.
+// The search keeps declaration order, which gives every query a large
+// search for the workers to split; the lists would equal serial under the
+// cost-based order too.
 //
 // Unlike the figure benches this is a plain binary (no google-benchmark):
 // it sweeps a thread count, verifies that every parallel run produces a
@@ -20,8 +21,7 @@
 //   GQL_BENCH_PARALLEL_REPS   timed repetitions per thread count, best-of
 //                             (default 3; 1 with --quick)
 //   --quick / GQL_BENCH_QUICK the 2k/8k graph (CI smoke)
-//   GQL_BENCH_THREADS / GQL_BENCH_NEIGHBORHOOD_BUDGET are ignored here:
-//   the sweep sets num_threads itself.
+//   GQL_BENCH_THREADS is ignored here: the sweep sets num_threads itself.
 
 #include <chrono>
 #include <cstdio>

@@ -1,5 +1,6 @@
 #include "common/governor.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -243,25 +244,9 @@ bool ResourceGovernor::CheckNow(GovernPoint point) {
   return SlowCheck(point);
 }
 
-bool ResourceGovernor::ChargeBatch(uint64_t steps, GovernPoint point) {
-  MutexLock lock(&shared_mu_);
-  // Record the batch even when already tripped: GovernorShard::charged()
-  // must equal what actually landed in steps_used_, or the refine
-  // degrade-fallback refund would drift.
-  steps_used_ += steps;
-  if (tripped()) return false;
-  if (limits_.max_steps != 0 && steps_used_ > limits_.max_steps) {
-    Trip(TripKind::kSteps, point);
-    return false;
-  }
-  // A batch stands for ~kCheckIntervalSteps charges: always take the slow
-  // path so deadline/cancel/injection latency matches the serial cadence.
-  return SlowCheck(point);
-}
-
-void ResourceGovernor::ReserveShared(size_t bytes, GovernPoint point) {
-  MutexLock lock(&shared_mu_);
-  Reserve(bytes, point);
+bool ResourceGovernor::Expired() const {
+  return cancel_requested_.load(std::memory_order_relaxed) ||
+         (deadline_us_ != 0 && obs::NowMicros() > deadline_us_);
 }
 
 void ResourceGovernor::Reserve(size_t bytes, GovernPoint point) {
@@ -283,6 +268,34 @@ bool ResourceGovernor::ClearDegradableTrip() {
   trip_point_ = GovernPoint::kOther;
   pending_steps_ = 0;
   return true;
+}
+
+TaskLedger::TaskLedger(const ResourceGovernor* gov) : gov_(gov) {
+  if (gov == nullptr) return;
+  const GovernorLimits& limits = gov->limits();
+  if (gov->tripped()) {
+    steps_left_ = 0;
+  } else if (limits.max_steps != 0) {
+    steps_left_ =
+        limits.max_steps - std::min(gov->steps_used(), limits.max_steps);
+  }
+  if (limits.max_memory_bytes != 0) {
+    bytes_left_ = limits.max_memory_bytes -
+                  std::min<size_t>(gov->memory_used(), limits.max_memory_bytes);
+  }
+}
+
+bool TaskLedger::Charge(uint64_t steps) {
+  steps_ += steps;
+  since_poll_ += steps;
+  if (steps_ > steps_left_ || bytes_ > bytes_left_) stopped_ = true;
+  if (gov_ != nullptr &&
+      since_poll_ >= ResourceGovernor::kCheckIntervalSteps) {
+    since_poll_ = 0;
+    expired_ = expired_ || gov_->Expired();
+    stopped_ = stopped_ || expired_;
+  }
+  return !stopped_;
 }
 
 int64_t ResourceGovernor::elapsed_ms() const {

@@ -25,29 +25,6 @@ int64_t CurrentOsThreadId() {
   return kTid;
 }
 
-void ThreadPool::RunStats::Merge(const RunStats& from) {
-  workers = std::max(workers, from.workers);
-  tasks += from.tasks;
-  stolen += from.stolen;
-  for (const WorkerLane& lane : from.lanes) {
-    WorkerLane* slot = nullptr;
-    for (WorkerLane& existing : lanes) {
-      if (existing.os_tid == lane.os_tid) {
-        slot = &existing;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      lanes.push_back(lane);
-      continue;
-    }
-    slot->start_us = std::min(slot->start_us, lane.start_us);
-    slot->end_us = std::max(slot->end_us, lane.end_us);
-    slot->tasks += lane.tasks;
-    slot->stolen += lane.stolen;
-  }
-}
-
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 0) num_threads = 0;
   threads_.reserve(static_cast<size_t>(num_threads));

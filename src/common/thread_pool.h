@@ -15,7 +15,7 @@
 namespace graphql {
 
 /// Fixed-size worker pool with per-participant work-stealing deques, shared
-/// by every parallel pipeline stage (retrieve / refine / search).
+/// by every parallel pipeline stage (retrieve / search).
 ///
 /// Each ParallelFor call forms one job: the item indices are dealt in
 /// contiguous blocks into one deque per participating worker; a worker pops
@@ -30,7 +30,7 @@ namespace graphql {
 /// Status values captured per item. Jobs on one pool are serialized (a
 /// second concurrent ParallelFor blocks until the first finishes), which
 /// keeps worker ids dense per job so callers can use them to index
-/// per-worker shards (metrics, governor charge batches, search states).
+/// per-worker shards (metrics, charge ledgers, search states).
 class ThreadPool {
  public:
   /// What one participant did during a job: which OS thread it ran on,
@@ -53,11 +53,6 @@ class ThreadPool {
     uint64_t stolen = 0;     ///< Items taken from another worker's deque.
     /// One lane per participant (dense worker ids; [0] is the caller).
     std::vector<WorkerLane> lanes;
-
-    /// Folds another job in: the larger participant count, summed counts,
-    /// and lanes merged per OS thread (active windows union), so a stage
-    /// that issues several jobs (refinement levels) reports one RunStats.
-    void Merge(const RunStats& from);
   };
 
   /// `num_threads` background threads (clamped to >= 0); the pool then

@@ -304,7 +304,7 @@ void Evaluator::set_plan_cache_capacity(size_t bytes) {
 }
 
 std::string LimitReport::ToString() const {
-  if (!tripped && !truncated && !budget_exhausted && degradations.empty()) {
+  if (!tripped && !truncated && degradations.empty()) {
     return "";
   }
   std::string out;
@@ -316,7 +316,6 @@ std::string LimitReport::ToString() const {
     out += ", results are partial)\n";
   }
   if (truncated) out += "match cap reached: result truncated\n";
-  if (budget_exhausted) out += "local step budget exhausted in search\n";
   for (const std::string& d : degradations) {
     out += "degraded: " + d + "\n";
   }
@@ -1148,9 +1147,8 @@ Status Evaluator::RunFlwr(
   GQL_ASSIGN_OR_RETURN(std::vector<algebra::MatchedGraph> matches,
                        SelectWithAutoIndex(alternatives, *collection, options,
                                            &select_stats));
-  // Surface cap/budget outcomes that used to die inside the pipeline.
+  // Surface cap outcomes that used to die inside the pipeline.
   result->limits.truncated |= select_stats.search.truncated;
-  result->limits.budget_exhausted |= select_stats.search.budget_exhausted;
   if (select_span.active()) {
     select_span.SetAttr("matches", static_cast<int64_t>(matches.size()));
   }

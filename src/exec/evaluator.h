@@ -35,7 +35,6 @@ struct LimitReport {
   GovernPoint point = GovernPoint::kOther;  ///< Stage that hit the limit.
   std::string message;               ///< Human-readable trip description.
   bool truncated = false;            ///< A selection hit max_matches.
-  bool budget_exhausted = false;     ///< A local (matcher) step budget hit.
   /// Graceful-degradation events (e.g. refinement falling back to the
   /// unrefined candidate sets). Degradations preserve the result set.
   std::vector<std::string> degradations;
@@ -44,7 +43,7 @@ struct LimitReport {
   int64_t elapsed_ms = 0;
 
   /// True when the returned results may be incomplete (a trip or a cap).
-  bool Partial() const { return tripped || truncated || budget_exhausted; }
+  bool Partial() const { return tripped || truncated; }
   /// Multi-line rendering for shells/logs; empty when nothing noteworthy.
   std::string ToString() const;
 };

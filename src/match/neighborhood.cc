@@ -85,10 +85,9 @@ struct SubIsoState {
   std::vector<NodeId> assign;   // query node -> data node
   std::vector<char> used;       // data node used
   uint64_t steps = 0;
-  uint64_t budget = 0;  // 0 = unlimited.
   bool budget_hit = false;
   ResourceGovernor* governor = nullptr;
-  GovernorShard* shard = nullptr;  // Charges replace `governor` when set.
+  TaskLedger* ledger = nullptr;  // Counts replace `governor` charges when set.
 
   bool NodeOk(NodeId qu, NodeId dv) const {
     SymbolId ql = (*q_syms)[qu];
@@ -99,12 +98,8 @@ struct SubIsoState {
   bool Dfs(size_t i, const std::vector<NodeId>& order) {
     if (i == order.size()) return true;
     ++steps;
-    if (budget != 0 && steps > budget) {
-      budget_hit = true;
-      return true;  // Conservative: give up pruning.
-    }
-    bool charged = shard != nullptr
-                       ? shard->Charge()
+    bool charged = ledger != nullptr
+                       ? ledger->Charge(1)
                        : GovCharge(governor, 1, GovernPoint::kNeighborhood);
     if (!charged) {
       budget_hit = true;
@@ -144,10 +139,9 @@ struct SubIsoState {
 
 bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
                                const NeighborhoodSubgraph& data,
-                               uint64_t step_budget,
                                obs::MetricsRegistry* metrics,
                                ResourceGovernor* governor,
-                               GovernorShard* shard) {
+                               TaskLedger* ledger) {
   if (metrics != nullptr) {
     metrics->GetCounter("match.neighborhood.tests")->Increment();
   }
@@ -163,9 +157,8 @@ bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
   state.d_syms = &data.label_syms;
   state.assign.assign(q.NumNodes(), kInvalidNode);
   state.used.assign(d.NumNodes(), 0);
-  state.budget = step_budget;
   state.governor = governor;
-  state.shard = shard;
+  state.ledger = ledger;
 
   if (!state.NodeOk(query.center, data.center)) return false;
   state.assign[query.center] = data.center;

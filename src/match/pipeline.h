@@ -48,16 +48,13 @@ struct PipelineOptions {
   bool optimize_order = true;
   OrderOptions order;
   MatchOptions match;
-  /// Step budget for each neighborhood sub-isomorphism test; 0 = unlimited
-  /// (the engine-wide budget convention — deadline and step limits come
-  /// from the governor; set this only to bound individual tests).
-  uint64_t neighborhood_step_budget = 0;
   /// Intra-query parallelism: total workers (including the calling thread)
-  /// for the retrieve / refine / search stages. 0 and 1 both run every
-  /// stage on the calling thread alone; N > 1 adds pool threads, capped at
-  /// the pool's capacity. Defaults to $GQL_THREADS (0 if unset). Parallel
-  /// match results — set and order — are identical to serial; parallel
-  /// refinement may keep a superset of the serial candidates (refine.h).
+  /// for the retrieve and search stages; refinement always runs on the
+  /// calling thread. 0 and 1 both run every stage on the calling thread
+  /// alone; N > 1 adds pool threads, capped at the pool's capacity.
+  /// Defaults to $GQL_THREADS (0 if unset). Every thread count returns the
+  /// serial answer — matches, their order, and governed partial results —
+  /// except where a deadline or cancel trip lands (DESIGN.md §6e).
   int num_threads = DefaultNumThreads();
   /// Pool serving the parallel stages; null = the process-wide shared pool.
   ThreadPool* pool = nullptr;
@@ -100,7 +97,7 @@ struct PipelineStats {
   bool refine_degraded = false;
   /// Workers serving the stages (ResolveWorkers; 0 or 1 = calling thread).
   int threads = 0;
-  /// Work-stealing events summed across the retrieve/refine/search stages.
+  /// Work-stealing events summed across the retrieve and search stages.
   uint64_t tasks_stolen = 0;
   /// MatchPattern invocations accumulated into this stats object (a
   /// collection select runs one per member graph). All counters below and

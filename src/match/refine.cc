@@ -1,8 +1,6 @@
 #include "match/refine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <utility>
 
 #include "common/packed_bits.h"
 #include "match/bipartite.h"
@@ -55,22 +53,18 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
                        std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats, bool use_marking,
                        obs::MetricsRegistry* metrics,
-                       ResourceGovernor* governor, int num_threads,
-                       ThreadPool* pool, ThreadPool::RunStats* run_stats) {
+                       ResourceGovernor* governor) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   if (k == 0 || level <= 0) return;
   const size_t n = snap.num_nodes();
-  const int workers = ResolveWorkers(num_threads, pool);
-  const bool parallel = workers > 1;
   RefineStats local;
 
-  // The calling thread removes pairs mid-level, so it walks a level-start
-  // copy of the pending bits (`todo`); parallel levels walk a pair list
-  // and touch the bitmaps only at the barrier.
+  // Pairs are removed mid-level, so each level walks a level-start copy of
+  // the pending bits (`todo`).
   PackedBits in_cand(k, n);
   PackedBits marked(k, n);
-  PackedBits todo = parallel ? PackedBits() : PackedBits(k, n);
+  PackedBits todo(k, n);
   ScopedReserve bitmap_mem(governor,
                            in_cand.bytes() + marked.bytes() + todo.bytes(),
                            GovernPoint::kRefine);
@@ -94,22 +88,20 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
 
   // B(u, v) test: true while every pattern neighbor of u can be matched to
   // a distinct data neighbor of v that is still its candidate.
-  auto keeps = [&](NodeId u, NodeId v, std::vector<std::vector<int>>* adj,
-                   uint64_t* checks) {
+  std::vector<std::vector<int>> adj;  // Bipartite adjacency buffer.
+  auto keeps = [&](NodeId u, NodeId v) {
     const std::vector<NodeId>& nu = pnbr[u];
     if (nu.empty()) return true;  // Isolated pattern node: keep.
     std::span<const NodeId> nv = snap.unique_neighbors(v);
-    adj->assign(nu.size(), {});
+    adj.assign(nu.size(), {});
     for (size_t i = 0; i < nu.size(); ++i) {
       for (size_t j = 0; j < nv.size(); ++j) {
-        if (in_cand.Test(nu[i], nv[j])) {
-          (*adj)[i].push_back(static_cast<int>(j));
-        }
+        if (in_cand.Test(nu[i], nv[j])) adj[i].push_back(static_cast<int>(j));
       }
     }
-    ++*checks;
+    ++local.bipartite_checks;
     return HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), *adj);
+                                  static_cast<int>(nv.size()), adj);
   };
 
   bool changed = false;
@@ -153,78 +145,28 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
     }
   };
 
-  std::vector<std::vector<int>> adj;  // Calling thread's bipartite buffer.
-  struct WorkerState {
-    GovernorShard shard;
-    std::vector<std::vector<int>> adj;
-    uint64_t bipartite_checks = 0;
-  };
-  std::vector<WorkerState> ws(parallel ? static_cast<size_t>(workers) : 0);
-  for (WorkerState& s : ws) {
-    s.shard = GovernorShard(governor, GovernPoint::kRefine);
-  }
-  ThreadPool::RunStats runs;
-  std::atomic<bool> aborted{false};
-
   for (int l = 0; l < level; ++l) {
     local.levels_run = l + 1;
     changed = false;
     const PackedBits& pending = use_marking ? marked : in_cand;
     if ((use_marking ? marked_count : live) == 0) break;
-    if (!parallel) {
-      todo.CopyFrom(pending);
-      for_each_pair(todo, [&](NodeId u, NodeId v) {
-        ++local.pairs_charged;
-        if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
-          local.aborted = true;
-          return false;
-        }
-        if (!in_cand.Test(u, v)) {  // Already removed this level.
-          ++local.dirty_skips;
-          return true;
-        }
-        const bool keep = keeps(u, v, &adj, &local.bipartite_checks);
-        clear_mark(u, v);
-        if (!keep) prune(u, v);
-        return true;
-      });
-      if (local.aborted) break;
-    } else {
-      std::vector<std::pair<NodeId, NodeId>> pairs;
-      pairs.reserve(use_marking ? marked_count : live);
-      for_each_pair(pending, [&](NodeId u, NodeId v) {
-        pairs.emplace_back(u, v);
-        return true;
-      });
-      std::vector<char> failed(pairs.size(), 0);
-      // The worklist and verdict buffer are the level's real transient
-      // allocations (up to k*n pairs); released at the barrier.
-      ScopedReserve level_mem(
-          governor, pairs.size() * sizeof(pairs[0]) + failed.size(),
-          GovernPoint::kRefine);
-      ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
-      runs.Merge(tp.ParallelFor(pairs.size(), workers, [&](size_t i, int w) {
-        if (aborted.load(std::memory_order_relaxed)) return;
-        WorkerState& s = ws[static_cast<size_t>(w)];
-        if (!s.shard.Charge()) {
-          aborted.store(true, std::memory_order_relaxed);
-          return;
-        }
-        failed[i] = !keeps(pairs[i].first, pairs[i].second, &s.adj,
-                           &s.bipartite_checks);
-      }));
-      if (aborted.load(std::memory_order_relaxed)) {
-        // The level's verdicts are incomplete: discard them (earlier
-        // levels' removals stand and are sound).
+    todo.CopyFrom(pending);
+    for_each_pair(todo, [&](NodeId u, NodeId v) {
+      ++local.pairs_charged;
+      if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
         local.aborted = true;
-        break;
+        return false;
       }
-      // Barrier: apply the buffered verdicts in pair order.
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        clear_mark(pairs[i].first, pairs[i].second);
-        if (failed[i]) prune(pairs[i].first, pairs[i].second);
+      if (!in_cand.Test(u, v)) {  // Already removed this level.
+        ++local.dirty_skips;
+        return true;
       }
-    }
+      const bool keep = keeps(u, v);
+      clear_mark(u, v);
+      if (!keep) prune(u, v);
+      return true;
+    });
+    if (local.aborted) break;
     if (!changed && (!use_marking || marked_count == 0)) break;
   }
 
@@ -236,16 +178,6 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
                list.end());
   }
 
-  for (WorkerState& s : ws) {
-    // A trip surfacing only at this final flush (small workloads never
-    // reach an in-stage flush) still aborts the refinement: the pipeline's
-    // degrade fallback then restores the unrefined space and refunds the
-    // charge, as it does for a per-pair trip on the calling thread.
-    if (!s.shard.Flush()) local.aborted = true;
-    local.bipartite_checks += s.bipartite_checks;
-    local.pairs_charged += s.shard.charged();
-  }
-  if (run_stats != nullptr) *run_stats = std::move(runs);
   FlushRefineStats(local, stats, metrics);
 }
 

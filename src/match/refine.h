@@ -6,7 +6,6 @@
 
 #include "algebra/pattern.h"
 #include "common/governor.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "obs/metrics.h"
@@ -45,14 +44,9 @@ struct RefineStats {
 /// surviving pair at every level in candidate-list order (exposed for the
 /// ablation benchmark); the final space is identical.
 ///
-/// `num_threads` 0 or 1 runs on the calling thread: a failed pair is
-/// removed at once, so later pairs of the same level see it (Gauss-Seidel,
-/// the paper's algorithm). With two or more workers (capped by `pool`,
-/// null = the shared pool) a level's pair checks fan out as independent
-/// reads of the level-start bitmaps, and removals are applied at the level
-/// barrier (Jacobi). After a bounded level count the parallel space can
-/// therefore keep candidates the serial pass drops; it is always a
-/// superset of the serial space, still sound, and yields the same matches.
+/// The pass runs on the calling thread and removes a failed pair at once,
+/// so later pairs of the same level see the removal (Gauss-Seidel, the
+/// paper's algorithm).
 ///
 /// The refinement is sound: it never removes a candidate that participates
 /// in a real match (verified by property tests).
@@ -61,23 +55,17 @@ struct RefineStats {
 /// match.refine.{bipartite_checks, removed, dirty_skips, levels}.
 ///
 /// When `governor` is given, every (u, v) pair processed charges one step
-/// to GovernPoint::kRefine (through per-worker shards when parallel) and
-/// the bit matrices are accounted against the memory budget. A trip aborts
-/// the pass early with `stats->aborted` set; removals already applied
-/// remain (they are sound), a parallel level's buffered verdicts are
-/// discarded, and `stats->pairs_charged` lets the caller refund the spent
-/// steps when it discards the partial refinement.
-///
-/// `run_stats`, when given, receives the parallel levels' ThreadPool runs
-/// merged into one (untouched on the calling-thread path).
+/// to GovernPoint::kRefine and the bit matrices are accounted against the
+/// memory budget. A trip aborts the pass early with `stats->aborted` set;
+/// removals already applied remain (they are sound), and
+/// `stats->pairs_charged` lets the caller refund the spent steps when it
+/// discards the partial refinement.
 void RefineSearchSpace(const algebra::GraphPattern& pattern,
                        const GraphSnapshot& snap, int level,
                        std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats = nullptr, bool use_marking = true,
                        obs::MetricsRegistry* metrics = nullptr,
-                       ResourceGovernor* governor = nullptr,
-                       int num_threads = 0, ThreadPool* pool = nullptr,
-                       ThreadPool::RunStats* run_stats = nullptr);
+                       ResourceGovernor* governor = nullptr);
 
 }  // namespace graphql::match
 

@@ -701,17 +701,5 @@ TEST_F(GovernedEvaluatorTest, TruncationPropagatesIntoLimits) {
   EXPECT_FALSE(result->limits.tripped);
 }
 
-TEST_F(GovernedEvaluatorTest, LocalBudgetPropagatesIntoLimits) {
-  exec::Evaluator ev(&docs_);
-  ev.mutable_match_options()->match.max_steps = 1;
-  auto result = ev.RunSource(R"(
-    graph P { node v1 <author>; node v2 <author>; };
-    for P exhaustive in doc("DBLP") return graph { node P.v1; };
-  )");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->limits.budget_exhausted);
-  EXPECT_TRUE(result->limits.Partial());
-}
-
 }  // namespace
 }  // namespace graphql

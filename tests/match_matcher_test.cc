@@ -97,15 +97,19 @@ TEST(MatcherTest, StepBudgetStopsSearch) {
   Graph g = Sample();
   auto p = algebra::GraphPattern::Parse("graph P { node u; node v; }");
   ASSERT_TRUE(p.ok());
+  ResourceGovernor gov(GovernorLimits{.max_steps = 3});
   MatchOptions options;
-  options.max_steps = 3;
+  options.governor = &gov;
   SearchStats stats;
   auto cand = oracle::ScanCandidates(*p, g);
   auto matches =
       SearchMatches(*p, g, cand, DeclarationOrder(*p), options, &stats);
   ASSERT_TRUE(matches.ok());
-  EXPECT_TRUE(stats.budget_exhausted);
-  EXPECT_LE(stats.steps, 3u);
+  EXPECT_TRUE(stats.governor_tripped);
+  EXPECT_EQ(gov.trip_kind(), TripKind::kSteps);
+  // Three tries pass; the fourth trips the budget.
+  EXPECT_EQ(stats.steps, 4u);
+  EXPECT_EQ(gov.steps_used(), 4u);
 }
 
 TEST(MatcherTest, DisconnectedPatternIsCrossProduct) {

@@ -115,11 +115,17 @@ TEST(NeighborhoodSubIsoTest, IdenticalNeighborhoodsMatch) {
 }
 
 TEST(NeighborhoodSubIsoTest, BudgetExhaustionIsConservative) {
+  // u2 does not embed at b2 (Figure 4.17), but when the governor's step
+  // budget runs out mid-test the test gives up and keeps b2 (no pruning).
   Graph g = Sample();
-  NeighborhoodSubgraph pn = ExtractNeighborhood(g, g.FindNode("b1"), 1);
-  NeighborhoodSubgraph dn = ExtractNeighborhood(g, g.FindNode("b1"), 1);
-  // With a tiny budget the test gives up and returns true (no pruning).
-  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, /*step_budget=*/1));
+  Graph p = TrianglePattern();
+  NeighborhoodSubgraph pn = ExtractNeighborhood(p, p.FindNode("u2"), 1);
+  NeighborhoodSubgraph dn = ExtractNeighborhood(g, g.FindNode("b2"), 1);
+  ASSERT_FALSE(NeighborhoodSubIsomorphic(pn, dn));
+  ResourceGovernor gov(GovernorLimits{.max_steps = 1});
+  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, nullptr, &gov));
+  EXPECT_TRUE(gov.tripped());
+  EXPECT_EQ(gov.trip_point(), GovernPoint::kNeighborhood);
 }
 
 TEST(NeighborhoodTest, DirectedNeighborhoodUsesBothDirections) {

@@ -85,8 +85,8 @@ inline std::vector<std::vector<NodeId>> ScanCandidates(
 /// Algorithm 4.1's Search as written: every order position scans all of
 /// Phi(u) in list order and Checks each unmapped candidate against the
 /// mapped prefix over the Graph's adjacency lists. Each try is one step,
-/// charged first to MatchOptions::max_steps and then to the governor with
-/// Charge(1); each emitted match reserves its mapping bytes. Edges without
+/// charged to the governor with Charge(1); each emitted match reserves its
+/// mapping bytes. Edges without
 /// attributes or predicates resolve to their lowest-id data edge when the
 /// match is emitted, after the global predicate. SearchMatches must return
 /// the same matches (content and order) and leave the same steps,
@@ -180,10 +180,6 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
     for (NodeId v : candidates[u]) {
       if (used[v]) continue;
       ++local.steps;
-      if (options.max_steps != 0 && local.steps >= options.max_steps) {
-        local.budget_exhausted = true;
-        return false;
-      }
       if (options.governor != nullptr &&
           !options.governor->Charge(1, GovernPoint::kSearch)) {
         local.governor_tripped = true;

@@ -89,6 +89,41 @@ TEST(MatchParallelTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+/// The default pipeline — profiles, full refinement, greedy order —
+/// returns the serial list in the serial order at every thread count. On
+/// this graph a refinement that kept extra candidates with more workers
+/// (a level-synchronous pass that removes failures only at the level's
+/// end) would pick another greedy order and enumerate the seven matches
+/// in another order.
+TEST(MatchParallelTest, GreedyOrderListsEqualSerial) {
+  ThreadPool pool(3);
+  Rng rng(2 * 977 + 100);
+  workload::ErdosRenyiOptions opts;
+  opts.num_nodes = 100;
+  opts.num_edges = 300;
+  opts.num_labels = 4;
+  Graph g = workload::MakeErdosRenyi(opts, &rng);
+  match::LabelIndex index = match::LabelIndex::Build(g);
+  auto q = workload::ExtractConnectedQuery(g, 4, &rng);
+  ASSERT_TRUE(q.ok());
+  algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
+  std::vector<Binding> want;
+  for (int threads : {0, 2, 4}) {
+    match::PipelineOptions o;
+    o.metrics = nullptr;
+    o.num_threads = threads;
+    o.pool = &pool;
+    auto got = match::MatchPattern(p, g, &index, o);
+    ASSERT_TRUE(got.ok()) << got.status();
+    if (threads == 0) {
+      want = Bindings(*got);
+      ASSERT_EQ(want.size(), 7u);
+      continue;
+    }
+    EXPECT_EQ(Bindings(*got), want) << "threads " << threads;
+  }
+}
+
 /// Satellite: every stage must tolerate a null metric sink and no tracer —
 /// the parallel workers shard and merge metrics only when a sink exists.
 TEST(MatchParallelTest, RunsWithNullMetricsAndNoTracer) {
@@ -111,9 +146,10 @@ TEST(MatchParallelTest, RunsWithNullMetricsAndNoTracer) {
   }
 }
 
-/// TSan target: a deterministic injected trip lands while several workers
-/// are charging their shards concurrently; the query must end cleanly with
-/// the governor tripped exactly once at the search point.
+/// TSan target: an injected search trip with eight workers running root
+/// tasks concurrently. The workers only count; the calling thread replays
+/// their counts, so the trip lands on the serial run's step and the query
+/// ends with the serial partial list, trip and consumption.
 TEST(MatchParallelTest, ConcurrentGovernorTripMidSearch) {
   ThreadPool pool(7);
   Graph g = MakeData(60, 4242);
@@ -123,21 +159,33 @@ TEST(MatchParallelTest, ConcurrentGovernorTripMidSearch) {
   ASSERT_TRUE(q.ok());
   algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
 
-  FaultInjector injector;
-  injector.AddRule(GovernPoint::kSearch, /*at=*/2, TripKind::kSteps);
-  ResourceGovernor gov;
-  gov.set_fault_injector(&injector);
+  std::vector<Binding> want;
+  uint64_t want_steps = 0;
+  for (int threads : {0, 8}) {
+    FaultInjector injector;
+    injector.AddRule(GovernPoint::kSearch, /*at=*/1, TripKind::kSteps);
+    ResourceGovernor gov;
+    gov.set_fault_injector(&injector);
 
-  match::PipelineOptions o;
-  o.candidate_mode = match::CandidateMode::kLabelOnly;
-  o.refine_level = 0;
-  o.governor = &gov;
-  o.num_threads = 8;
-  o.pool = &pool;
-  auto got = match::MatchPattern(p, g, &index, o);
-  ASSERT_TRUE(got.ok()) << got.status();  // Partial matches, not an error.
-  EXPECT_TRUE(gov.tripped());
-  EXPECT_EQ(gov.trip_kind(), TripKind::kSteps);
+    match::PipelineOptions o;
+    o.candidate_mode = match::CandidateMode::kLabelOnly;
+    o.refine_level = 0;
+    o.governor = &gov;
+    o.num_threads = threads;
+    o.pool = &pool;
+    auto got = match::MatchPattern(p, g, &index, o);
+    ASSERT_TRUE(got.ok()) << got.status();  // Partial matches, not an error.
+    EXPECT_TRUE(gov.tripped()) << "threads " << threads;
+    EXPECT_EQ(gov.trip_kind(), TripKind::kSteps);
+    EXPECT_EQ(gov.trip_point(), GovernPoint::kSearch);
+    if (threads == 0) {
+      want = Bindings(*got);
+      want_steps = gov.steps_used();
+      continue;
+    }
+    EXPECT_EQ(Bindings(*got), want);
+    EXPECT_EQ(gov.steps_used(), want_steps);
+  }
 }
 
 /// TSan target: cancellation arrives from a foreign thread mid-query.

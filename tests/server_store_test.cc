@@ -147,7 +147,9 @@ TEST(ServerStoreCommitTest, HammerEveryReadMatchesASerialVersion) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       std::vector<std::pair<uint64_t, std::string>> seen;
-      while (!done.load(std::memory_order_acquire)) {
+      // At least one pin: a reader first scheduled after the writers
+      // finished still reads (the final version).
+      do {
         std::shared_ptr<const GraphStore::StoreSnapshot> snap = store.Pin();
         if (snap->version == 0) continue;
         auto it = snap->docs.find("D");
@@ -155,7 +157,7 @@ TEST(ServerStoreCommitTest, HammerEveryReadMatchesASerialVersion) {
             << "version " << snap->version << " lost doc D";
         seen.emplace_back(snap->version,
                           io::WriteCollectionText(*it->second));
-      }
+      } while (!done.load(std::memory_order_acquire));
       reads.fetch_add(seen.size(), std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu);
       for (const auto& [version, text] : seen) {
