@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "bench_common.h"
 #include "lang/parser.h"
 #include "match/bipartite.h"
@@ -32,11 +34,11 @@ BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_ProfileContains(benchmark::State& state) {
   const ProteinWorkload& w = GetProteinWorkload();
-  const match::Profile& haystack = w.index.profile(0);
-  match::Profile needle = haystack;
+  std::span<const SymbolId> haystack = w.index.profile(0);
+  match::Profile needle(haystack.begin(), haystack.end());
   if (needle.size() > 2) needle.resize(needle.size() / 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(match::ProfileContains(haystack, needle));
+    benchmark::DoNotOptimize(match::ProfileSpanContains(haystack, needle));
   }
 }
 BENCHMARK(BM_ProfileContains);

@@ -1,17 +1,18 @@
-// Selection-kernel ablation over the compiled snapshot: the isolated
-// retrieve stage under the column-at-a-time bitmap kernel, the compiled
-// predicate bytecode, and the automatic per-node choice by base-list
-// density (RetrieveCandidates, what MatchPattern runs). The reference lane
-// ("ast") scans the same base lists with the AST feasible-mate test
-// GraphPattern::NodeCompatible; every lane must keep exactly its
-// candidates, or the bench exits 2. The full MatchPattern wall time is
-// reported once, for the end-to-end view, and the results are dumped for
+// Selection ablation over the compiled snapshot: the isolated retrieve
+// stage as MatchPattern runs it (RetrieveCandidates: the selection plan's
+// per-candidate test of what each base list does not already guarantee)
+// against the reference lane ("ast"), which scans the same base lists
+// with the AST feasible-mate test GraphPattern::NodeCompatible. The plan
+// lane must keep exactly the reference's candidates, or the bench exits
+// 2. The full MatchPattern wall time is reported once, for the
+// end-to-end view, and the results are dumped for
 // tools/summarize_bench.py.
 //
-// The workload mixes label-only patterns (structural columns) with
-// attribute-predicate patterns inside and outside the bytecode ISA, so
-// the sweep exercises the bitmap fill, the compiled programs, and the
-// AST-interpreter fallback.
+// The workload mixes label-only patterns (nothing left to check once the
+// label posting list is the base) with attribute-predicate patterns
+// inside and outside the bytecode ISA, so the sweep exercises the
+// compiled programs, the AST-interpreter fallback and the dense-column
+// lookups.
 //
 // Knobs (environment / argv):
 //   GQL_BENCH_SELECTION_JSON  output path (default BENCH_selection.json)
@@ -27,10 +28,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/packed_bits.h"
-#include "graph/snapshot.h"
 #include "match/pipeline.h"
-#include "match/vectorized.h"
 
 namespace graphql::bench {
 namespace {
@@ -38,22 +36,11 @@ namespace {
 constexpr size_t kMaxMatchesPerQuery = 100;
 
 /// Isolated-selection lanes; the first is the reference.
-enum class Lane { kAst, kBitmap, kBytecode, kAuto };
-constexpr Lane kLanes[] = {Lane::kAst, Lane::kBitmap, Lane::kBytecode,
-                           Lane::kAuto};
+enum class Lane { kAst, kPlan };
+constexpr Lane kLanes[] = {Lane::kAst, Lane::kPlan};
 
 const char* LaneName(Lane lane) {
-  switch (lane) {
-    case Lane::kAst:
-      return "ast";
-    case Lane::kBitmap:
-      return match::SelectionKernelName(match::SelectionKernel::kBitmap);
-    case Lane::kBytecode:
-      return match::SelectionKernelName(match::SelectionKernel::kBytecode);
-    case Lane::kAuto:
-      return "auto";
-  }
-  return "?";
+  return lane == Lane::kAst ? "ast" : "plan";
 }
 
 std::vector<algebra::GraphPattern> MakeQueries() {
@@ -96,9 +83,8 @@ const std::vector<NodeId>& BaseList(const algebra::GraphPattern& p, NodeId u,
 /// Label-only candidate lists of one query under one lane.
 std::vector<std::vector<NodeId>> Select(
     Lane lane, const algebra::GraphPattern& p, const Graph& data,
-    const GraphSnapshot& snap, const match::LabelIndex& index,
-    const std::vector<NodeId>& all_nodes) {
-  if (lane == Lane::kAuto) {
+    const match::LabelIndex& index, const std::vector<NodeId>& all_nodes) {
+  if (lane == Lane::kPlan) {
     match::PipelineOptions o;
     o.candidate_mode = match::CandidateMode::kLabelOnly;
     o.metrics = nullptr;
@@ -106,25 +92,11 @@ std::vector<std::vector<NodeId>> Select(
   }
   const size_t k = p.graph().NumNodes();
   std::vector<std::vector<NodeId>> out(k);
-  if (lane == Lane::kAst) {
-    for (size_t u = 0; u < k; ++u) {
-      NodeId pu = static_cast<NodeId>(u);
-      for (NodeId v : BaseList(p, pu, index, all_nodes)) {
-        if (p.NodeCompatible(pu, data, v)) out[u].push_back(v);
-      }
-    }
-    return out;
-  }
-  match::SelectionPlan plan(p, snap, nullptr);
-  algebra::PatternScratch scratch;
-  PackedBits bits(2, snap.num_nodes());
-  const match::SelectionKernel kernel = lane == Lane::kBitmap
-                                            ? match::SelectionKernel::kBitmap
-                                            : match::SelectionKernel::kBytecode;
   for (size_t u = 0; u < k; ++u) {
     NodeId pu = static_cast<NodeId>(u);
-    match::ScanBaseList(plan, pu, data, BaseList(p, pu, index, all_nodes),
-                        kernel, &scratch, &bits, &out[u]);
+    for (NodeId v : BaseList(p, pu, index, all_nodes)) {
+      if (p.NodeCompatible(pu, data, v)) out[u].push_back(v);
+    }
   }
   return out;
 }
@@ -135,7 +107,7 @@ struct LaneResult {
   std::vector<std::vector<std::vector<NodeId>>> lists;  ///< Per query.
 };
 
-LaneResult RunLane(Lane lane, const Graph& data, const GraphSnapshot& snap,
+LaneResult RunLane(Lane lane, const Graph& data,
                    const match::LabelIndex& index,
                    const std::vector<algebra::GraphPattern>& queries,
                    int reps) {
@@ -148,7 +120,7 @@ LaneResult RunLane(Lane lane, const Graph& data, const GraphSnapshot& snap,
     std::vector<std::vector<std::vector<NodeId>>> lists;
     auto t0 = std::chrono::steady_clock::now();
     for (const algebra::GraphPattern& p : queries) {
-      lists.push_back(Select(lane, p, data, snap, index, all_nodes));
+      lists.push_back(Select(lane, p, data, index, all_nodes));
     }
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -178,20 +150,19 @@ int Main(int argc, char** argv) {
   Graph data = MakeScoredErdosRenyi(quick);
   match::LabelIndex index = match::LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> queries = MakeQueries();
-  // Warm the snapshot outside the timed region — every lane runs over it;
-  // the kernels are the only variable.
-  std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
+  // Warm the snapshot outside the timed region; the plan lane runs over it.
+  data.snapshot();
 
   std::vector<LaneResult> lanes;
   for (Lane lane : kLanes) {
-    lanes.push_back(RunLane(lane, data, *snap, index, queries, reps));
+    lanes.push_back(RunLane(lane, data, index, queries, reps));
   }
   bool identical = true;
   for (const LaneResult& lane : lanes) {
     identical = identical && lane.lists == lanes[0].lists;
   }
 
-  // Full pipeline (automatic kernel choice), for the end-to-end view.
+  // Full pipeline, for the end-to-end view.
   double match_ms = -1;
   size_t matches = 0;
   for (int rep = 0; rep < reps; ++rep) {
@@ -222,8 +193,7 @@ int Main(int argc, char** argv) {
     std::printf("%10s %12.3f %12zu %9.2fx\n", LaneName(kLanes[i]),
                 lanes[i].retrieve_ms, lanes[i].candidates, speedup(i));
   }
-  std::printf("\nMatchPattern (auto): %.2f ms, %zu matches\n", match_ms,
-              matches);
+  std::printf("\nMatchPattern: %.2f ms, %zu matches\n", match_ms, matches);
   std::printf("candidate lists %s across lanes\n",
               identical ? "bit-identical" : "DIVERGED");
 

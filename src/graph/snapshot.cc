@@ -17,16 +17,27 @@ size_t ValueHeapBytes(const Value& v) {
 
 }  // namespace
 
-const Value* GraphSnapshot::Column::Find(int32_t id) const {
+size_t GraphSnapshot::Column::Position(int32_t id) const {
+  const size_t n = ids.size();
+  // Ids are strictly ascending and non-negative, so a column whose last id
+  // is n - 1 holds exactly 0..n-1 and the id is its own position.
+  if (n != 0 && ids[n - 1] == static_cast<int32_t>(n - 1)) {
+    return id >= 0 && static_cast<size_t>(id) < n ? static_cast<size_t>(id)
+                                                  : n;
+  }
   auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it == ids.end() || *it != id) return nullptr;
-  return &values[it - ids.begin()];
+  return it != ids.end() && *it == id ? static_cast<size_t>(it - ids.begin())
+                                      : n;
+}
+
+const Value* GraphSnapshot::Column::Find(int32_t id) const {
+  const size_t i = Position(id);
+  return i < ids.size() ? &values[i] : nullptr;
 }
 
 SymbolId GraphSnapshot::Column::FindValSym(int32_t id) const {
-  auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it == ids.end() || *it != id) return kNoSymbol;
-  return val_syms[it - ids.begin()];
+  const size_t i = Position(id);
+  return i < ids.size() ? val_syms[i] : kNoSymbol;
 }
 
 GraphSnapshot::GraphSnapshot(const Graph& g) {

@@ -70,10 +70,16 @@ class GraphSnapshot {
     }
 
     /// The value stored for `id`, or nullptr when the column misses it.
+    /// O(1) on a dense column (every id 0..size-1 present), a binary
+    /// search otherwise.
     const Value* Find(int32_t id) const;
     /// The interned string value for `id`; kNoSymbol when absent or not
-    /// a string.
+    /// a string. Same lookup as Find.
     SymbolId FindValSym(int32_t id) const;
+
+   private:
+    /// Index of `id` in `ids`, or ids.size() when the column misses it.
+    size_t Position(int32_t id) const;
   };
 
   /// All parts of a snapshot opened from mapped storage. Array spans view

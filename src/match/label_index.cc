@@ -38,12 +38,19 @@ LabelIndex LabelIndex::Build(const Graph& g, LabelIndexOptions options) {
     ++index.edge_pair_freq_[PairKey(a, b)];
   }
 
-  if (options.build_profiles) {
-    index.profiles_.resize(n);
+  if (options.build_profiles && n > 0) {
+    index.profile_offsets_.reserve(n + 1);
+    index.profile_offsets_.push_back(0);
+    index.profile_sigs_.reserve(n);
     std::vector<int> scratch(n, -1);
     for (size_t v = 0; v < n; ++v) {
-      index.profiles_[v] =
+      Profile p =
           BuildProfile(snap, static_cast<NodeId>(v), options.radius, &scratch);
+      index.profile_syms_.insert(index.profile_syms_.end(), p.begin(),
+                                 p.end());
+      index.profile_offsets_.push_back(
+          static_cast<uint32_t>(index.profile_syms_.size()));
+      index.profile_sigs_.push_back(ProfileSignature(p));
     }
   }
   for (const std::string& attr : options.indexed_attributes) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +21,8 @@ struct LabelIndexOptions {
   /// Radius of the stored neighborhood subgraphs and profiles (Section 5.1
   /// uses radius 1). Radius 0 degenerates both to plain labels.
   int radius = 1;
-  /// Store per-node profiles (cheap: one sorted int vector per node).
+  /// Store per-node profiles (cheap: one flat array of label symbols for
+  /// the whole graph, plus one 64-bit signature per node).
   bool build_profiles = true;
   /// Store per-node neighborhood subgraphs (heavier; needed only for
   /// retrieve-by-subgraphs).
@@ -74,9 +76,15 @@ class LabelIndex {
   /// nodes; unlabeled data nodes are still reachable through this list).
   const std::vector<NodeId>& UnlabeledNodes() const { return unlabeled_; }
 
-  bool has_profiles() const { return !profiles_.empty(); }
+  bool has_profiles() const { return !profile_sigs_.empty(); }
   bool has_neighborhoods() const { return !neighborhoods_.empty(); }
-  const Profile& profile(NodeId v) const { return profiles_[v]; }
+  /// Node v's profile, sorted (a view into one CSR array).
+  std::span<const SymbolId> profile(NodeId v) const {
+    return {profile_syms_.data() + profile_offsets_[v],
+            profile_syms_.data() + profile_offsets_[v + 1]};
+  }
+  /// ProfileSignature(profile(v)), precomputed.
+  uint64_t profile_signature(NodeId v) const { return profile_sigs_[v]; }
   const NeighborhoodSubgraph& neighborhood(NodeId v) const {
     return neighborhoods_[v];
   }
@@ -119,7 +127,11 @@ class LabelIndex {
   LabelIndexOptions options_;
   std::unordered_map<SymbolId, std::vector<NodeId>> by_label_;
   std::vector<NodeId> unlabeled_;
-  std::vector<Profile> profiles_;
+  // Profiles in CSR form: node v's run is profile_syms_[profile_offsets_[v]
+  // .. profile_offsets_[v + 1]). All three are empty without profiles.
+  std::vector<uint32_t> profile_offsets_;
+  std::vector<SymbolId> profile_syms_;
+  std::vector<uint64_t> profile_sigs_;
   std::vector<NeighborhoodSubgraph> neighborhoods_;
   std::unordered_map<uint64_t, size_t> edge_pair_freq_;
   std::unordered_map<std::string, rel::BPlusTree> attr_trees_;

@@ -195,9 +195,12 @@ std::vector<std::vector<NodeId>> ScanAllNodes(
 }
 
 /// Indexed retrieval (first phase of Algorithm 4.1 + Section 4.2 pruning).
-/// Each pattern node scans its base list — the label index's list, a
-/// B+-tree range, or every node — with the kernel its density picks, then
-/// applies the candidate mode's local pruning. The calling thread scans
+/// Each pattern node scans its base list — the label index's posting list,
+/// a B+-tree range, or every node — with the per-candidate test of what
+/// the base list does not already guarantee (nothing at all for a node
+/// left with no tag, requirement or predicate), then applies the candidate
+/// mode's local pruning: a profile signature AND before each profile
+/// merge, or a neighborhood sub-isomorphism test. The calling thread scans
 /// node by node, charging the governor as it goes; with two or more
 /// workers one task per pattern node fans out, counting its charges in a
 /// TaskLedger, and the calling thread replays them in node order, so the
@@ -222,14 +225,18 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   const int workers = ResolveWorkers(options.num_threads, options.pool);
   const bool parallel = workers > 1;
 
+  // One read-only plan shared by every worker. A labelled node's base list
+  // is its label's posting list; built from this very snapshot, the index
+  // guarantees the label, so the plan does not re-check it.
+  SelectionPlan plan(pattern, snap, metrics,
+                     /*label_lists=*/&index.snapshot() == &snap);
   std::vector<NodeId> all_nodes;
   std::vector<std::vector<NodeId>> owned_base(k);
   std::vector<const std::vector<NodeId>*> base(k, nullptr);
   for (size_t u = 0; u < k; ++u) {
     NodeId pu = static_cast<NodeId>(u);
-    std::string_view label = p.Label(pu);
-    if (!label.empty()) {
-      base[u] = &index.NodesWithLabel(label);
+    if (SymbolId label = plan.base_label(pu); label != kNoSymbol) {
+      base[u] = &index.NodesWithLabelSym(label);
     } else if (auto from_attr = AttrIndexBaseList(pattern, pu, index)) {
       // B+-tree lookups return value order; the search needs every
       // candidate list ascending by node id.
@@ -256,22 +263,21 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
       index.has_neighborhoods();
   const int radius = index.options().radius;
   std::vector<Profile> want_profile(use_profiles ? k : 0);
+  std::vector<uint64_t> want_sig(use_profiles ? k : 0);
   std::vector<NeighborhoodSubgraph> want_nbh(use_neighborhoods ? k : 0);
   for (size_t u = 0; u < want_profile.size(); ++u) {
     want_profile[u] = BuildProfile(p, static_cast<NodeId>(u), radius);
+    want_sig[u] = ProfileSignature(want_profile[u]);
   }
   for (size_t u = 0; u < want_nbh.size(); ++u) {
     want_nbh[u] = ExtractNeighborhood(p, static_cast<NodeId>(u), radius);
   }
-  // One read-only plan shared by every worker.
-  SelectionPlan plan(pattern, snap, metrics);
 
   struct Worker {
     TaskLedger ledger;  // Parallel: the node's charges, for the replay.
     obs::MetricsRegistry* metrics = nullptr;  // Neighborhood-test counters.
     std::unique_ptr<obs::MetricsRegistry> metric_shard;
     algebra::PatternScratch scratch;
-    std::unique_ptr<PackedBits> bits;  // Bitmap-kernel scratch (2 x n).
   };
   // Parallel, per pattern node: the list the neighborhood tests ran over,
   // each test's steps, and whether the ledger stopped the task.
@@ -285,18 +291,22 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   auto scan = [&](size_t u, Worker& w) {
     NodeId pu = static_cast<NodeId>(u);
     const std::vector<NodeId>& b = *base[u];
-    std::vector<NodeId> stage;
-    stage.reserve(b.size());
-    SelectionKernel kernel = ResolveSelectionKernel(
-        b.size(), snap.num_nodes(), base[u] == &all_nodes);
-    if (kernel == SelectionKernel::kBitmap && w.bits == nullptr) {
-      w.bits = std::make_unique<PackedBits>(2, snap.num_nodes());
+    // The feasible candidates: the base list itself when the plan checks
+    // nothing for u, else the kernel's survivors.
+    const bool all = plan.AcceptsAll(pu);
+    std::vector<NodeId> kept;
+    if (!all) {
+      kept.reserve(b.size());
+      ScanBaseList(plan, pu, data, b, &w.scratch, &kept);
     }
-    ScanBaseList(plan, pu, data, b, kernel, &w.scratch, w.bits.get(), &stage);
+    const std::vector<NodeId>& stage = all ? b : kept;
     feasible[u] = stage.size();
     if (use_profiles) {
+      // One AND rejects most candidates; the merge runs on the rest.
+      const uint64_t sig = want_sig[u];
       for (NodeId v : stage) {
-        if (ProfileContains(index.profile(v), want_profile[u])) {
+        if ((sig & ~index.profile_signature(v)) == 0 &&
+            ProfileSpanContains(index.profile(v), want_profile[u])) {
           out[u].push_back(v);
         }
       }
@@ -313,10 +323,12 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
         if (w.ledger.stopped()) break;  // The replay redoes the rest.
       }
     } else {
-      out[u] = std::move(stage);
+      out[u] = all ? b : std::move(kept);
       return;
     }
-    if (parallel && use_neighborhoods) runs[u].stage = std::move(stage);
+    if (parallel && use_neighborhoods) {
+      runs[u].stage = all ? b : std::move(kept);
+    }
   };
 
   std::vector<Worker> ws(parallel ? static_cast<size_t>(workers) : 1);

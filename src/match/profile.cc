@@ -83,6 +83,19 @@ Profile BuildProfile(const GraphSnapshot& snap, NodeId v, int radius,
 }
 
 bool ProfileContains(const Profile& haystack, const Profile& needle) {
+  return ProfileSpanContains(haystack, needle);
+}
+
+uint64_t ProfileSignature(std::span<const SymbolId> profile) {
+  uint64_t sig = 0;
+  for (SymbolId s : profile) {
+    sig |= uint64_t{1} << (static_cast<uint32_t>(s) & 63);
+  }
+  return sig;
+}
+
+bool ProfileSpanContains(std::span<const SymbolId> haystack,
+                         std::span<const SymbolId> needle) {
   size_t i = 0;
   for (SymbolId want : needle) {
     if (want == kNoSymbol) return false;

@@ -4,37 +4,31 @@
 
 namespace graphql::match {
 
-const char* SelectionKernelName(SelectionKernel k) {
-  return k == SelectionKernel::kBitmap ? "bitmap" : "bytecode";
-}
-
-SelectionKernel ResolveSelectionKernel(size_t base_size, size_t num_nodes,
-                                       bool dense_base) {
-  // A bitmap fill scans every requirement column in full no matter how
-  // selective the base list is; a bytecode probe is O(log column) per
-  // candidate. Break even when the base list covers a decent fraction of
-  // the graph (full scans always qualify).
-  if (dense_base || base_size * 4 >= num_nodes) return SelectionKernel::kBitmap;
-  return SelectionKernel::kBytecode;
-}
-
 SelectionPlan::SelectionPlan(const algebra::GraphPattern& pattern,
                              const GraphSnapshot& snap,
-                             obs::MetricsRegistry* metrics)
+                             obs::MetricsRegistry* metrics, bool label_lists)
     : pattern_(&pattern), snap_(&snap) {
+  static const SymbolId kLabelAttr = SymbolTable::Global().Intern("label");
   const size_t k = pattern.graph().NumNodes();
   nodes_.resize(k);
   uint64_t compiled = 0;
   uint64_t fallback = 0;
   for (size_t u = 0; u < k; ++u) {
+    const NodeId pu = static_cast<NodeId>(u);
     NodePlan& np = nodes_[u];
-    const auto& reqs = pattern.NodeReqs(static_cast<NodeId>(u));
-    np.req_cols.reserve(reqs.size());
+    // A non-empty string label is what LabelIndex keys its posting lists
+    // by (Graph::Label); its requirement carries the interned symbol.
+    const bool labelled = !pattern.graph().Label(pu).empty();
+    const auto& reqs = pattern.NodeReqs(pu);
+    np.reqs.reserve(reqs.size());
     for (const auto& r : reqs) {
-      np.req_cols.push_back(snap.NodeColumn(r.attr_sym));
+      if (labelled && r.attr_sym == kLabelAttr) {
+        np.base_label = r.val_sym;
+        if (label_lists) continue;
+      }
+      np.reqs.push_back(Req{snap.NodeColumn(r.attr_sym), &r});
     }
-    np.preds = BuildNodePredPlan(pattern, static_cast<NodeId>(u), snap,
-                                 &compiled, &fallback);
+    np.preds = BuildNodePredPlan(pattern, pu, snap, &compiled, &fallback);
   }
   if (metrics != nullptr) {
     if (compiled != 0) {
@@ -50,16 +44,13 @@ bool SelectionPlan::NodeCompatible(NodeId u, const Graph& data, NodeId v,
                                    algebra::PatternScratch* scratch) const {
   const SymbolId tag = pattern_->node_tag_sym(u);
   if (tag != kNoSymbol && tag != snap_->node_tag_sym(v)) return false;
-  const NodePlan& np = nodes_[u];
-  const auto& reqs = pattern_->NodeReqs(u);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const GraphSnapshot::Column* col = np.req_cols[i];
-    if (col == nullptr) return false;
-    if (reqs[i].val_sym != kNoSymbol) {
-      if (col->FindValSym(v) != reqs[i].val_sym) return false;
+  for (const Req& q : nodes_[u].reqs) {
+    if (q.col == nullptr) return false;
+    if (q.req->val_sym != kNoSymbol) {
+      if (q.col->FindValSym(v) != q.req->val_sym) return false;
     } else {
-      const Value* got = col->Find(v);
-      if (got == nullptr || !(*got == reqs[i].value)) return false;
+      const Value* got = q.col->Find(v);
+      if (got == nullptr || !(*got == q.req->value)) return false;
     }
   }
   return PredsOk(u, data, v, scratch);
@@ -78,17 +69,15 @@ void SelectionPlan::FillStructuralBitmap(NodeId u, PackedBits* bits) const {
   } else {
     bits->SetRow(0);
   }
-  const NodePlan& np = nodes_[u];
-  const auto& reqs = pattern_->NodeReqs(u);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const GraphSnapshot::Column* col = np.req_cols[i];
+  for (const Req& q : nodes_[u].reqs) {
+    const GraphSnapshot::Column* col = q.col;
     if (col == nullptr) {
       // No such attribute anywhere: the requirement rejects every node.
       bits->ClearRow(0);
       return;
     }
     bits->ClearRow(1);
-    const auto& r = reqs[i];
+    const auto& r = *q.req;
     if (r.val_sym != kNoSymbol) {
       // String equality: interned-symbol compare. val_syms is kNoSymbol
       // for non-string stored values, which correctly never matches.
@@ -121,19 +110,8 @@ bool SelectionPlan::PredsOk(NodeId u, const Graph& data, NodeId v,
 }
 
 void ScanBaseList(const SelectionPlan& plan, NodeId u, const Graph& data,
-                  const std::vector<NodeId>& base, SelectionKernel resolved,
-                  algebra::PatternScratch* scratch, PackedBits* bits,
-                  std::vector<NodeId>* out) {
-  if (resolved == SelectionKernel::kBitmap) {
-    plan.FillStructuralBitmap(u, bits);
-    const bool preds = plan.HasPreds(u);
-    for (NodeId v : base) {
-      if (!bits->Test(0, static_cast<size_t>(v))) continue;
-      if (preds && !plan.PredsOk(u, data, v, scratch)) continue;
-      out->push_back(v);
-    }
-    return;
-  }
+                  const std::vector<NodeId>& base,
+                  algebra::PatternScratch* scratch, std::vector<NodeId>* out) {
   for (NodeId v : base) {
     if (plan.NodeCompatible(u, data, v, scratch)) out->push_back(v);
   }

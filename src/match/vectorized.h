@@ -15,51 +15,52 @@ class MetricsRegistry;
 
 namespace graphql::match {
 
-/// Candidate-selection kernel for the retrieve stage.
-///  - kBitmap:   column-at-a-time evaluation — tag and attribute-equality
-///               requirements fill a PackedBits verdict row over all data
-///               nodes, survivors evaluate pushed predicates.
-///  - kBytecode: per-candidate probes against pre-bound columns with pushed
-///               predicates run as compiled bytecode (AST fallback for
-///               uncovered conjuncts).
-/// Both produce the candidate list the AST feasible-mate test
-/// (GraphPattern::NodeCompatible) produces, in base-list order.
-enum class SelectionKernel : uint8_t { kBitmap = 0, kBytecode };
-
-/// Stable lowercase name ("bitmap", "bytecode") for metrics, EXPLAIN
-/// output, and bench provenance stamps.
-const char* SelectionKernelName(SelectionKernel k);
-
-/// Picks the kernel for one pattern node's scan by density. `base_size` is
-/// the candidate base-list length, `num_nodes` the snapshot node count,
-/// `dense_base` whether the base list is the full node range (no label
-/// index). A bitmap fill costs one pass over the requirement columns
-/// regardless of base size, so it only pays off when the base list covers
-/// a large fraction of the graph.
-SelectionKernel ResolveSelectionKernel(size_t base_size, size_t num_nodes,
-                                       bool dense_base);
-
-/// Per-(pattern, snapshot) compiled selection state shared by the bitmap
-/// and bytecode kernels: bound requirement columns and predicate plans for
-/// every pattern node. Built once per retrieve; read-only afterwards, so
-/// parallel workers share one instance (each with its own PatternScratch
-/// and PackedBits scratch).
+/// Per-(pattern, snapshot) compiled selection state: bound requirement
+/// columns and predicate plans for every pattern node. Two kernels read
+/// it, both keeping exactly the candidates the AST feasible-mate test
+/// (GraphPattern::NodeCompatible) keeps:
+///  - ScanBaseList (indexed retrieval): per-candidate probes of the base
+///    list against the pre-bound columns, pushed predicates run as
+///    compiled bytecode (AST fallback for uncovered conjuncts);
+///  - FillStructuralBitmap + PredsOk (index-less retrieval, whose base is
+///    every node): tag and attribute-equality requirements fill a
+///    PackedBits verdict row column at a time, survivors evaluate pushed
+///    predicates.
+/// Built once per retrieve; read-only afterwards, so parallel workers
+/// share one instance (each with its own PatternScratch).
 class SelectionPlan {
  public:
   /// Binds columns and compiles pushed predicates. When `metrics` is
   /// non-null, bumps match.bytecode.pred_compiled / pred_fallback with the
   /// per-conjunct coverage tallies.
+  ///
+  /// With `label_lists`, the caller scans every labelled pattern node's
+  /// base_label posting list of a LabelIndex built from `snap`. That list
+  /// holds exactly the data nodes carrying the label, so the plan omits
+  /// the node's `label` requirement. Without it the plan checks every
+  /// requirement, for any base list.
   SelectionPlan(const algebra::GraphPattern& pattern, const GraphSnapshot& snap,
-                obs::MetricsRegistry* metrics);
+                obs::MetricsRegistry* metrics, bool label_lists = false);
 
   const algebra::GraphPattern& pattern() const { return *pattern_; }
 
-  /// Bytecode-kernel feasible-mate test: verdict identical to
-  /// pattern.NodeCompatible(u, data, v).
+  /// The symbol the pattern interned for u's label (the key of its
+  /// posting list); kNoSymbol when u is unlabelled.
+  SymbolId base_label(NodeId u) const { return nodes_[u].base_label; }
+
+  /// True when the plan checks nothing for u (no tag, no requirement left,
+  /// no predicate): every base-list candidate is feasible.
+  bool AcceptsAll(NodeId u) const {
+    return pattern_->node_tag_sym(u) == kNoSymbol && nodes_[u].reqs.empty() &&
+           !HasPreds(u);
+  }
+
+  /// Per-candidate feasible-mate test over a base-list candidate: verdict
+  /// identical to pattern.NodeCompatible(u, data, v).
   bool NodeCompatible(NodeId u, const Graph& data, NodeId v,
                       algebra::PatternScratch* scratch) const;
 
-  /// Bitmap-kernel structural pass: overwrites row 0 of `bits` (which must
+  /// Column-at-a-time structural pass: overwrites row 0 of `bits` (which must
   /// have at least 2 rows of snapshot-node width; row 1 is scratch) with
   /// the verdict of the tag and attribute-equality requirements of pattern
   /// node `u` over every data node. Pushed predicates are NOT included —
@@ -78,10 +79,16 @@ class SelectionPlan {
   }
 
  private:
+  /// One attribute-equality requirement bound to its column; `col` is
+  /// nullptr when the snapshot has no column for the attribute (the
+  /// requirement can never hold).
+  struct Req {
+    const GraphSnapshot::Column* col;
+    const algebra::GraphPattern::SymReq* req;
+  };
   struct NodePlan {
-    /// Parallel to pattern.NodeReqs(u); nullptr when the snapshot has no
-    /// column for that attribute (requirement can never hold).
-    std::vector<const GraphSnapshot::Column*> req_cols;
+    SymbolId base_label = kNoSymbol;
+    std::vector<Req> reqs;  // NodeReqs(u), minus the label for label_lists.
     NodePredPlan preds;
   };
 
@@ -90,13 +97,11 @@ class SelectionPlan {
   std::vector<NodePlan> nodes_;
 };
 
-/// Scans one base list with a resolved kernel, appending the surviving
-/// candidates to `out` in base-list order. For kBitmap, `bits`
-/// must be a 2 x num_nodes scratch (filled here); unused for kBytecode.
+/// Scans one base list with the per-candidate test, appending the
+/// surviving candidates to `out` in base-list order.
 void ScanBaseList(const SelectionPlan& plan, NodeId u, const Graph& data,
-                  const std::vector<NodeId>& base, SelectionKernel resolved,
-                  algebra::PatternScratch* scratch, PackedBits* bits,
-                  std::vector<NodeId>* out);
+                  const std::vector<NodeId>& base,
+                  algebra::PatternScratch* scratch, std::vector<NodeId>* out);
 
 }  // namespace graphql::match
 

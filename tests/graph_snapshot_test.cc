@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,58 @@ TEST(GraphSnapshotTest, ColumnarAttributeLookup) {
   EXPECT_EQ(*ecol->Find(0), Value(int64_t{1999}));
   // Missing attribute: no column.
   EXPECT_EQ(snap->NodeColumn(SymbolTable::Global().Intern("nope")), nullptr);
+}
+
+/// Find/FindValSym against a linear scan of the column for every id in
+/// [-1, n]: the dense-column shortcut and the binary search must both
+/// agree with it.
+void ExpectLookupsMatchScan(const GraphSnapshot::Column& col, int32_t n,
+                            const std::string& what) {
+  for (int32_t id = -1; id <= n; ++id) {
+    const Value* want = nullptr;
+    SymbolId want_sym = kNoSymbol;
+    for (size_t j = 0; j < col.ids.size(); ++j) {
+      if (col.ids[j] == id) {
+        want = &col.values[j];
+        want_sym = col.val_syms[j];
+      }
+    }
+    EXPECT_EQ(col.Find(id), want) << what << " id " << id;
+    EXPECT_EQ(col.FindValSym(id), want_sym) << what << " id " << id;
+  }
+}
+
+TEST(GraphSnapshotTest, ColumnLookupsMatchLinearScan) {
+  // Eight nodes; each attribute covers a different id set.
+  const std::vector<std::pair<const char*, std::vector<int32_t>>> shapes = {
+      {"lk_dense", {0, 1, 2, 3, 4, 5, 6, 7}},
+      {"lk_prefix_gap", {0, 1, 2, 5}},
+      {"lk_gap_first", {3, 4, 6}},
+      {"lk_single_last", {7}},
+      {"lk_single_first", {0}},
+  };
+  constexpr int32_t kNodes = 8;
+  Graph g("lookups");
+  for (int32_t v = 0; v < kNodes; ++v) g.AddNode("n" + std::to_string(v));
+  for (const auto& [attr, ids] : shapes) {
+    for (int32_t v : ids) {
+      // Alternate strings and ints so FindValSym sees both.
+      g.node(v).attrs.Set(attr, v % 2 == 0 ? Value("s" + std::to_string(v))
+                                           : Value(int64_t{v}));
+    }
+  }
+  auto snap = g.snapshot();
+  for (const auto& [attr, ids] : shapes) {
+    const GraphSnapshot::Column* col =
+        snap->NodeColumn(SymbolTable::Global().Lookup(attr));
+    ASSERT_NE(col, nullptr) << attr;
+    ASSERT_EQ(std::vector<int32_t>(col->ids.begin(), col->ids.end()), ids);
+    ExpectLookupsMatchScan(*col, kNodes, attr);
+  }
+  // An empty column (no Graph produces one; built by hand).
+  GraphSnapshot::Column empty;
+  empty.BindOwned();
+  ExpectLookupsMatchScan(empty, kNodes, "empty");
 }
 
 TEST(GraphSnapshotTest, CsrMatchesAdjacencyMultiset) {

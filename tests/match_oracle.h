@@ -20,6 +20,7 @@
 #include "common/governor.h"
 #include "match/bipartite.h"
 #include "match/matcher.h"
+#include "match/profile.h"
 #include "match/refine.h"
 
 namespace graphql::match::oracle {
@@ -78,6 +79,27 @@ inline std::vector<std::vector<NodeId>> ScanCandidates(
         out[u].push_back(static_cast<NodeId>(v));
       }
     }
+  }
+  return out;
+}
+
+/// Profile-mode retrieval (Section 4.2) without an index: ScanCandidates,
+/// then each candidate v of pattern node u kept only if u's profile is
+/// contained in v's, both built as heap profiles by the builder overload
+/// BuildProfile(const Graph&, ...) and compared with ProfileContains.
+inline std::vector<std::vector<NodeId>> ProfileCandidates(
+    const algebra::GraphPattern& pattern, const Graph& data, int radius) {
+  std::vector<std::vector<NodeId>> out = ScanCandidates(pattern, data);
+  std::vector<Profile> profiles(data.NumNodes());
+  for (size_t v = 0; v < data.NumNodes(); ++v) {
+    profiles[v] = BuildProfile(data, static_cast<NodeId>(v), radius);
+  }
+  for (size_t u = 0; u < out.size(); ++u) {
+    const Profile want =
+        BuildProfile(pattern.graph(), static_cast<NodeId>(u), radius);
+    std::erase_if(out[u], [&](NodeId v) {
+      return !ProfileContains(profiles[v], want);
+    });
   }
   return out;
 }

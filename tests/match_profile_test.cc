@@ -125,6 +125,22 @@ TEST(ProfileContainsTest, UnknownLabelAlwaysFails) {
   EXPECT_FALSE(ProfileContains({1, 2, 3}, {kNoSymbol}));
 }
 
+TEST(ProfileContainsTest, SymbolsCollidingModulo64) {
+  // 1, 65 and 129 share signature bit 1: the signatures cannot tell them
+  // apart, so the merge decides.
+  EXPECT_EQ(ProfileSignature(Profile{129}) & ~ProfileSignature(Profile{1, 65}),
+            0u);
+  EXPECT_FALSE(ProfileContains({1, 65}, {129}));
+  EXPECT_FALSE(ProfileContains({1, 65}, {65, 65}));
+  EXPECT_TRUE(ProfileContains({1, 65, 65}, {65, 65}));
+  EXPECT_TRUE(ProfileContains({1, 64, 65, 128}, {1, 65, 128}));
+  EXPECT_FALSE(ProfileContains({0, 1}, {64}));
+  // A symbol whose bit the haystack lacks fails on the signature alone.
+  EXPECT_NE(ProfileSignature(Profile{2}) & ~ProfileSignature(Profile{1, 65}),
+            0u);
+  EXPECT_FALSE(ProfileContains({1, 65}, {2}));
+}
+
 TEST(ProfileContainsTest, SoundForSubgraphs) {
   // Profile containment must hold whenever an actual embedding exists:
   // any radius-1 neighborhood of a node within a subgraph embeds in the

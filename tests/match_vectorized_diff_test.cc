@@ -1,16 +1,17 @@
-// Differential tests for the vectorized selection kernels. At the kernel
-// seam, ScanBaseList under the column-at-a-time bitmap kernel and under
-// the compiled predicate bytecode must keep exactly the candidates — in
-// base-list order — that the AST feasible-mate test
-// GraphPattern::NodeCompatible keeps, for every pattern node, with
-// predicates inside and outside the bytecode ISA. Through the pipeline,
-// retrieval (which picks the kernel by base-list density) must equal the
-// AST scan in the match_oracle.h reference, indexed or not, at any thread
-// count. Governed queries must trip at the same point and return the same
-// partial results at every thread count and on every repeated run.
+// Differential tests for candidate selection. At the kernel seam,
+// ScanBaseList's per-candidate test and the index-less scan's column-at-
+// a-time bitmap must keep exactly the candidates — in base-list order —
+// that the AST feasible-mate test GraphPattern::NodeCompatible keeps, for
+// every pattern node, with predicates inside and outside the bytecode ISA;
+// a plan that omits the label requirement must keep them over the label's
+// posting list. Through the pipeline, retrieval must equal the AST scan in
+// the match_oracle.h reference, indexed or not, at any thread count.
+// Governed queries must trip at the same point and return the same partial
+// results at every thread count and on every repeated run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,16 +21,15 @@
 #include "common/packed_bits.h"
 #include "common/thread_pool.h"
 #include "match/pipeline.h"
+#include "match/profile.h"
 #include "match/vectorized.h"
 #include "match_oracle.h"
 #include "obs/metrics.h"
 #include "workload/erdos_renyi.h"
+#include "workload/queries.h"
 
 namespace graphql::match {
 namespace {
-
-constexpr SelectionKernel kKernels[] = {SelectionKernel::kBitmap,
-                                        SelectionKernel::kBytecode};
 
 /// A flat, order-sensitive fingerprint of a match list: any difference in
 /// content OR order shows up as a string diff.
@@ -112,57 +112,73 @@ TEST(VectorizedDifferentialTest, KernelsBitIdenticalAcrossConfigs) {
       &all_nodes, &index.NodesWithLabel("L1"), &shuffled};
 
   size_t kept = 0;
+  size_t label_lists = 0;
   for (const algebra::GraphPattern& p : MakePatterns()) {
     SelectionPlan plan(p, *snap, nullptr);
+    SelectionPlan label_plan(p, *snap, nullptr, /*label_lists=*/true);
     for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
       const NodeId pu = static_cast<NodeId>(u);
-      for (size_t bi = 0; bi < bases.size(); ++bi) {
+      auto ast_scan = [&](const std::vector<NodeId>& base) {
         std::vector<NodeId> want;
-        for (NodeId v : *bases[bi]) {
+        for (NodeId v : base) {
           if (p.NodeCompatible(pu, data, v)) want.push_back(v);
         }
+        return want;
+      };
+      for (size_t bi = 0; bi < bases.size(); ++bi) {
+        const std::vector<NodeId> want = ast_scan(*bases[bi]);
         kept += want.size();
-        for (SelectionKernel kernel : kKernels) {
-          algebra::PatternScratch scratch;
-          PackedBits bits(2, snap->num_nodes());
-          std::vector<NodeId> got;
-          ScanBaseList(plan, pu, data, *bases[bi], kernel, &scratch, &bits,
-                       &got);
-          EXPECT_EQ(got, want) << SelectionKernelName(kernel) << " u" << u
-                               << " base " << bi;
+        algebra::PatternScratch scratch;
+        std::vector<NodeId> got;
+        ScanBaseList(plan, pu, data, *bases[bi], &scratch, &got);
+        EXPECT_EQ(got, want) << "per-candidate u" << u << " base " << bi;
+        // The index-less scan: the structural bitmap, then the predicates.
+        PackedBits bits(2, snap->num_nodes());
+        plan.FillStructuralBitmap(pu, &bits);
+        got.clear();
+        for (NodeId v : *bases[bi]) {
+          if (bits.Test(0, static_cast<size_t>(v)) &&
+              plan.PredsOk(pu, data, v, &scratch)) {
+            got.push_back(v);
+          }
         }
+        EXPECT_EQ(got, want) << "bitmap u" << u << " base " << bi;
       }
+      // Over its own posting list, a labelled node's plan skips the label
+      // check and still keeps what the AST test keeps.
+      EXPECT_EQ(label_plan.base_label(pu) != kNoSymbol,
+                !p.graph().Label(pu).empty());
+      EXPECT_EQ(plan.base_label(pu), label_plan.base_label(pu));
+      if (label_plan.base_label(pu) == kNoSymbol) continue;
+      ++label_lists;
+      const std::vector<NodeId>& posting =
+          index.NodesWithLabelSym(label_plan.base_label(pu));
+      EXPECT_EQ(&posting, &index.NodesWithLabel(p.graph().Label(pu)));
+      algebra::PatternScratch scratch;
+      std::vector<NodeId> got;
+      ScanBaseList(label_plan, pu, data, posting, &scratch, &got);
+      EXPECT_EQ(got, ast_scan(posting)) << "label list u" << u;
     }
   }
   EXPECT_GT(kept, 0u) << "vacuous differential";
-}
-
-TEST(VectorizedDifferentialTest, DensityRulePicksKernel) {
-  // Full scans and base lists covering at least a quarter of the graph
-  // fill a bitmap; sparser lists probe per candidate with bytecode.
-  EXPECT_EQ(ResolveSelectionKernel(10, 100, /*dense_base=*/true),
-            SelectionKernel::kBitmap);
-  EXPECT_EQ(ResolveSelectionKernel(25, 100, false), SelectionKernel::kBitmap);
-  EXPECT_EQ(ResolveSelectionKernel(24, 100, false),
-            SelectionKernel::kBytecode);
+  EXPECT_GT(label_lists, 0u) << "no labelled pattern node";
 }
 
 TEST(VectorizedDifferentialTest, RetrieveCandidatesIdenticalAcrossKernels) {
-  // The label lists of MakeData's Zipf labels straddle the density
-  // threshold, so label-only retrieval runs both kernels; either way it
-  // must keep what the AST scan keeps, at any thread count.
+  // Label-only retrieval runs the per-candidate test where the plan has
+  // something left to check and takes the base list as it is where not;
+  // either way it must keep what the AST scan keeps, at any thread count.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
+  std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
   ThreadPool pool(2);
-  std::set<SelectionKernel> resolved;
+  std::set<bool> accepts_all;
   for (const algebra::GraphPattern& p : MakePatterns()) {
     const std::vector<std::vector<NodeId>> want =
         oracle::ScanCandidates(p, data);
+    SelectionPlan plan(p, *snap, nullptr, /*label_lists=*/true);
     for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
-      std::string_view label = p.graph().Label(static_cast<NodeId>(u));
-      if (label.empty()) continue;
-      resolved.insert(ResolveSelectionKernel(
-          index.NodesWithLabel(label).size(), data.NumNodes(), false));
+      accepts_all.insert(plan.AcceptsAll(static_cast<NodeId>(u)));
     }
     for (int threads : {0, 1, 3}) {
       PipelineOptions options;
@@ -174,7 +190,109 @@ TEST(VectorizedDifferentialTest, RetrieveCandidatesIdenticalAcrossKernels) {
           << "threads " << threads;
     }
   }
-  EXPECT_EQ(resolved.size(), 2u) << "sweep does not reach both kernels";
+  EXPECT_EQ(accepts_all.size(), 2u) << "sweep does not reach both paths";
+}
+
+TEST(VectorizedDifferentialTest, StaleIndexStillChecksLabels) {
+  // An index built before the graph changed does not describe the
+  // snapshot retrieval runs on: its posting lists no longer guarantee the
+  // label, so retrieval checks it again and drops the relabelled nodes.
+  Graph data = MakeData();
+  LabelIndex index = LabelIndex::Build(data);
+  const std::vector<NodeId> l0 = index.NodesWithLabel("L0");
+  ASSERT_GE(l0.size(), 2u);
+  data.SetLabel(l0[0], "L1");
+  auto p = algebra::GraphPattern::Parse(R"(graph P { node a <label="L0">; })");
+  ASSERT_TRUE(p.ok()) << p.status();
+  PipelineOptions options;
+  options.candidate_mode = CandidateMode::kLabelOnly;
+  options.metrics = nullptr;
+  const std::vector<std::vector<NodeId>> got =
+      RetrieveCandidates(*p, data, &index, options);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], std::vector<NodeId>(l0.begin() + 1, l0.end()));
+}
+
+TEST(VectorizedDifferentialTest, ProfileRetrievalMatchesOracle) {
+  // 130 Zipf labels on 600 nodes: more label symbols than signature bits,
+  // so distinct labels share a bit and only the merge tells them apart.
+  // Profile retrieval must return exactly the oracle's lists, sizes and
+  // pruned count at every thread count.
+  Rng rng(130130);
+  workload::ErdosRenyiOptions opts;
+  opts.num_nodes = 600;
+  opts.num_edges = 2400;
+  opts.num_labels = 130;
+  Graph data = workload::MakeErdosRenyi(opts, &rng);
+  LabelIndex index = LabelIndex::Build(data);
+  ASSERT_GT(index.NumLabels(), 64u) << "no two labels need share a bit";
+  const int radius = index.options().radius;
+
+  std::vector<algebra::GraphPattern> patterns;
+  for (const char* source : {
+           // Node a needs two L1 neighbors: multiplicity, not just the set.
+           R"(graph P { node a <label="L0">; node b <label="L1">;
+                        node c <label="L1">; edge (a, b); edge (a, c); })",
+           // A wildcard center between two nodes of one label.
+           R"(graph P { node a <label="L2">; node b; node c <label="L2">;
+                        edge (a, b); edge (b, c); })",
+       }) {
+    auto p = algebra::GraphPattern::Parse(source);
+    ASSERT_TRUE(p.ok()) << p.status();
+    patterns.push_back(std::move(p).value());
+  }
+  for (size_t attempt = 0; attempt < 100 && patterns.size() < 14; ++attempt) {
+    Result<Graph> q =
+        workload::ExtractConnectedQuery(data, 2 + attempt % 5, &rng);
+    if (q.ok()) patterns.push_back(algebra::GraphPattern::FromGraph(*q));
+  }
+  ASSERT_EQ(patterns.size(), 14u);
+
+  ThreadPool pool(3);
+  uint64_t sig_rejects = 0;    // Rejected by the signature alone.
+  uint64_t merge_rejects = 0;  // Signature passed, the merge rejected.
+  for (size_t pi = 0; pi < patterns.size(); ++pi) {
+    const algebra::GraphPattern& p = patterns[pi];
+    const std::vector<std::vector<NodeId>> feasible =
+        oracle::ScanCandidates(p, data);
+    const std::vector<std::vector<NodeId>> want =
+        oracle::ProfileCandidates(p, data, radius);
+    uint64_t want_pruned = 0;
+    for (size_t u = 0; u < want.size(); ++u) {
+      want_pruned += feasible[u].size() - want[u].size();
+      const uint64_t sig = ProfileSignature(
+          BuildProfile(p.graph(), static_cast<NodeId>(u), radius));
+      for (NodeId v : feasible[u]) {
+        if (std::binary_search(want[u].begin(), want[u].end(), v)) continue;
+        ++((sig & ~index.profile_signature(v)) != 0 ? sig_rejects
+                                                    : merge_rejects);
+      }
+    }
+    for (int threads : {0, 1, 3}) {
+      PipelineOptions options;
+      options.candidate_mode = CandidateMode::kProfile;
+      options.num_threads = threads;
+      options.pool = &pool;
+      obs::MetricsRegistry metrics;
+      options.metrics = &metrics;
+      PipelineStats stats;
+      const std::string where =
+          "pattern " + std::to_string(pi) + " threads " +
+          std::to_string(threads);
+      EXPECT_EQ(RetrieveCandidates(p, data, &index, options, &stats), want)
+          << where;
+      ASSERT_EQ(stats.size_attr.size(), want.size()) << where;
+      for (size_t u = 0; u < want.size(); ++u) {
+        EXPECT_EQ(stats.size_attr[u], feasible[u].size()) << where;
+        EXPECT_EQ(stats.size_retrieved[u], want[u].size()) << where;
+      }
+      EXPECT_EQ(metrics.GetCounter("match.retrieve.profile_pruned")->Value(),
+                want_pruned)
+          << where;
+    }
+  }
+  EXPECT_GT(sig_rejects, 0u) << "no candidate rejected by its signature";
+  EXPECT_GT(merge_rejects, 0u) << "no signature collision reached the merge";
 }
 
 TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {

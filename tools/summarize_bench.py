@@ -172,7 +172,7 @@ def summarize_storage(path, data):
 
 def summarize_selection(path, data):
     """Renders a bench_selection_vectorized dump (BENCH_selection.json)."""
-    print(f"\n== selection kernels: {path} ==")
+    print(f"\n== selection: {path} ==")
     stamp = format_stamp(data)
     if stamp:
         print(stamp)
@@ -190,7 +190,7 @@ def summarize_selection(path, data):
                   f"{lane.get('candidates', 0):>11} "
                   f"{lane.get('retrieve_speedup', 0):>7.2f}x")
     if "match_ms" in data:
-        print(f"  MatchPattern (auto): {data['match_ms']:.2f} ms, "
+        print(f"  MatchPattern: {data['match_ms']:.2f} ms, "
               f"{data.get('matches', 0)} matches")
 
 
