@@ -524,8 +524,9 @@ Result<QueryResult> Evaluator::RunSource(std::string_view source) {
     return run;
   }
 
-  if (std::shared_ptr<const CachedPlan> hit =
-          plan_cache_->Lookup(key, plan_epoch_)) {
+  std::shared_ptr<const CachedPlan> hit =
+      plan_cache_->Lookup(key, plan_epoch_);
+  if (hit != nullptr && DocsRegistered(hit->program)) {
     metrics_.GetCounter("plan_cache.hit")->Increment();
     const int64_t frontend_us = obs::NowMicros() - frontend_start;
     Result<QueryResult> run =
@@ -577,12 +578,24 @@ Result<QueryResult> Evaluator::RunSource(std::string_view source) {
   return run;
 }
 
+bool Evaluator::DocsRegistered(const lang::Program& program) const {
+  for (const lang::Statement& stmt : program.statements) {
+    if (stmt.kind == lang::Statement::Kind::kFlwr &&
+        (docs_ == nullptr || docs_->Find(stmt.flwr.doc) == nullptr)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool Evaluator::CompileAlternatives(CachedPlan* plan) {
   // Cacheability gate: only pure programs — every statement a non-`let`
   // FLWR — may be replayed from cache. Anything that mutates session
   // state (graph-decl, assign, let) both bumps the epoch when it runs and
   // would make a cached replay observable, so such programs stay cold.
-  bool cacheable = true;
+  // A program over an unregistered document fails at run time, and its
+  // analysis reports the missing document, so it stays cold too.
+  bool cacheable = DocsRegistered(plan->program);
   for (const lang::Statement& stmt : plan->program.statements) {
     if (stmt.kind != lang::Statement::Kind::kFlwr || stmt.flwr.is_let) {
       cacheable = false;
@@ -639,8 +652,9 @@ Result<QueryResult> Evaluator::RunPrepared(
   PlanKey key;
   PlanKey::FromPrepared(template_text, ParamKindSignature(params), &key);
 
-  if (std::shared_ptr<const CachedPlan> hit =
-          plan_cache_->Lookup(key, plan_epoch_)) {
+  std::shared_ptr<const CachedPlan> hit =
+      plan_cache_->Lookup(key, plan_epoch_);
+  if (hit != nullptr && DocsRegistered(hit->program)) {
     // Rebind: write this execution's values into the literal nodes the
     // parameters parsed into on the cold run. The nodes are shared into
     // the compiled pattern predicates and the per-run template
@@ -898,7 +912,8 @@ Result<std::string> Evaluator::RenderExplain(const lang::Program& program,
                      " member graphs, " + FormatSize(indexed) +
                      " at/above the auto-index threshold (" +
                      FormatSize(index_threshold_) +
-                     " nodes) get a cached LabelIndex\n");
+                     " nodes) use the LabelIndex shared on their "
+                     "snapshot\n");
         }
         std::snprintf(
             buf, sizeof(buf),
@@ -987,41 +1002,35 @@ Result<std::vector<algebra::MatchedGraph>> Evaluator::SelectWithAutoIndex(
   for (const Graph& g : collection) {
     // A tripped governor ends the scan with the matches found so far.
     if (!GovOk(options.governor)) break;
-    const match::LabelIndex* index = nullptr;
+    std::shared_ptr<const match::LabelIndex> index;
     if (index_threshold_ != 0 && g.NumNodes() >= index_threshold_) {
-      auto it = index_cache_.find(&g);
-      if (it != index_cache_.end() &&
-          (it->second.num_nodes != g.NumNodes() ||
-           it->second.num_edges != g.NumEdges())) {
-        index_cache_.erase(it);  // Address reused by a different graph.
-        it = index_cache_.end();
-      }
-      if (it == index_cache_.end()) {
-        obs::Span build_span(options.tracer, "index-build");
-        if (build_span.active()) {
-          build_span.SetAttr("nodes", static_cast<int64_t>(g.NumNodes()));
+      // Only the call that builds the index records the span.
+      const int64_t start_us = obs::NowMicros();
+      bool built = false;
+      index = match::LabelIndex::Shared(
+          g, options.candidate_mode == match::CandidateMode::kNeighborhood,
+          &built);
+      if (built) {
+        ++indexes_built_;
+        obs::TraceNode* span =
+            options.tracer == nullptr
+                ? nullptr
+                : options.tracer->AddCompleted("index-build", start_us,
+                                               obs::NowMicros() - start_us);
+        if (span != nullptr) {
+          span->SetAttr("nodes", static_cast<int64_t>(g.NumNodes()));
         }
-        match::LabelIndexOptions iopts;
-        iopts.build_neighborhoods =
-            options.candidate_mode == match::CandidateMode::kNeighborhood;
-        CachedIndex entry;
-        entry.num_nodes = g.NumNodes();
-        entry.num_edges = g.NumEdges();
-        entry.index = std::make_unique<match::LabelIndex>(
-            match::LabelIndex::Build(g, iopts));
-        it = index_cache_.emplace(&g, std::move(entry)).first;
-        if (options.metrics != nullptr) {
-          options.metrics->GetCounter("exec.index.builds")->Increment();
-        }
-      } else if (options.metrics != nullptr) {
-        options.metrics->GetCounter("exec.index.cache_hits")->Increment();
       }
-      index = it->second.index.get();
+      if (options.metrics != nullptr) {
+        options.metrics
+            ->GetCounter(built ? "exec.index.builds" : "exec.index.cache_hits")
+            ->Increment();
+      }
     }
     for (const algebra::GraphPattern& pattern : alternatives) {
       GQL_ASSIGN_OR_RETURN(
           std::vector<algebra::MatchedGraph> matches,
-          match::MatchPattern(pattern, g, index, options, stats));
+          match::MatchPattern(pattern, g, index.get(), options, stats));
       if (!matches.empty()) {
         for (algebra::MatchedGraph& m : matches) out.push_back(std::move(m));
         if (!options.match.exhaustive) break;  // One binding per graph.

@@ -258,26 +258,24 @@ class Evaluator {
   }
   const std::string& session_label() const { return session_label_; }
 
-  /// Drops every cached per-graph LabelIndex. The server calls this when
-  /// the shared GraphStore publishes a new version: cache keys are graph
-  /// addresses, and a freed collection's addresses may be reused by a
-  /// later commit (the classic ABA), so the cache must not outlive the
-  /// store version it was built against.
-  void InvalidateIndexCache() {
-    index_cache_.clear();
-    // New store version: cached plans were analyzed against documents that
-    // may no longer exist (or changed shape), so they expire with it.
-    ++plan_epoch_;
-  }
+  /// Does nothing. Label indexes live on the snapshots they index (see
+  /// match::LabelIndex::Shared) and cached plans check their documents on
+  /// every hit, so a store version change leaves this evaluator nothing
+  /// to drop. Kept because perfbench/traced.cc calls it where it mirrors
+  /// the server's per-query steps.
+  void InvalidateIndexCache() {}
 
   /// Plan cache over RunSource: front-end artifacts (parsed AST, semantic
   /// analysis, compiled pattern alternatives) keyed on normalized query
   /// shape + literal signature. Entries are invalidated by any
-  /// session-state mutation: graph-decl / assign / let statements and
-  /// InvalidateIndexCache all bump the epoch. Capacity is in bytes; 0
-  /// disables the cache (and drops its entries). The initial capacity
-  /// comes from $GQL_PLAN_CACHE (in MB, "off" or "0" disables; unset
-  /// keeps the 8 MB default).
+  /// session-state mutation: graph-decl / assign / let statements bump
+  /// the epoch. A plan is cached only while every document its FLWR
+  /// statements name is registered, and served only while they still
+  /// are: a document's contents never change what a plan means, only
+  /// whether it exists (semantic analysis reports a missing one).
+  /// Capacity is in bytes; 0 disables the cache (and drops its entries).
+  /// The initial capacity comes from $GQL_PLAN_CACHE (in MB, "off" or "0"
+  /// disables; unset keeps the 8 MB default).
   void set_plan_cache_capacity(size_t bytes);
   bool plan_cache_enabled() const { return plan_cache_ != nullptr; }
   /// The cache itself (null when disabled) — entry/byte counts for
@@ -319,13 +317,15 @@ class Evaluator {
   /// Value of a graph variable from earlier statements; null if unbound.
   const Graph* Variable(const std::string& name) const;
 
-  /// Member graphs at or above this node count get a match::LabelIndex
-  /// built (once, cached per graph) before pattern matching; smaller
-  /// members are scanned. 0 disables indexing.
+  /// Member graphs at or above this node count are matched through the
+  /// match::LabelIndex shared on their snapshot (built by the first
+  /// evaluator that needs it); smaller members are scanned. 0 disables
+  /// indexing.
   void set_index_threshold(size_t nodes) { index_threshold_ = nodes; }
 
-  /// Number of per-graph indexes built so far (observability/testing).
-  size_t indexes_built() const { return index_cache_.size(); }
+  /// Number of label indexes this evaluator built, as opposed to found
+  /// already built on their snapshots (observability/testing).
+  size_t indexes_built() const { return indexes_built_; }
 
  private:
   Status RunStatement(const lang::Statement& stmt, QueryResult* result,
@@ -346,8 +346,13 @@ class Evaluator {
   /// The cacheability gate + pattern precompilation shared by RunSource
   /// and RunPrepared: true (and plan->alternatives filled) only for pure
   /// programs — every statement a non-`let` FLWR whose pattern resolves
-  /// and compiles. False leaves plan->alternatives empty.
+  /// and compiles, over documents that are all registered. False leaves
+  /// plan->alternatives empty.
   bool CompileAlternatives(CachedPlan* plan);
+  /// True when every document the program's FLWR statements name is
+  /// registered — the one fact about the registry a cached plan depends
+  /// on (its semantic analysis).
+  bool DocsRegistered(const lang::Program& program) const;
   /// Shared renderer behind Explain / ExplainAnalyze: the static plan,
   /// plus per-statement actual lines when `actual` is non-null.
   Result<std::string> RenderExplain(const lang::Program& program,
@@ -387,17 +392,7 @@ class Evaluator {
   /// Chrome-trace events accumulated across this session's runs (the
   /// export file is rewritten whole after each traced run).
   std::string trace_events_;
-  /// Cache key is the member graph's address; the stored shape guards
-  /// against a re-registered document reusing the same address (the cache
-  /// entry is rebuilt when node/edge counts changed). Re-registering a
-  /// document with an identically-shaped different graph still requires a
-  /// fresh Evaluator.
-  struct CachedIndex {
-    size_t num_nodes = 0;
-    size_t num_edges = 0;
-    std::unique_ptr<match::LabelIndex> index;
-  };
-  std::unordered_map<const Graph*, CachedIndex> index_cache_;
+  size_t indexes_built_ = 0;
   /// Plan cache (null = disabled) and its invalidation epoch. The epoch
   /// counts session-state mutations; a cached plan is only served while
   /// the epoch it was compiled at is still current.

@@ -1,6 +1,7 @@
 #include "graph/snapshot.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 namespace graphql {
@@ -324,6 +325,18 @@ const GraphSnapshot::Column* GraphSnapshot::EdgeColumn(
     if (c.attr_sym == attr_sym) return &c;
   }
   return nullptr;
+}
+
+const void* GraphSnapshot::Derived(
+    size_t cell, const std::function<std::shared_ptr<const void>()>& build,
+    bool* built) const {
+  assert(cell < kDerivedCells);
+  MutexLock lock(&derived_mu_);
+  std::shared_ptr<const void>& slot = derived_[cell];
+  const bool fresh = slot == nullptr;
+  if (fresh) slot = build();
+  if (built != nullptr) *built = fresh;
+  return slot.get();
 }
 
 }  // namespace graphql

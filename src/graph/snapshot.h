@@ -2,11 +2,13 @@
 #define GRAPHQL_GRAPH_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/symbols.h"
+#include "common/thread_annotations.h"
 #include "common/value.h"
 #include "graph/graph.h"
 
@@ -22,11 +24,12 @@ namespace graphql {
 ///
 /// The snapshot is a pure read model: it is built once from a Graph (the
 /// mutable builder) and never mutated afterwards, so concurrent readers
-/// need no synchronization. Accessors are defined to agree exactly with
-/// the builder API they mirror — same edge found by FindFirstEdge as
-/// Graph::FindEdge, same multiset of adjacency entries as
-/// Graph::neighbors — so the selection pipeline produces bit-identical
-/// results on either representation.
+/// need no synchronization; the one exception, the write-once
+/// derived-index slot, has its own lock (see Derived). Accessors are
+/// defined to agree exactly with the builder API they mirror — same edge
+/// found by FindFirstEdge as Graph::FindEdge, same multiset of adjacency
+/// entries as Graph::neighbors — so the selection pipeline produces
+/// bit-identical results on either representation.
 ///
 /// Storage: every array is accessed through a std::span. A snapshot built
 /// from a Graph owns its arrays (the spans view the `own_*` vectors); a
@@ -250,6 +253,28 @@ class GraphSnapshot {
   /// staleness.
   uint64_t source_version() const { return source_version_; }
 
+  // ---- Derived-index slot ----
+
+  /// Cells in the derived-index slot: the match layer caches one label
+  /// index per option set it uses (see match::LabelIndex::Shared).
+  static constexpr size_t kDerivedCells = 2;
+
+  /// The object cached in slot cell `cell`, built by `build` on first use.
+  /// Every reader of this snapshot shares the one copy, and it is freed
+  /// with the snapshot. The slot is type-erased, like `backing_`, so
+  /// graph/ does not depend on the layers that cache here.
+  ///
+  /// Cells are write-once: `build` runs at most once per cell over the
+  /// snapshot's lifetime and a stored object is never replaced, so the
+  /// returned pointer stays valid for as long as the caller keeps this
+  /// snapshot alive. `build` runs under the slot's own lock: it must not
+  /// re-enter the slot, and it must not take Graph::snap_mu_ (build from
+  /// the snapshot already fetched). When `built` is non-null it is set to
+  /// whether this call ran `build`. The slot is not counted in bytes().
+  const void* Derived(size_t cell,
+                      const std::function<std::shared_ptr<const void>()>& build,
+                      bool* built = nullptr) const;
+
  private:
   /// Points every span member at its own_* vector and computes the byte
   /// accounting (owned mode).
@@ -306,6 +331,11 @@ class GraphSnapshot {
   /// Keeps the mapped file alive for the snapshot's lifetime (mapped
   /// mode). Type-erased so graph/ does not depend on storage/.
   std::shared_ptr<const void> backing_;
+  /// The derived-index slot (see Derived). Its lock is a leaf apart from
+  /// what a build takes itself (the symbol table's).
+  mutable Mutex derived_mu_;
+  mutable std::shared_ptr<const void> derived_[kDerivedCells]
+      GQL_GUARDED_BY(derived_mu_);
 };
 
 }  // namespace graphql

@@ -15,45 +15,67 @@ uint64_t PairKey(SymbolId a, SymbolId b) {
 }  // namespace
 
 LabelIndex LabelIndex::Build(const Graph& g, LabelIndexOptions options) {
-  LabelIndex index;
-  index.graph_ = &g;
-  index.snap_ = g.snapshot();
-  index.options_ = options;
-  const GraphSnapshot& snap = *index.snap_;
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  LabelIndex index(g, *snap, std::move(options));
+  index.pin_ = std::move(snap);
+  return index;
+}
+
+std::shared_ptr<const LabelIndex> LabelIndex::Shared(const Graph& g,
+                                                     bool with_neighborhoods,
+                                                     bool* built) {
+  // Fetched before the slot's lock is taken, so Graph::snap_mu_ and the
+  // slot's lock never nest.
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  const void* cached =
+      snap->Derived(with_neighborhoods ? 1 : 0,
+                    [&]() -> std::shared_ptr<const void> {
+                      LabelIndexOptions options;
+                      options.build_neighborhoods = with_neighborhoods;
+                      return std::shared_ptr<const LabelIndex>(
+                          new LabelIndex(g, *snap, std::move(options)));
+                    },
+                    built);
+  // Aliasing: the handle owns the snapshot, which owns the index.
+  return std::shared_ptr<const LabelIndex>(
+      std::move(snap), static_cast<const LabelIndex*>(cached));
+}
+
+LabelIndex::LabelIndex(const Graph& g, const GraphSnapshot& snap,
+                       LabelIndexOptions options)
+    : snap_(&snap), options_(std::move(options)) {
   const size_t n = snap.num_nodes();
 
   for (size_t v = 0; v < n; ++v) {
     SymbolId label = snap.node_label_sym(static_cast<NodeId>(v));
     if (label == kNoSymbol) {
-      index.unlabeled_.push_back(static_cast<NodeId>(v));
+      unlabeled_.push_back(static_cast<NodeId>(v));
       continue;
     }
-    index.by_label_[label].push_back(static_cast<NodeId>(v));
+    by_label_[label].push_back(static_cast<NodeId>(v));
   }
 
   for (size_t e = 0; e < snap.num_edges(); ++e) {
     SymbolId a = snap.node_label_sym(snap.edge_src(static_cast<EdgeId>(e)));
     SymbolId b = snap.node_label_sym(snap.edge_dst(static_cast<EdgeId>(e)));
     if (a == kNoSymbol || b == kNoSymbol) continue;
-    ++index.edge_pair_freq_[PairKey(a, b)];
+    ++edge_pair_freq_[PairKey(a, b)];
   }
 
-  if (options.build_profiles && n > 0) {
-    index.profile_offsets_.reserve(n + 1);
-    index.profile_offsets_.push_back(0);
-    index.profile_sigs_.reserve(n);
+  if (options_.build_profiles && n > 0) {
+    profile_offsets_.reserve(n + 1);
+    profile_offsets_.push_back(0);
+    profile_sigs_.reserve(n);
     std::vector<int> scratch(n, -1);
     for (size_t v = 0; v < n; ++v) {
-      Profile p =
-          BuildProfile(snap, static_cast<NodeId>(v), options.radius, &scratch);
-      index.profile_syms_.insert(index.profile_syms_.end(), p.begin(),
-                                 p.end());
-      index.profile_offsets_.push_back(
-          static_cast<uint32_t>(index.profile_syms_.size()));
-      index.profile_sigs_.push_back(ProfileSignature(p));
+      Profile p = BuildProfile(snap, static_cast<NodeId>(v), options_.radius,
+                               &scratch);
+      profile_syms_.insert(profile_syms_.end(), p.begin(), p.end());
+      profile_offsets_.push_back(static_cast<uint32_t>(profile_syms_.size()));
+      profile_sigs_.push_back(ProfileSignature(p));
     }
   }
-  for (const std::string& attr : options.indexed_attributes) {
+  for (const std::string& attr : options_.indexed_attributes) {
     rel::BPlusTree tree;
     // Column entries are in ascending node-id order — the same insertion
     // order as a node scan, so tree iteration order is unchanged.
@@ -65,18 +87,17 @@ LabelIndex LabelIndex::Build(const Graph& g, LabelIndexOptions options) {
         tree.Insert(col->values[i], static_cast<uint64_t>(col->ids[i]));
       }
     }
-    index.attr_trees_.emplace(attr, std::move(tree));
+    attr_trees_.emplace(attr, std::move(tree));
   }
 
-  if (options.build_neighborhoods) {
-    index.neighborhoods_.resize(n);
+  if (options_.build_neighborhoods) {
+    neighborhoods_.resize(n);
     std::vector<NodeId> scratch(n, kInvalidNode);
     for (size_t v = 0; v < n; ++v) {
-      index.neighborhoods_[v] = ExtractNeighborhood(
-          g, static_cast<NodeId>(v), options.radius, &scratch);
+      neighborhoods_[v] = ExtractNeighborhood(g, static_cast<NodeId>(v),
+                                              options_.radius, &scratch);
     }
   }
-  return index;
 }
 
 std::string_view LabelIndex::LabelName(SymbolId label) const {

@@ -44,16 +44,29 @@ struct LabelIndexOptions {
 /// Labels are keyed by process-wide SymbolId (SymbolTable::Global()), the
 /// same id space used by GraphSnapshot and profiles, so every structure
 /// agrees on what id a label has. The index is built from the graph's
-/// compiled snapshot and keeps it alive; B+-trees for indexed attributes
-/// are loaded straight from the snapshot's columns.
+/// compiled snapshot; B+-trees for indexed attributes are loaded straight
+/// from the snapshot's columns.
 class LabelIndex {
  public:
-  /// Builds the index in one pass over `g`'s snapshot. The graph must
-  /// outlive the index (neighborhood extraction and statistics reference
-  /// it).
+  LabelIndex() = default;
+
+  /// Builds a private index in one pass over `g`'s snapshot, and keeps
+  /// that snapshot alive.
   static LabelIndex Build(const Graph& g, LabelIndexOptions options = {});
 
-  const Graph& graph() const { return *graph_; }
+  /// The index of `g`'s current snapshot with radius-1 profiles, no
+  /// attribute trees, and neighborhood subgraphs when
+  /// `with_neighborhoods` — the two option sets the evaluator uses. It is
+  /// built at most once per snapshot and cached on it
+  /// (GraphSnapshot::Derived), so every caller over the same snapshot
+  /// shares one copy, and the copy is freed with the snapshot. The
+  /// returned pointer owns the snapshot: holding the index keeps both
+  /// alive. When `built` is non-null it is set to whether this call built
+  /// the index.
+  static std::shared_ptr<const LabelIndex> Shared(const Graph& g,
+                                                  bool with_neighborhoods,
+                                                  bool* built = nullptr);
+
   const LabelIndexOptions& options() const { return options_; }
   /// The compiled snapshot the index was built from.
   const GraphSnapshot& snapshot() const { return *snap_; }
@@ -122,8 +135,15 @@ class LabelIndex {
                                 bool hi_inclusive) const;
 
  private:
-  const Graph* graph_ = nullptr;
-  std::shared_ptr<const GraphSnapshot> snap_;
+  /// Builds over `snap`, which must be `g`'s current snapshot, without
+  /// keeping it alive.
+  LabelIndex(const Graph& g, const GraphSnapshot& snap,
+             LabelIndexOptions options);
+
+  /// Not owning: a shared index lives in its snapshot's slot, so owning
+  /// the snapshot would make a cycle. `pin_` owns it for Build's indexes.
+  const GraphSnapshot* snap_ = nullptr;
+  std::shared_ptr<const GraphSnapshot> pin_;
   LabelIndexOptions options_;
   std::unordered_map<SymbolId, std::vector<NodeId>> by_label_;
   std::vector<NodeId> unlabeled_;

@@ -233,12 +233,6 @@ Response Session::RunQuery(const std::string& text, const PreparedRun* prep) {
   // what commits land meanwhile.
   std::shared_ptr<const GraphStore::StoreSnapshot> snapshot =
       ctx_.store->Pin();
-  if (snapshot->version != last_store_version_) {
-    // The label-index cache keys on graph addresses, which a commit may
-    // recycle (ABA); invalidate on every version change.
-    evaluator_.InvalidateIndexCache();
-    last_store_version_ = snapshot->version;
-  }
   view_.Clear();
   snapshot->FillRegistry(&view_);
   for (const auto& [name, collection] : local_docs_) {
@@ -305,7 +299,8 @@ Response Session::HandleSet(const std::string& spec) {
   long long n = value.empty() ? -1 : std::strtoll(value.c_str(), &end, 10);
   if (n < 0 || end == nullptr || *end != '\0') {
     return ErrorResponse(Status::InvalidArgument(
-        "usage: set {timeout_ms|max_steps|max_memory_mb|threads} N"));
+        "usage: set {timeout_ms|max_steps|max_memory_mb|threads|plan_cache} "
+        "N"));
   }
   if (key == "timeout_ms") {
     limits_.timeout_ms = n;

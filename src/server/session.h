@@ -124,7 +124,6 @@ class Session {
   std::map<std::string, std::shared_ptr<const GraphCollection>> local_docs_;
   std::map<std::string, std::string> prepared_;
   GovernorLimits limits_;
-  uint64_t last_store_version_ = ~uint64_t{0};
   bool closed_ = false;
 };
 

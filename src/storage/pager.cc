@@ -314,7 +314,10 @@ std::vector<uint8_t> PageFileWriter::Build() const {
     PutU32(e + 4, 0);
     PutU64(e + 8, cursor);
     PutU64(e + 16, bytes.size());
-    std::memcpy(out.data() + cursor, bytes.data(), bytes.size());
+    // An empty section's data() may be null, which memcpy may not take.
+    if (!bytes.empty()) {
+      std::memcpy(out.data() + cursor, bytes.data(), bytes.size());
+    }
     const uint64_t pages = PagesFor(bytes.size());
     for (uint64_t p = 0; p < pages; ++p) {
       PutU32(crc_table + (page_slot + p) * 4,

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "match/label_index.h"
 #include "motif/deriver.h"
 #include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
@@ -241,6 +243,74 @@ TEST(EvaluatorAutoIndexTest, LargeDocGraphGetsIndexedOnce) {
   EXPECT_EQ(scanning.indexes_built(), 0u);
   EXPECT_EQ(r1->returned.size(), r2->returned.size());
   EXPECT_GT(r1->returned.size(), 0u);
+}
+
+Graph BigGraph(uint64_t seed) {
+  Rng rng(seed);
+  workload::ErdosRenyiOptions opts;
+  opts.num_nodes = 1000;
+  opts.num_edges = 3000;
+  opts.num_labels = 5;
+  return workload::MakeErdosRenyi(opts, &rng);
+}
+
+constexpr char kBigQuery[] = R"(
+  for graph Q { node a <label="L0">; node b <label="L1">; edge (a, b); }
+    exhaustive in doc("big")
+    return graph R { node n; };
+)";
+
+TEST(EvaluatorAutoIndexTest, SecondEvaluatorReusesTheSharedIndex) {
+  // The index lives on the graph's snapshot, not in an evaluator: a second
+  // evaluator over the same registry finds it built.
+  DocumentRegistry docs;
+  docs.RegisterGraph("big", BigGraph(77));
+  Evaluator first(&docs);
+  auto r1 = first.RunSource(kBigQuery);
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  EXPECT_EQ(first.indexes_built(), 1u);
+  EXPECT_EQ(first.metrics()->GetCounter("exec.index.builds")->Value(), 1u);
+
+  Evaluator second(&docs);
+  auto r2 = second.RunSource(kBigQuery);
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_EQ(second.indexes_built(), 0u);
+  EXPECT_EQ(second.metrics()->GetCounter("exec.index.builds")->Value(), 0u);
+  EXPECT_EQ(second.metrics()->GetCounter("exec.index.cache_hits")->Value(),
+            1u);
+  EXPECT_EQ(r1->returned.size(), r2->returned.size());
+  EXPECT_GT(r1->returned.size(), 0u);
+}
+
+TEST(EvaluatorAutoIndexTest, IndexIsFreedWithItsDocument) {
+  DocumentRegistry docs;
+  docs.RegisterGraph("big", BigGraph(78));
+  Evaluator ev(&docs);
+  ASSERT_TRUE(ev.RunSource(kBigQuery).ok());
+  ASSERT_EQ(ev.indexes_built(), 1u);
+
+  // A reader's pin on the document, and a weak handle on its index.
+  std::shared_ptr<const GraphCollection> pin = docs.FindShared("big");
+  std::weak_ptr<const match::LabelIndex> weak;
+  {
+    bool built = true;
+    std::shared_ptr<const match::LabelIndex> index =
+        match::LabelIndex::Shared((*pin)[0], /*with_neighborhoods=*/false,
+                                  &built);
+    EXPECT_FALSE(built) << "the evaluator's index was not shared";
+    weak = index;
+  }
+  EXPECT_FALSE(weak.expired()) << "the index must live as long as its graph";
+
+  // Republished: the registry drops the old document, the pin keeps it.
+  docs.RegisterGraph("big", BigGraph(79));
+  EXPECT_FALSE(weak.expired());
+  pin.reset();
+  EXPECT_TRUE(weak.expired()) << "the index outlived its document";
+
+  // The new document gets its own index.
+  ASSERT_TRUE(ev.RunSource(kBigQuery).ok());
+  EXPECT_EQ(ev.indexes_built(), 2u);
 }
 
 TEST(EvaluatorDblpWorkloadTest, GeneratedCollectionWorks) {

@@ -1,10 +1,12 @@
 // Plan-cache acceptance tests: repeated query texts must skip the
 // parse/sema/pattern-compile front-end entirely (proven through both the
 // exec.frontend.* counters and the absence of parse/sema spans in the
-// profile trace), produce results identical to a cold run, and be
-// invalidated by every session-state mutation (graph declarations,
-// assignments, `let` accumulators, store-version bumps). A unit section
-// exercises PlanKey normalization and the byte-bounded LRU directly.
+// profile trace), produce results identical to a cold run, be invalidated
+// by every session-state mutation (graph declarations, assignments, `let`
+// accumulators), and expire with the documents they name — a plan hits
+// across republished documents and misses once one is gone. A unit
+// section exercises PlanKey normalization and the byte-bounded LRU
+// directly.
 
 #include "exec/plan_cache.h"
 
@@ -29,7 +31,7 @@ constexpr char kPureQuery[] =
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto graphs = motif::GraphsFromProgramSource(R"(
+    docs_.Register("DBLP", Collection(R"(
       graph G1 <booktitle="SIGMOD"> {
         node v1 <author name="A">;
         node v2 <author name="B">;
@@ -37,11 +39,17 @@ class PlanCacheTest : public ::testing::Test {
       graph G2 <booktitle="VLDB"> {
         node v1 <author name="C">;
       };
-    )");
-    ASSERT_TRUE(graphs.ok()) << graphs.status();
-    GraphCollection dblp;
-    for (Graph& g : *graphs) dblp.Add(std::move(g));
-    docs_.Register("DBLP", std::move(dblp));
+    )"));
+  }
+
+  static GraphCollection Collection(const char* source) {
+    auto graphs = motif::GraphsFromProgramSource(source);
+    EXPECT_TRUE(graphs.ok()) << graphs.status();
+    GraphCollection out;
+    if (graphs.ok()) {
+      for (Graph& g : *graphs) out.Add(std::move(g));
+    }
+    return out;
   }
 
   static std::string Render(const QueryResult& result) {
@@ -150,17 +158,111 @@ TEST_F(PlanCacheTest, SessionMutationsInvalidate) {
   ASSERT_TRUE(after_assign.ok());
   EXPECT_EQ(after_assign->plan_source, "miss");
 
-  // A store-version bump (the server's snapshot invalidation hook).
-  ASSERT_TRUE(ev.RunSource(kPureQuery).ok());
-  ev.InvalidateIndexCache();
+  // A republished document is not a session mutation: the plan compiled
+  // after the assignment keeps hitting, and reads the new contents.
+  docs_.Register("DBLP", Collection(R"(
+    graph G3 <booktitle="ICDE"> { node v1 <author name="D">; };
+  )"));
   auto after_store = ev.RunSource(kPureQuery);
-  ASSERT_TRUE(after_store.ok());
-  EXPECT_EQ(after_store->plan_source, "miss");
+  ASSERT_TRUE(after_store.ok()) << after_store.status();
+  EXPECT_EQ(after_store->plan_source, "hit");
+  EXPECT_EQ(after_store->returned.size(), 1u);
 
-  // And finally a clean repeat hits again.
+  // And a clean repeat hits again.
   auto warm = ev.RunSource(kPureQuery);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->plan_source, "hit");
+}
+
+TEST_F(PlanCacheTest, PlanHitsAfterItsOwnOrAnotherDocumentIsRepublished) {
+  docs_.Register("OTHER", Collection("graph O { node x <paper>; };"));
+  Evaluator ev(&docs_);
+  auto cold = ev.RunSource(kPureQuery);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(cold->plan_source, "miss");
+
+  // Another document republished.
+  docs_.Register("OTHER", Collection("graph O2 { node y <paper>; };"));
+  auto other = ev.RunSource(kPureQuery);
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_EQ(other->plan_source, "hit");
+  EXPECT_EQ(Render(*other), Render(*cold));
+
+  // Its own document republished: still a hit, over the new contents,
+  // which a fresh evaluator's cold run confirms.
+  docs_.Register("DBLP", Collection(R"(
+    graph G1 <booktitle="SIGMOD"> { node v1 <author name="Z">; };
+  )"));
+  auto own = ev.RunSource(kPureQuery);
+  ASSERT_TRUE(own.ok()) << own.status();
+  EXPECT_EQ(own->plan_source, "hit");
+  Evaluator fresh(&docs_);
+  auto reference = fresh.RunSource(kPureQuery);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(reference->plan_source, "miss");
+  EXPECT_EQ(Render(*own), Render(*reference));
+  EXPECT_NE(Render(*own), Render(*cold)) << "vacuous republish";
+  EXPECT_EQ(Counter(&ev, "plan_cache.hit"), 2u);
+  EXPECT_EQ(Counter(&ev, "plan_cache.miss"), 1u);
+}
+
+TEST_F(PlanCacheTest, PlanMissesAfterItsDocumentIsDropped) {
+  Evaluator ev(&docs_);
+  ASSERT_TRUE(ev.RunSource(kPureQuery).ok());
+  ASSERT_EQ(ev.plan_cache()->entries(), 1u);
+
+  // Dropping the document (a registry rebuilt without it) must not serve
+  // the plan, whose analysis saw the document: the cold run reports the
+  // missing document, as it would without a cache.
+  DocumentRegistry saved = docs_;
+  docs_.Clear();
+  auto dropped = ev.RunSource(kPureQuery);
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_NE(dropped.status().message().find("not registered"),
+            std::string::npos)
+      << dropped.status();
+  EXPECT_EQ(Counter(&ev, "plan_cache.hit"), 0u);
+  EXPECT_EQ(Counter(&ev, "plan_cache.miss"), 2u);
+
+  // The prepared path checks its documents the same way.
+  const std::string tmpl =
+      R"(for graph Q { node v <author>; } exhaustive in doc("DBLP")
+         where Q.booktitle == $1 return Q;)";
+  docs_ = saved;
+  std::vector<PreparedParam> sites;
+  auto text = server::SubstituteParams(tmpl, {Value("SIGMOD")}, &sites);
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(ev.RunPrepared(tmpl, *text, sites, {Value("SIGMOD")}).ok());
+  docs_.Clear();
+  EXPECT_FALSE(ev.RunPrepared(tmpl, *text, sites, {Value("SIGMOD")}).ok());
+  EXPECT_EQ(Counter(&ev, "plan_cache.hit"), 0u);
+
+  // Registered again, the document's plans are valid again.
+  docs_ = saved;
+  auto back = ev.RunSource(kPureQuery);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->plan_source, "hit");
+}
+
+TEST_F(PlanCacheTest, PlanOverUnregisteredDocumentIsNotCached) {
+  Evaluator ev(&docs_);
+  const char* query =
+      R"(for graph Q { node v <author>; } exhaustive in doc("LATER")
+         return Q;)";
+  auto missing = ev.RunSource(query);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(ev.plan_cache()->entries(), 0u);
+  EXPECT_EQ(Counter(&ev, "plan_cache.uncacheable"), 1u);
+
+  // Once the document exists the query compiles afresh — no plan whose
+  // analysis reported the document missing is served — and is cached.
+  docs_.Register("LATER", Collection("graph L { node v <author>; };"));
+  auto present = ev.RunSource(query);
+  ASSERT_TRUE(present.ok()) << present.status();
+  EXPECT_EQ(present->plan_source, "miss");
+  EXPECT_TRUE(present->diagnostics.empty());
+  EXPECT_EQ(present->returned.size(), 1u);
+  EXPECT_EQ(ev.plan_cache()->entries(), 1u);
 }
 
 TEST_F(PlanCacheTest, ImpureProgramsAreUncacheable) {

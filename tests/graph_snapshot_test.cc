@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -229,6 +230,43 @@ TEST(GraphSnapshotTest, CacheInvalidatedByVersion) {
   EXPECT_EQ(s3->num_nodes(), s1->num_nodes() + 1);
   // The old snapshot stays alive and unchanged for holders of the ptr.
   EXPECT_EQ(s1->num_nodes(), 3u);
+}
+
+TEST(GraphSnapshotTest, DerivedCellsAreWriteOnceAndDieWithTheSnapshot) {
+  Graph g = TaggedSample(false);
+  auto snap = g.snapshot();
+  const size_t bytes = snap->bytes();
+  auto object = std::make_shared<const int>(7);
+  std::weak_ptr<const int> weak = object;
+  int builds = 0;
+  auto build = [&]() -> std::shared_ptr<const void> {
+    ++builds;
+    return object;
+  };
+  bool built = false;
+  const void* first = snap->Derived(0, build, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(snap->Derived(0, build, &built), first);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(*static_cast<const int*>(first), 7);
+  // Cells are independent, and the slot is not counted in bytes().
+  snap->Derived(1, build, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(snap->bytes(), bytes);
+
+  // A mutated graph compiles a new snapshot with empty cells; the old
+  // one frees its cells with its last holder.
+  object.reset();
+  g.AddNode("new");
+  auto next = g.snapshot();
+  ASSERT_NE(next.get(), snap.get());
+  next->Derived(0, [] { return std::make_shared<const int>(9); }, &built);
+  EXPECT_TRUE(built);
+  EXPECT_FALSE(weak.expired());
+  snap.reset();
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST(GraphSnapshotTest, ReportsCostAccounting) {

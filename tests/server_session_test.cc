@@ -16,6 +16,7 @@
 #include "obs/recorder.h"
 #include "server/admission.h"
 #include "server/store.h"
+#include "workload/erdos_renyi.h"
 
 namespace graphql::server {
 namespace {
@@ -138,10 +139,17 @@ TEST_F(ServerSessionTest, SetAdjustsLimits) {
   EXPECT_NE(r.body.find("timeout_ms=500"), std::string::npos);
   r = s.Handle(Req(Op::kSet, "max_memory_mb 8"));
   EXPECT_NE(r.body.find("max_memory_mb=8"), std::string::npos);
+  EXPECT_EQ(s.Handle(Req(Op::kSet, "plan_cache 1")).code, StatusCode::kOk);
+  EXPECT_EQ(s.evaluator()->plan_cache()->max_bytes(), size_t{1} << 20);
   EXPECT_EQ(s.Handle(Req(Op::kSet, "bogus 3")).code,
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(s.Handle(Req(Op::kSet, "timeout_ms")).code,
-            StatusCode::kInvalidArgument);
+  Response usage = s.Handle(Req(Op::kSet, "timeout_ms"));
+  EXPECT_EQ(usage.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(usage.body.find(
+                "usage: set {timeout_ms|max_steps|max_memory_mb|threads|"
+                "plan_cache} N"),
+            std::string::npos)
+      << usage.body;
   EXPECT_EQ(s.Handle(Req(Op::kSet, "timeout_ms -4")).code,
             StatusCode::kInvalidArgument);
 }
@@ -400,6 +408,63 @@ TEST_F(ServerSessionTest, SnapshotIsolationAcrossPublishes) {
   Response q2 = reader.Handle(Req(Op::kQuery, kMatchQuery));
   ASSERT_EQ(q2.code, StatusCode::kOk) << q2.body;
   EXPECT_EQ(q2.body.find("returned"), std::string::npos) << q2.body;
+}
+
+TEST_F(ServerSessionTest, IndexAndPlansSurviveUnrelatedCommits) {
+  // One indexed document (above the 512-node threshold) and one small
+  // one. Commits to the small one must leave the indexed document's
+  // LabelIndex and the session's cached plans alone; republishing the
+  // indexed document builds exactly one new index.
+  auto big = [](uint64_t seed) {
+    Rng rng(seed);
+    workload::ErdosRenyiOptions opts;
+    opts.num_nodes = 600;
+    opts.num_edges = 1800;
+    opts.num_labels = 5;
+    GraphCollection c;
+    c.Add(workload::MakeErdosRenyi(opts, &rng));
+    return c;
+  };
+  ASSERT_TRUE(store_.Publish("Net", big(1)).ok());
+  Session writer = MakeSession(1);
+  ASSERT_EQ(writer.Handle(Req(Op::kLoadText, "L", kCollectionText)).code,
+            StatusCode::kOk);
+  ASSERT_EQ(writer.Handle(Req(Op::kPublish, "D", "L")).code, StatusCode::kOk);
+
+  const char* net_query =
+      R"(for graph Q { node a <label="L0">; node b <label="L1">; edge (a, b); }
+         exhaustive in doc("Net") return Q;)";
+  Session reader = MakeSession(2);
+  exec::Evaluator* ev = reader.evaluator();
+  auto counter = [&](const char* name) {
+    return ev->metrics()->GetCounter(name)->Value();
+  };
+  Response first = reader.Handle(Req(Op::kQuery, net_query));
+  ASSERT_EQ(first.code, StatusCode::kOk) << first.body;
+  ASSERT_EQ(reader.Handle(Req(Op::kQuery, kMatchQuery)).code,
+            StatusCode::kOk);
+  EXPECT_EQ(counter("exec.index.builds"), 1u);
+
+  // Two unrelated commits: republish D, publish a new doc.
+  ASSERT_EQ(writer.Handle(Req(Op::kPublish, "D", "L")).code, StatusCode::kOk);
+  ASSERT_EQ(writer.Handle(Req(Op::kPublish, "E", "L")).code, StatusCode::kOk);
+  Response again = reader.Handle(Req(Op::kQuery, net_query));
+  ASSERT_EQ(again.code, StatusCode::kOk) << again.body;
+  EXPECT_EQ(again.body, first.body);
+  ASSERT_EQ(reader.Handle(Req(Op::kQuery, kMatchQuery)).code,
+            StatusCode::kOk);
+  EXPECT_EQ(counter("exec.index.builds"), 1u);
+  EXPECT_EQ(counter("exec.index.cache_hits"), 1u);
+  EXPECT_EQ(counter("plan_cache.hit"), 2u);
+
+  // Republishing the indexed document builds its new index once; the
+  // plan still hits and reads the new graph.
+  ASSERT_TRUE(store_.Publish("Net", big(2)).ok());
+  Response fresh = reader.Handle(Req(Op::kQuery, net_query));
+  ASSERT_EQ(fresh.code, StatusCode::kOk) << fresh.body;
+  EXPECT_NE(fresh.body, first.body) << "vacuous republish";
+  EXPECT_EQ(counter("exec.index.builds"), 2u);
+  EXPECT_EQ(counter("plan_cache.hit"), 3u);
 }
 
 }  // namespace
