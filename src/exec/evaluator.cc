@@ -1145,13 +1145,6 @@ Status Evaluator::RunFlwr(
   }
   if (ActiveTracer() != nullptr) options.tracer = ActiveTracer();
   obs::Span select_span(ActiveTracer(), "select");
-  // Snapshot-probe delta around the selection, for EXPLAIN ANALYZE.
-  obs::Counter* probe_counter =
-      options.metrics != nullptr
-          ? options.metrics->GetCounter("match.search.csr_edge_probes")
-          : nullptr;
-  const uint64_t probes_before =
-      probe_counter != nullptr ? probe_counter->Value() : 0;
   match::PipelineStats select_stats;
   GQL_ASSIGN_OR_RETURN(std::vector<algebra::MatchedGraph> matches,
                        SelectWithAutoIndex(alternatives, *collection, options,
@@ -1185,9 +1178,7 @@ Status Evaluator::RunFlwr(
     a.threads = select_stats.threads;
     a.tasks_stolen = select_stats.tasks_stolen;
     a.refine_degraded = select_stats.refine_degraded;
-    if (probe_counter != nullptr) {
-      a.snapshot_probes = probe_counter->Value() - probes_before;
-    }
+    a.snapshot_probes = select_stats.search.csr_edge_probes;
   }
 
   // The `let` accumulator starts from the variable's current value (or an

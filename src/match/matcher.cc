@@ -101,17 +101,14 @@ class SearchEngine {
   SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
                const GraphSnapshot& snap,
                const std::vector<std::vector<NodeId>>& candidates,
-               const std::vector<NodeId>& order, const MatchOptions& options,
-               SearchStats* stats, obs::MetricsRegistry* metrics)
+               const std::vector<NodeId>& order, const MatchOptions& options)
       : pattern_(pattern),
         p_(pattern.graph()),
         data_(data),
         snap_(snap),
         candidates_(candidates),
         order_(order),
-        options_(options),
-        stats_(stats),
-        metrics_(metrics) {
+        options_(options) {
     assign_.assign(p_.NumNodes(), kInvalidNode);
     edge_assign_.assign(p_.NumEdges(), kInvalidEdge);
     used_.assign(snap.num_nodes(), 0);
@@ -144,7 +141,6 @@ class SearchEngine {
     if (p_.NumNodes() == 0) return Status::OK();
     out_ = out;
     Dfs(0);
-    Flush();
     return status_;
   }
 
@@ -156,10 +152,10 @@ class SearchEngine {
   void set_scratch(algebra::PatternScratch* scratch) { scratch_ = scratch; }
 
   /// Explores one pinned root: order[0] is mapped to `root` only, and the
-  /// root's matches, stamps, tries and status land in `run`. Counters keep
-  /// accumulating across calls (one Flush per engine when the worker's
-  /// batch ends). The DFS fills local lists, so `run`, which shares cache
-  /// lines with the neighbouring roots other workers run, is written once.
+  /// root's matches, stamps, tries and status land in `run`. The engine's
+  /// counts keep accumulating across calls. The DFS fills local lists, so
+  /// `run`, which shares cache lines with the neighbouring roots other
+  /// workers run, is written once.
   void RunRoot(NodeId root, RootRun* run) {
     std::vector<algebra::MatchedGraph> matches;
     std::vector<uint64_t> stamps;
@@ -179,35 +175,9 @@ class SearchEngine {
     run->status = status_;
   }
 
-  /// Counters accumulate in `local_` during the DFS (register increments,
-  /// no sharing); one flush at the end feeds the caller's stats and the
-  /// metrics registry. Run() flushes itself; RunRoot callers flush once
-  /// per engine after their last root.
-  void Flush() {
-    if (stats_ != nullptr) {
-      stats_->steps += local_.steps;
-      stats_->edge_checks += local_.edge_checks;
-      stats_->backtracks += local_.backtracks;
-      stats_->truncated |= local_.truncated;
-      stats_->governor_tripped |= local_.governor_tripped;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("match.search.steps")->Increment(local_.steps);
-      metrics_->GetCounter("match.search.edge_checks")
-          ->Increment(local_.edge_checks);
-      metrics_->GetCounter("match.search.backtracks")
-          ->Increment(local_.backtracks);
-      metrics_->GetCounter("match.search.matches")->Increment(emitted_);
-      if (local_.truncated) {
-        metrics_->GetCounter("match.search.truncated")->Increment();
-      }
-      if (local_csr_probes_ != 0) {
-        metrics_->GetCounter("match.search.csr_edge_probes")
-            ->Increment(local_csr_probes_);
-        local_csr_probes_ = 0;
-      }
-    }
-  }
+  /// What the engine did across its runs, counted in plain fields (no
+  /// sharing) during the DFS.
+  const SearchStats& stats() const { return stats_; }
 
  private:
   /// Charges the next `n` candidate tries with exactly the outcome of n
@@ -217,14 +187,14 @@ class SearchEngine {
   /// false when the search must stop.
   bool ChargeTries(uint64_t n) {
     if (n == 0) return true;
-    local_.steps += n;
+    stats_.steps += n;
     if (ledger_ != nullptr) return ledger_->Charge(n);
     if (options_.governor == nullptr) return true;
     const uint64_t accepted =
         options_.governor->ChargeEach(n, GovernPoint::kSearch);
     if (accepted == n) return true;
-    local_.steps -= n - accepted - 1;
-    local_.governor_tripped = true;
+    stats_.steps -= n - accepted - 1;
+    stats_.governor_tripped = true;
     return false;
   }
 
@@ -235,7 +205,7 @@ class SearchEngine {
   EdgeId FindCompatibleEdge(EdgeId pe, NodeId from, NodeId to) {
     SymbolId want_tag = pattern_.edge_tag_sym(pe);
     for (const GraphSnapshot::AdjEntry& a : snap_.EdgesBetween(from, to)) {
-      ++local_csr_probes_;
+      ++stats_.csr_edge_probes;
       if (want_tag != kNoSymbol && a.tag_sym != want_tag) continue;
       bool compatible =
           scratch_ != nullptr
@@ -260,7 +230,7 @@ class SearchEngine {
         from = v;
         to = v;
       }
-      ++local_.edge_checks;
+      ++stats_.edge_checks;
       if (!snap_.HasEdgeBetween(from, to)) return false;
       if (trivial_edge_[pe]) {
         edge_assign_[pe] = kInvalidEdge;  // Resolved lazily on emit.
@@ -288,7 +258,7 @@ class SearchEngine {
       }
     }
     ++matches_;
-    ++emitted_;
+    ++stats_.matches;
     // Account the emitted mapping vectors against the memory budget; the
     // reservation lives until the governor is re-armed (matches belong to
     // the query's transient result set).
@@ -301,7 +271,7 @@ class SearchEngine {
     out_->push_back(std::move(m));
     if (!options_.exhaustive) return false;
     if (matches_ >= options_.max_matches) {
-      local_.truncated = true;
+      stats_.truncated = true;
       return false;
     }
     return true;
@@ -315,7 +285,7 @@ class SearchEngine {
     bool keep_going = Dfs(pos + 1);
     used_[v] = 0;
     assign_[u] = kInvalidNode;
-    ++local_.backtracks;
+    ++stats_.backtracks;
     return keep_going;
   }
 
@@ -401,7 +371,7 @@ class SearchEngine {
     const NodeId* cursor = begin;     // lower_bound start for the next hit.
     NodeId prev = kInvalidNode;
     for (const GraphSnapshot::AdjEntry& a : run) {
-      ++local_csr_probes_;
+      ++stats_.csr_edge_probes;
       if (a.node == prev) continue;  // Parallel-edge repeat.
       prev = a.node;
       cursor = std::lower_bound(cursor, end, a.node);
@@ -428,8 +398,6 @@ class SearchEngine {
   const std::vector<NodeId>& order_;
   const MatchOptions& options_;
   std::vector<algebra::MatchedGraph>* out_ = nullptr;
-  SearchStats* stats_;
-  obs::MetricsRegistry* metrics_;
   TaskLedger* ledger_ = nullptr;
   std::vector<uint64_t>* stamps_ = nullptr;  ///< Per-root match stamps.
   algebra::PatternScratch* scratch_ = nullptr;
@@ -441,21 +409,29 @@ class SearchEngine {
   std::vector<int> position_;
   std::vector<std::vector<EdgeId>> back_edges_;
   std::vector<char> trivial_edge_;
-  SearchStats local_;
-  uint64_t local_csr_probes_ = 0;  ///< CSR edge-run entries examined.
+  SearchStats stats_;
   size_t matches_ = 0;   ///< Matches this run (reset per pinned root).
-  size_t emitted_ = 0;   ///< Matches across the engine's lifetime.
   Status status_;
 };
 
 }  // namespace
 
+void SearchStats::Add(const SearchStats& other) {
+  steps += other.steps;
+  edge_checks += other.edge_checks;
+  backtracks += other.backtracks;
+  matches += other.matches;
+  csr_edge_probes += other.csr_edge_probes;
+  truncated |= other.truncated;
+  governor_tripped |= other.governor_tripped;
+}
+
 Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
-    SearchStats* stats, obs::MetricsRegistry* metrics, int num_threads,
-    ThreadPool* pool, ThreadPool::RunStats* run_stats) {
+    SearchStats* stats, int num_threads, ThreadPool* pool,
+    ThreadPool::RunStats* run_stats) {
   for (const std::vector<NodeId>& phi : candidates) {
     if (std::adjacent_find(phi.begin(), phi.end(),
                            std::greater_equal<NodeId>()) != phi.end()) {
@@ -468,9 +444,10 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   if (workers < 2 || pattern.graph().NumNodes() == 0 ||
       order.size() != pattern.graph().NumNodes()) {
     std::vector<algebra::MatchedGraph> out;
-    SearchEngine engine(pattern, data, *snap, candidates, order, options,
-                        stats, metrics);
-    GQL_RETURN_IF_ERROR(engine.Run(&out));
+    SearchEngine engine(pattern, data, *snap, candidates, order, options);
+    Status status = engine.Run(&out);
+    if (stats != nullptr) stats->Add(engine.stats());
+    GQL_RETURN_IF_ERROR(status);
     return out;
   }
   const std::vector<NodeId>& roots = candidates[order[0]];
@@ -482,10 +459,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   std::vector<RootRun> runs(n);
   struct WorkerState {
     std::unique_ptr<SearchEngine> engine;
-    std::unique_ptr<obs::MetricsRegistry> metric_shard;
     algebra::PatternScratch scratch;
     TaskLedger ledger;
-    SearchStats stats;
   };
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
 
@@ -515,12 +490,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     WorkerState& s = ws[static_cast<size_t>(w)];
     if (s.engine == nullptr) {
       s.ledger = budget;
-      if (metrics != nullptr) {
-        s.metric_shard = std::make_unique<obs::MetricsRegistry>();
-      }
-      s.engine = std::make_unique<SearchEngine>(
-          pattern, data, *snap, candidates, order, options, &s.stats,
-          s.metric_shard.get());
+      s.engine = std::make_unique<SearchEngine>(pattern, data, *snap,
+                                                candidates, order, options);
       s.engine->set_ledger(&s.ledger);
       s.engine->set_scratch(&s.scratch);
     }
@@ -529,17 +500,10 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   };
   ThreadPool::RunStats run = tp.ParallelFor(n, workers, run_root);
 
-  for (WorkerState& s : ws) {
-    if (s.engine == nullptr) continue;
-    s.engine->Flush();
-    if (stats != nullptr) {
-      stats->steps += s.stats.steps;
-      stats->edge_checks += s.stats.edge_checks;
-      stats->backtracks += s.stats.backtracks;
-    }
-    if (metrics != nullptr && s.metric_shard != nullptr) {
-      metrics->Merge(s.metric_shard->Snapshot());
-    }
+  // The workers' counts; the merge below decides the flags.
+  SearchStats work;
+  for (const WorkerState& s : ws) {
+    if (s.engine != nullptr) work.Add(s.engine->stats());
   }
   if (run_stats != nullptr) *run_stats = std::move(run);
 
@@ -592,11 +556,9 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     if (!replay(root)) break;
   }
   if (stats != nullptr) {
-    stats->truncated |= truncated;
-    stats->governor_tripped |= tripped;
-  }
-  if (metrics != nullptr && truncated) {
-    metrics->GetCounter("match.search.truncated")->Increment();
+    work.truncated = truncated;
+    work.governor_tripped = tripped;
+    stats->Add(work);
   }
   if (!status.ok()) return status;
   return out;

@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "graph/snapshot.h"
-#include "obs/metrics.h"
 
 namespace graphql::match {
 
@@ -34,8 +33,15 @@ struct SearchStats {
   uint64_t steps = 0;           ///< Candidate nodes tried (Search loop).
   uint64_t edge_checks = 0;     ///< Check() edge probes.
   uint64_t backtracks = 0;      ///< Assignments undone during the DFS.
+  /// Matches found, including speculative parallel ones the root-order
+  /// merge discards.
+  uint64_t matches = 0;
+  uint64_t csr_edge_probes = 0;  ///< CSR edge-run entries examined.
   bool truncated = false;       ///< Stopped due to max_matches.
   bool governor_tripped = false;  ///< Governor deadline/cancel/budget trip.
+
+  /// Adds another search's counts; the flags are or-ed.
+  void Add(const SearchStats& other);
 };
 
 /// The basic graph pattern matching search (Algorithm 4.1, second phase):
@@ -60,26 +66,25 @@ struct SearchStats {
 /// `num_threads` resolving to two or more workers (`pool` null = the
 /// shared pool) hands the roots Phi(order[0]) to the workers in ascending
 /// order (the caller participates; see ThreadPool), each root explored by
-/// an independent DFS with per-worker match state and metric shard. Workers
-/// never charge the governor: each root counts its tries and match bytes
-/// in a TaskLedger, and the calling thread merges the per-root lists in
-/// root order, replaying the serial run's governor calls as it goes. The
+/// an independent DFS with per-worker match state. Workers never charge
+/// the governor: each root counts its tries and match bytes in a
+/// TaskLedger, and the calling thread merges the per-root lists in root
+/// order, replaying the serial run's governor calls as it goes. The
 /// returned matches — set AND ordering — the governor's steps, memory
 /// and trip, `governor_tripped` and `truncated` therefore equal the
 /// serial run's at any thread count (max_matches truncation, first-match
 /// mode, error precedence, step, memory and fault trips included; a
 /// deadline or cancel trip still cuts a prefix in root order, at a
-/// timing-dependent point). `steps`, `edge_checks` and `backtracks` count
-/// the work the workers actually did. A worker skips root r once finished
-/// roots before r hold the cap (max_matches, or 1 in first-match mode) or
-/// have used the step or memory budget left when the search started: the
-/// merge would discard r. `run_stats`, when given, receives the fan-out's
-/// RunStats.
+/// timing-dependent point). `steps`, `edge_checks`, `backtracks`,
+/// `matches` and `csr_edge_probes` count the work the workers actually
+/// did. A worker skips root r once finished roots before r hold the cap
+/// (max_matches, or 1 in first-match mode) or have used the step or
+/// memory budget left when the search started: the merge would discard r.
+/// `run_stats`, when given, receives the fan-out's RunStats.
 ///
-/// Counters are accumulated locally during the DFS and flushed once into
-/// `metrics` (match.search.{steps, edge_checks, backtracks, matches,
-/// csr_edge_probes}) when the search finishes, so instrumentation adds no
-/// per-step synchronization.
+/// Counts accumulate in each engine during the DFS and are added to
+/// `stats` once the search finishes, so counting adds no per-step
+/// synchronization.
 ///
 /// Edge probes run over the data graph's compiled snapshot (CSR runs and
 /// interned tags), fetched here through data.snapshot().
@@ -87,9 +92,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options = {},
-    SearchStats* stats = nullptr, obs::MetricsRegistry* metrics = nullptr,
-    int num_threads = 0, ThreadPool* pool = nullptr,
-    ThreadPool::RunStats* run_stats = nullptr);
+    SearchStats* stats = nullptr, int num_threads = 0,
+    ThreadPool* pool = nullptr, ThreadPool::RunStats* run_stats = nullptr);
 
 /// The declaration-order permutation 0..k-1 (search "w/o optimized order").
 std::vector<NodeId> DeclarationOrder(const algebra::GraphPattern& pattern);

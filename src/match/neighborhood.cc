@@ -139,12 +139,9 @@ struct SubIsoState {
 
 bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
                                const NeighborhoodSubgraph& data,
-                               obs::MetricsRegistry* metrics,
-                               ResourceGovernor* governor,
-                               TaskLedger* ledger) {
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.neighborhood.tests")->Increment();
-  }
+                               ResourceGovernor* governor, TaskLedger* ledger,
+                               NeighborhoodStats* stats) {
+  if (stats != nullptr) ++stats->tests;
   const Graph& q = query.sub;
   const Graph& d = data.sub;
   if (q.NumNodes() > d.NumNodes() || q.NumEdges() > d.NumEdges()) {
@@ -183,11 +180,9 @@ bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
     if (!seen[v]) order.push_back(static_cast<NodeId>(v));
   }
   bool found = state.Dfs(0, order);
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.neighborhood.steps")->Increment(state.steps);
-    if (state.budget_hit) {
-      metrics->GetCounter("match.neighborhood.budget_hits")->Increment();
-    }
+  if (stats != nullptr) {
+    stats->steps += state.steps;
+    stats->budget_hits += state.budget_hit ? 1 : 0;
   }
   return found;
 }

@@ -1,12 +1,12 @@
 #ifndef GRAPHQL_MATCH_NEIGHBORHOOD_H_
 #define GRAPHQL_MATCH_NEIGHBORHOOD_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/governor.h"
 #include "common/symbols.h"
 #include "graph/graph.h"
-#include "obs/metrics.h"
 
 namespace graphql::match {
 
@@ -33,6 +33,19 @@ NeighborhoodSubgraph ExtractNeighborhood(const Graph& g, NodeId v, int radius,
 NeighborhoodSubgraph ExtractNeighborhood(const Graph& g, NodeId v,
                                          int radius);
 
+/// What a run of neighborhood sub-isomorphism tests did.
+struct NeighborhoodStats {
+  uint64_t tests = 0;        ///< Tests run.
+  uint64_t steps = 0;        ///< DFS steps they took.
+  uint64_t budget_hits = 0;  ///< Tests a refused charge cut short.
+
+  void Add(const NeighborhoodStats& other) {
+    tests += other.tests;
+    steps += other.steps;
+    budget_hits += other.budget_hits;
+  }
+};
+
 /// The neighborhood-subgraph pruning test (Section 4.2): true if the
 /// query neighborhood is sub-isomorphic to the data neighborhood with the
 /// centers mapped to each other. Nodes match when the query node has no
@@ -45,15 +58,13 @@ NeighborhoodSubgraph ExtractNeighborhood(const Graph& g, NodeId v,
 /// When `ledger` is given (parallel retrieve tasks), steps are counted
 /// there instead and `governor` is not touched.
 ///
-/// When `metrics` is given, the test emits match.neighborhood.{tests,
-/// steps, budget_hits} counters. They count tests run: a governed
-/// parallel retrieve also counts the tests its workers ran past the
-/// serial stop and the ones its replay re-ran.
+/// When `stats` is given, the test counts itself, its steps and a budget
+/// hit there.
 bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
                                const NeighborhoodSubgraph& data,
-                               obs::MetricsRegistry* metrics = nullptr,
                                ResourceGovernor* governor = nullptr,
-                               TaskLedger* ledger = nullptr);
+                               TaskLedger* ledger = nullptr,
+                               NeighborhoodStats* stats = nullptr);
 
 }  // namespace graphql::match
 

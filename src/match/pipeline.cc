@@ -4,6 +4,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "match/vectorized.h"
 
@@ -146,6 +148,83 @@ void EmitWorkerLanes(obs::Tracer* tracer,
   }
 }
 
+/// One MatchPattern or RetrieveCandidates call: its stats, and what the
+/// registry write needs beyond them.
+struct Call {
+  PipelineStats stats;
+  bool retrieved = false;  ///< Retrieve got past its empty and trip exits.
+  bool refined = false;    ///< Refinement ran.
+  bool searched = false;   ///< The search engine ran.
+  const GraphSnapshot* built = nullptr;  ///< A snapshot this call compiled.
+  const char* trip = nullptr;  ///< Point of a governor trip it caused.
+  int64_t us = -1;             ///< MatchPattern's wall time.
+};
+
+/// The one place selection writes the metrics registry: one call's counts
+/// under their match.*, snapshot.* and governor.* names, each stage's only
+/// when that stage ran.
+void RecordCall(const Call& call, const PipelineOptions& options) {
+  obs::MetricsRegistry* metrics = options.metrics;
+  if (metrics == nullptr) return;
+  auto add = [metrics](std::string_view name, uint64_t n) {
+    metrics->GetCounter(name)->Increment(n);
+  };
+  // A counter only some calls move is created by the first of them.
+  auto add_nonzero = [&add](std::string_view name, uint64_t n) {
+    if (n != 0) add(name, n);
+  };
+  if (call.built != nullptr) {
+    add("snapshot.builds", 1);
+    add("snapshot.bytes", call.built->bytes());
+    metrics->GetHistogram("snapshot.build_us")
+        ->Record(static_cast<uint64_t>(call.built->build_micros()));
+  }
+  const PipelineStats& s = call.stats;
+  if (call.retrieved) {
+    const RetrieveStats& r = s.retrieve;
+    add_nonzero("match.bytecode.pred_compiled", r.pred_compiled);
+    add_nonzero("match.bytecode.pred_fallback", r.pred_fallback);
+    add_nonzero("match.retrieve.scans", r.scans);
+    add("match.retrieve.feasible_hits", r.feasible_hits);
+    add("match.retrieve.feasible_misses", r.feasible_misses);
+    // Indexed retrieval reports what its candidate mode pruned.
+    if (r.scans == 0 && options.candidate_mode != CandidateMode::kLabelOnly) {
+      add(options.candidate_mode == CandidateMode::kProfile
+              ? "match.retrieve.profile_pruned"
+              : "match.retrieve.neighborhood_pruned",
+          r.pruned);
+    }
+    if (r.neighborhood.tests != 0) {
+      add("match.neighborhood.tests", r.neighborhood.tests);
+      add("match.neighborhood.steps", r.neighborhood.steps);
+    }
+    add_nonzero("match.neighborhood.budget_hits", r.neighborhood.budget_hits);
+  }
+  if (call.refined) {
+    add("match.refine.bipartite_checks", s.refine.bipartite_checks);
+    add("match.refine.removed", s.refine.removed);
+    add("match.refine.dirty_skips", s.refine.dirty_skips);
+    add("match.refine.levels", static_cast<uint64_t>(s.refine.levels_run));
+  }
+  if (s.refine_degraded) add("governor.degrade.refine", 1);
+  if (call.searched) {
+    add("match.search.steps", s.search.steps);
+    add("match.search.edge_checks", s.search.edge_checks);
+    add("match.search.backtracks", s.search.backtracks);
+    add("match.search.matches", s.search.matches);
+    add_nonzero("match.search.truncated", s.search.truncated ? 1 : 0);
+    add_nonzero("match.search.csr_edge_probes", s.search.csr_edge_probes);
+  }
+  if (call.trip != nullptr) {
+    add(std::string("governor.trip.") + call.trip, 1);
+  }
+  if (call.us >= 0) {
+    add("match.queries", 1);
+    metrics->GetHistogram("match.query.us")
+        ->Record(static_cast<uint64_t>(call.us));
+  }
+}
+
 /// Index-less retrieval: every data node is a base candidate, so each
 /// pattern node runs the bitmap kernel over the whole graph and iterates
 /// the surviving bits in ascending node order. Allocates one plan, one
@@ -153,19 +232,18 @@ void EmitWorkerLanes(obs::Tracer* tracer,
 /// small member graph of a collection scan.
 std::vector<std::vector<NodeId>> ScanAllNodes(
     const algebra::GraphPattern& pattern, const Graph& data,
-    const GraphSnapshot& snap, const PipelineOptions& options,
-    PipelineStats* stats) {
+    const GraphSnapshot& snap, const PipelineOptions& options, Call* call) {
   const size_t k = pattern.graph().NumNodes();
   const size_t n = snap.num_nodes();
   std::vector<std::vector<NodeId>> out(k);
-  if (stats != nullptr) {
-    stats->size_attr.assign(k, 0);
-    stats->size_retrieved.assign(k, 0);
-  }
+  PipelineStats& stats = call->stats;
+  stats.size_attr.assign(k, 0);
+  stats.size_retrieved.assign(k, 0);
   // Bulk-charge the scan's probes; on a trip return empty candidate lists
   // (the search then finds nothing — partial-result semantics).
   if (!GovCharge(options.governor, k * n, GovernPoint::kRetrieve)) return out;
-  SelectionPlan plan(pattern, snap, options.metrics);
+  call->retrieved = true;
+  SelectionPlan plan(pattern, snap);
   PackedBits bits(2, n);
   algebra::PatternScratch scratch;
   size_t kept = 0;
@@ -179,18 +257,15 @@ std::vector<std::vector<NodeId>> ScanAllNodes(
       return true;
     });
     kept += out[u].size();
-    if (stats != nullptr) {
-      stats->size_attr[u] = out[u].size();
-      stats->size_retrieved[u] = out[u].size();
-    }
+    stats.size_attr[u] = out[u].size();
+    stats.size_retrieved[u] = out[u].size();
   }
-  if (options.metrics != nullptr) {
-    obs::MetricsRegistry* metrics = options.metrics;
-    metrics->GetCounter("match.retrieve.scans")->Increment();
-    metrics->GetCounter("match.retrieve.feasible_hits")->Increment(kept);
-    metrics->GetCounter("match.retrieve.feasible_misses")
-        ->Increment(k * n - kept);
-  }
+  RetrieveStats& r = stats.retrieve;
+  r.scans += 1;
+  r.feasible_hits += kept;
+  r.feasible_misses += k * n - kept;
+  r.pred_compiled += plan.preds_compiled();
+  r.pred_fallback += plan.preds_fallback();
   return out;
 }
 
@@ -210,17 +285,17 @@ std::vector<std::vector<NodeId>> ScanAllNodes(
 std::vector<std::vector<NodeId>> RetrieveIndexed(
     const algebra::GraphPattern& pattern, const Graph& data,
     const GraphSnapshot& snap, const LabelIndex& index,
-    const PipelineOptions& options, PipelineStats* stats,
+    const PipelineOptions& options, Call* call,
     ThreadPool::RunStats* run_stats) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   std::vector<std::vector<NodeId>> out(k);
-  if (stats != nullptr) {
-    stats->size_attr.assign(k, 0);
-    stats->size_retrieved.assign(k, 0);
-  }
+  PipelineStats& stats = call->stats;
+  RetrieveStats& counts = stats.retrieve;
+  stats.size_attr.assign(k, 0);
+  stats.size_retrieved.assign(k, 0);
   if (k == 0) return out;
-  obs::MetricsRegistry* metrics = options.metrics;
+  call->retrieved = true;
   ResourceGovernor* gov = options.governor;
   const int workers = ResolveWorkers(options.num_threads, options.pool);
   const bool parallel = workers > 1;
@@ -228,8 +303,10 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   // One read-only plan shared by every worker. A labelled node's base list
   // is its label's posting list; built from this very snapshot, the index
   // guarantees the label, so the plan does not re-check it.
-  SelectionPlan plan(pattern, snap, metrics,
+  SelectionPlan plan(pattern, snap,
                      /*label_lists=*/&index.snapshot() == &snap);
+  counts.pred_compiled += plan.preds_compiled();
+  counts.pred_fallback += plan.preds_fallback();
   std::vector<NodeId> all_nodes;
   std::vector<std::vector<NodeId>> owned_base(k);
   std::vector<const std::vector<NodeId>*> base(k, nullptr);
@@ -275,8 +352,7 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
 
   struct Worker {
     TaskLedger ledger;  // Parallel: the node's charges, for the replay.
-    obs::MetricsRegistry* metrics = nullptr;  // Neighborhood-test counters.
-    std::unique_ptr<obs::MetricsRegistry> metric_shard;
+    NeighborhoodStats tests;
     algebra::PatternScratch scratch;
   };
   // Parallel, per pattern node: the list the neighborhood tests ran over,
@@ -313,9 +389,9 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
     } else if (use_neighborhoods) {
       for (NodeId v : stage) {
         const uint64_t before = w.ledger.steps();
-        if (NeighborhoodSubIsomorphic(want_nbh[u], index.neighborhood(v),
-                                      w.metrics, gov,
-                                      parallel ? &w.ledger : nullptr)) {
+        if (NeighborhoodSubIsomorphic(want_nbh[u], index.neighborhood(v), gov,
+                                      parallel ? &w.ledger : nullptr,
+                                      &w.tests)) {
           out[u].push_back(v);
         }
         if (!parallel) continue;
@@ -334,7 +410,6 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   std::vector<Worker> ws(parallel ? static_cast<size_t>(workers) : 1);
   size_t scanned = 0;  // Nodes the serial loop scans; later lists stay empty.
   if (!parallel) {
-    ws[0].metrics = metrics;
     // One charge per feasible-mate probe; on a trip the remaining
     // candidate lists stay empty (partial-result semantics).
     for (; scanned < k; ++scanned) {
@@ -345,13 +420,7 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
     }
   } else {
     const TaskLedger budget(gov);
-    for (Worker& w : ws) {
-      w.ledger = budget;
-      if (metrics != nullptr && use_neighborhoods) {
-        w.metric_shard = std::make_unique<obs::MetricsRegistry>();
-        w.metrics = w.metric_shard.get();
-      }
-    }
+    for (Worker& w : ws) w.ledger = budget;
     ThreadPool& tp =
         options.pool != nullptr ? *options.pool : ThreadPool::Shared();
     ThreadPool::RunStats run =
@@ -361,9 +430,6 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
           if (s.ledger.Charge(base[u]->size())) scan(u, s);
           runs[u].stopped = s.ledger.stopped();
         });
-    for (Worker& w : ws) {
-      if (w.metric_shard != nullptr) metrics->Merge(w.metric_shard->Snapshot());
-    }
     if (run_stats != nullptr) *run_stats = std::move(run);
     // The serial loop's governor calls, node by node. Where they stop it
     // inside node u, serial keeps the verdicts of the tests before the
@@ -393,8 +459,8 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
       out[u].resize(kept);
       for (size_t j = i; j < r.stage.size(); ++j) {
         if (NeighborhoodSubIsomorphic(want_nbh[u],
-                                      index.neighborhood(r.stage[j]), metrics,
-                                      gov)) {
+                                      index.neighborhood(r.stage[j]), gov,
+                                      nullptr, &counts.neighborhood)) {
           out[u].push_back(r.stage[j]);
         }
       }
@@ -403,37 +469,21 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   }
 
   // Sizes and scan counters describe the lists returned, so they equal
-  // serial's at any thread count. match.neighborhood.* instead counts the
-  // tests run, the workers' past the serial stop and the replay's re-runs
-  // included, as match.search.steps counts the tries run.
-  uint64_t feasible_hits = 0;
-  uint64_t feasible_misses = 0;
-  uint64_t pruned = 0;  // By profiles or neighborhood subgraphs.
+  // serial's at any thread count. The neighborhood counts instead cover
+  // the tests run, the workers' past the serial stop and the replay's
+  // re-runs included, as the search's steps count the tries run.
+  for (const Worker& w : ws) counts.neighborhood.Add(w.tests);
   for (size_t u = 0; u < k; ++u) {
     if (u < scanned) {
-      feasible_hits += feasible[u];
-      feasible_misses += base[u]->size() - feasible[u];
-      pruned += feasible[u] - out[u].size();
+      counts.feasible_hits += feasible[u];
+      counts.feasible_misses += base[u]->size() - feasible[u];
+      counts.pruned += feasible[u] - out[u].size();
     } else {
       out[u].clear();
       feasible[u] = 0;
     }
-    if (stats != nullptr) {
-      stats->size_attr[u] = feasible[u];
-      stats->size_retrieved[u] = out[u].size();
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.retrieve.feasible_hits")
-        ->Increment(feasible_hits);
-    metrics->GetCounter("match.retrieve.feasible_misses")
-        ->Increment(feasible_misses);
-    if (options.candidate_mode == CandidateMode::kProfile) {
-      metrics->GetCounter("match.retrieve.profile_pruned")->Increment(pruned);
-    } else if (options.candidate_mode == CandidateMode::kNeighborhood) {
-      metrics->GetCounter("match.retrieve.neighborhood_pruned")
-          ->Increment(pruned);
-    }
+    stats.size_attr[u] = feasible[u];
+    stats.size_retrieved[u] = out[u].size();
   }
   return out;
 }
@@ -452,6 +502,39 @@ const char* CandidateModeName(CandidateMode mode) {
   return "?";
 }
 
+void RetrieveStats::Add(const RetrieveStats& other) {
+  scans += other.scans;
+  feasible_hits += other.feasible_hits;
+  feasible_misses += other.feasible_misses;
+  pruned += other.pruned;
+  neighborhood.Add(other.neighborhood);
+  pred_compiled += other.pred_compiled;
+  pred_fallback += other.pred_fallback;
+}
+
+void PipelineStats::Add(PipelineStats later) {
+  size_attr = std::move(later.size_attr);
+  size_retrieved = std::move(later.size_retrieved);
+  size_refined = std::move(later.size_refined);
+  us_retrieve += later.us_retrieve;
+  us_refine += later.us_refine;
+  us_order += later.us_order;
+  us_search += later.us_search;
+  retrieve.Add(later.retrieve);
+  search.Add(later.search);
+  refine.Add(later.refine);
+  num_matches = later.num_matches;
+  order = std::move(later.order);
+  refine_degraded |= later.refine_degraded;
+  threads = later.threads;
+  tasks_stolen += later.tasks_stolen;
+  members += later.members;
+  sum_candidates_attr += later.sum_candidates_attr;
+  sum_candidates_retrieved += later.sum_candidates_retrieved;
+  sum_candidates_refined += later.sum_candidates_refined;
+  est_cost += later.est_cost;
+}
+
 double PipelineStats::Space(const std::vector<size_t>& sizes) {
   double space = sizes.empty() ? 0.0 : 1.0;
   for (size_t s : sizes) space *= static_cast<double>(s);
@@ -463,10 +546,14 @@ std::vector<std::vector<NodeId>> RetrieveCandidates(
     const LabelIndex* index, const PipelineOptions& options,
     PipelineStats* stats) {
   std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
-  return index != nullptr
-             ? RetrieveIndexed(pattern, data, *snap, *index, options, stats,
-                               /*run_stats=*/nullptr)
-             : ScanAllNodes(pattern, data, *snap, options, stats);
+  Call call;
+  std::vector<std::vector<NodeId>> out =
+      index != nullptr ? RetrieveIndexed(pattern, data, *snap, *index, options,
+                                         &call, /*run_stats=*/nullptr)
+                       : ScanAllNodes(pattern, data, *snap, options, &call);
+  RecordCall(call, options);
+  if (stats != nullptr) stats->Add(std::move(call.stats));
+  return out;
 }
 
 Result<std::vector<algebra::MatchedGraph>> MatchPattern(
@@ -475,7 +562,6 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     PipelineStats* stats) {
   const size_t k = pattern.graph().NumNodes();
   obs::Tracer* tracer = options.tracer;
-  obs::MetricsRegistry* metrics = options.metrics;
   ResourceGovernor* gov = options.governor;
   // Trip counters are emitted on the not-tripped -> tripped transition so
   // collection loops over many member graphs count each trip once.
@@ -483,18 +569,22 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   // Intra-query parallelism: 0 or 1 runs every stage on the calling
   // thread; parallel runs produce the serial answer.
   const int workers = ResolveWorkers(options.num_threads, options.pool);
+  Call call;
+  PipelineStats& s = call.stats;
+  if (stats != nullptr) {
+    // Refill the caller's candidate-size lists rather than allocate new
+    // ones for every member graph of a select; Add hands them back.
+    s.size_attr.swap(stats->size_attr);
+    s.size_retrieved.swap(stats->size_retrieved);
+    s.size_refined.swap(stats->size_refined);
+  }
 
   // Compile (or fetch) the data graph's snapshot on the coordinator before
   // any fan-out, so worker threads only ever read the finished immutable
   // structure.
   bool snap_fresh = false;
   std::shared_ptr<const GraphSnapshot> snap = data.snapshot(&snap_fresh);
-  if (snap_fresh && metrics != nullptr) {
-    metrics->GetCounter("snapshot.builds")->Increment();
-    metrics->GetCounter("snapshot.bytes")->Increment(snap->bytes());
-    metrics->GetHistogram("snapshot.build_us")
-        ->Record(static_cast<uint64_t>(snap->build_micros()));
-  }
+  if (snap_fresh) call.built = snap.get();
   // A freshly compiled snapshot is new memory this query caused; account
   // it for the query's duration. Cache hits were paid for by the query
   // that built them.
@@ -522,8 +612,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   ThreadPool::RunStats retrieve_run;
   std::vector<std::vector<NodeId>> candidates =
       index != nullptr ? RetrieveIndexed(pattern, data, *snap, *index, options,
-                                         stats, &retrieve_run)
-                       : ScanAllNodes(pattern, data, *snap, options, stats);
+                                         &call, &retrieve_run)
+                       : ScanAllNodes(pattern, data, *snap, options, &call);
   if (retrieve_span.active()) {
     size_t total = 0;
     for (const auto& c : candidates) total += c.size();
@@ -541,58 +631,43 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   obs::Span refine_span(tracer, "refine", obs::Span::Timing::kAlways);
   int level = options.refine_level;
   if (level < 0) level = static_cast<int>(k);
-  RefineStats refine_stats;
-  bool refine_degraded = false;
-  if (level > 0 && GovOk(gov)) {
+  if (level > 0 && k > 0 && GovOk(gov)) {
+    call.refined = true;
     // Snapshot the candidate sets so a degradable budget trip can fall
     // back to the exact unrefined space; skipped for ungoverned queries.
     std::vector<std::vector<NodeId>> snapshot;
     const bool can_degrade = gov != nullptr && gov->HasLimits();
     if (can_degrade) snapshot = candidates;
-    RefineSearchSpace(pattern, *snap, level, &candidates, &refine_stats,
-                      options.refine_use_marking, metrics, gov);
-    if (refine_stats.aborted && can_degrade && gov->DegradableTrip()) {
+    RefineSearchSpace(pattern, *snap, level, &candidates, &s.refine,
+                      options.refine_use_marking, gov);
+    if (s.refine.aborted && can_degrade && gov->DegradableTrip()) {
       candidates = std::move(snapshot);
-      gov->RefundSteps(refine_stats.pairs_charged);
+      gov->RefundSteps(s.refine.pairs_charged);
       gov->ClearDegradableTrip();
       gov->NoteDegradation(
           "refine: budget exhausted; fell back to unrefined candidate sets");
-      refine_degraded = true;
-      if (metrics != nullptr) {
-        metrics->GetCounter("governor.degrade.refine")->Increment();
-      }
+      s.refine_degraded = true;
     }
   }
   if (refine_span.active()) {
     refine_span.SetAttr("level", static_cast<int64_t>(level));
     refine_span.SetAttr("bipartite_checks",
-                        static_cast<int64_t>(refine_stats.bipartite_checks));
-    refine_span.SetAttr("removed",
-                        static_cast<int64_t>(refine_stats.removed));
+                        static_cast<int64_t>(s.refine.bipartite_checks));
+    refine_span.SetAttr("removed", static_cast<int64_t>(s.refine.removed));
     refine_span.SetAttr("dirty_skips",
-                        static_cast<int64_t>(refine_stats.dirty_skips));
-    if (refine_degraded) refine_span.SetAttr("degraded", "fallback-unrefined");
-  }
-  refine_span.End();
-  if (stats != nullptr) {
-    stats->refine.bipartite_checks += refine_stats.bipartite_checks;
-    stats->refine.removed += refine_stats.removed;
-    stats->refine.dirty_skips += refine_stats.dirty_skips;
-    stats->refine.levels_run = refine_stats.levels_run;
-    stats->refine.pairs_charged += refine_stats.pairs_charged;
-    stats->refine.aborted |= refine_stats.aborted;
-    stats->refine_degraded |= refine_degraded;
-    stats->size_refined.assign(k, 0);
-    for (size_t u = 0; u < k; ++u) {
-      stats->size_refined[u] = candidates[u].size();
+                        static_cast<int64_t>(s.refine.dirty_skips));
+    if (s.refine_degraded) {
+      refine_span.SetAttr("degraded", "fallback-unrefined");
     }
   }
+  refine_span.End();
+  s.size_refined.assign(k, 0);
+  for (size_t u = 0; u < k; ++u) s.size_refined[u] = candidates[u].size();
 
   obs::Span order_span(tracer, "order", obs::Span::Timing::kAlways);
-  std::vector<NodeId> order =
-      options.optimize_order
-          ? GreedySearchOrder(pattern, candidates, index, options.order)
-          : DeclarationOrder(pattern);
+  s.order = options.optimize_order
+                ? GreedySearchOrder(pattern, candidates, index, options.order)
+                : DeclarationOrder(pattern);
   if (order_span.active()) {
     order_span.SetAttr("strategy",
                        options.optimize_order ? "greedy-cost" : "declaration");
@@ -600,23 +675,24 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   order_span.End();
 
   obs::Span search_span(tracer, "search", obs::Span::Timing::kAlways);
-  SearchStats search_stats;
   ThreadPool::RunStats search_run;
   MatchOptions match_options = options.match;
   if (match_options.governor == nullptr) match_options.governor = gov;
+  // Retrieve's lists are ascending and the order covers the pattern, so
+  // the search engine runs whenever the pattern has a node.
+  call.searched = k > 0;
   Result<std::vector<algebra::MatchedGraph>> matches = SearchMatches(
-      pattern, data, candidates, order, match_options, &search_stats, metrics,
+      pattern, data, candidates, s.order, match_options, &s.search,
       options.num_threads, options.pool, &search_run);
+  s.num_matches = matches.ok() ? matches.value().size() : 0;
   if (search_span.active()) {
-    search_span.SetAttr("steps", static_cast<int64_t>(search_stats.steps));
+    search_span.SetAttr("steps", static_cast<int64_t>(s.search.steps));
     search_span.SetAttr("backtracks",
-                        static_cast<int64_t>(search_stats.backtracks));
+                        static_cast<int64_t>(s.search.backtracks));
     search_span.SetAttr("edge_checks",
-                        static_cast<int64_t>(search_stats.edge_checks));
-    search_span.SetAttr(
-        "matches",
-        static_cast<int64_t>(matches.ok() ? matches.value().size() : 0));
-    if (search_stats.governor_tripped) {
+                        static_cast<int64_t>(s.search.edge_checks));
+    search_span.SetAttr("matches", static_cast<int64_t>(s.num_matches));
+    if (s.search.governor_tripped) {
       search_span.SetAttr("governor_tripped", static_cast<int64_t>(1));
     }
     if (search_run.workers > 0) {
@@ -628,51 +704,33 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   EmitWorkerLanes(tracer, search_run.lanes);
   search_span.End();
 
-  const bool newly_tripped = gov != nullptr && gov->tripped() && !was_tripped;
-  if (newly_tripped && metrics != nullptr) {
-    metrics
-        ->GetCounter(std::string("governor.trip.") +
-                     GovernPointName(gov->trip_point()))
-        ->Increment();
+  if (gov != nullptr && gov->tripped() && !was_tripped) {
+    call.trip = GovernPointName(gov->trip_point());
   }
   if (query_span.active()) {
-    query_span.SetAttr(
-        "matches",
-        static_cast<int64_t>(matches.ok() ? matches.value().size() : 0));
+    query_span.SetAttr("matches", static_cast<int64_t>(s.num_matches));
     if (gov != nullptr && gov->tripped()) {
       query_span.SetAttr("governor_trip", TripKindName(gov->trip_kind()));
     }
   }
   query_span.End();
 
+  s.us_retrieve = retrieve_span.DurationMicros();
+  s.us_refine = refine_span.DurationMicros();
+  s.us_order = order_span.DurationMicros();
+  s.us_search = search_span.DurationMicros();
+  call.us = query_span.DurationMicros();
+  RecordCall(call, options);
   if (stats != nullptr) {
-    stats->us_retrieve += retrieve_span.DurationMicros();
-    stats->us_refine += refine_span.DurationMicros();
-    stats->us_order += order_span.DurationMicros();
-    stats->us_search += search_span.DurationMicros();
-    ++stats->members;
-    for (size_t v : stats->size_attr) stats->sum_candidates_attr += v;
-    for (size_t v : stats->size_retrieved) {
-      stats->sum_candidates_retrieved += v;
-    }
-    for (size_t v : stats->size_refined) stats->sum_candidates_refined += v;
-    stats->est_cost +=
-        EstimateOrderCost(pattern, stats->size_refined, order, index,
-                          options.order);
-    stats->search.steps += search_stats.steps;
-    stats->search.edge_checks += search_stats.edge_checks;
-    stats->search.backtracks += search_stats.backtracks;
-    stats->search.truncated |= search_stats.truncated;
-    stats->search.governor_tripped |= search_stats.governor_tripped;
-    stats->order = order;
-    stats->num_matches = matches.ok() ? matches.value().size() : 0;
-    stats->threads = workers;
-    stats->tasks_stolen += retrieve_run.stolen + search_run.stolen;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.queries")->Increment();
-    metrics->GetHistogram("match.query.us")
-        ->Record(static_cast<uint64_t>(query_span.DurationMicros()));
+    s.members = 1;
+    for (size_t v : s.size_attr) s.sum_candidates_attr += v;
+    for (size_t v : s.size_retrieved) s.sum_candidates_retrieved += v;
+    for (size_t v : s.size_refined) s.sum_candidates_refined += v;
+    s.est_cost = EstimateOrderCost(pattern, s.size_refined, s.order, index,
+                                   options.order);
+    s.threads = workers;
+    s.tasks_stolen = retrieve_run.stolen + search_run.stolen;
+    stats->Add(std::move(s));
   }
   return matches;
 }

@@ -12,6 +12,7 @@
 #include "match/cost.h"
 #include "match/label_index.h"
 #include "match/matcher.h"
+#include "match/neighborhood.h"
 #include "match/refine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,9 +67,10 @@ struct PipelineOptions {
   /// when that is null.
   ResourceGovernor* governor = nullptr;
   /// Metric sink for pipeline counters (search steps, pruning hits, ...).
-  /// Counters are accumulated locally and flushed once per stage, so the
-  /// default global registry costs a handful of atomic adds per query.
-  /// Null disables counter emission entirely.
+  /// Stages count into PipelineStats, and each MatchPattern or
+  /// RetrieveCandidates call writes its counts here once, so the default
+  /// global registry costs a handful of atomic adds per call. Null
+  /// disables counter emission entirely.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::Global();
   /// Destination for per-query trace trees (EXPLAIN/PROFILE). Null (the
   /// default) disables tracing; stage timings in PipelineStats are still
@@ -78,8 +80,28 @@ struct PipelineOptions {
   obs::Tracer* tracer = nullptr;
 };
 
+/// Counts of the retrieve stage, summed over calls.
+struct RetrieveStats {
+  /// Index-less retrievals, where every data node is a base candidate.
+  uint64_t scans = 0;
+  uint64_t feasible_hits = 0;    ///< Base candidates the node test kept.
+  uint64_t feasible_misses = 0;  ///< Base candidates it rejected.
+  /// Feasible candidates the candidate mode's local pruning (profiles or
+  /// neighborhood subgraphs) rejected.
+  uint64_t pruned = 0;
+  /// The tests run: a governed parallel retrieve also counts the tests its
+  /// workers ran past the serial stop and the ones its replay re-ran.
+  NeighborhoodStats neighborhood;
+  uint64_t pred_compiled = 0;  ///< Pushed conjuncts compiled to bytecode.
+  uint64_t pred_fallback = 0;  ///< Pushed conjuncts left to the AST.
+
+  void Add(const RetrieveStats& other);
+};
+
 /// Per-stage measurements for one MatchPattern run; the benchmark harness
-/// prints these to regenerate Figures 4.20-4.23.
+/// prints these to regenerate Figures 4.20-4.23. They are the only
+/// accumulator of selection counters: the metrics registry receives one
+/// call's stats at a time.
 struct PipelineStats {
   std::vector<size_t> size_attr;       ///< |Phi0(u)|: label+predicate only.
   std::vector<size_t> size_retrieved;  ///< After profile/subgraph pruning.
@@ -88,6 +110,7 @@ struct PipelineStats {
   int64_t us_refine = 0;
   int64_t us_order = 0;
   int64_t us_search = 0;
+  RetrieveStats retrieve;
   SearchStats search;
   RefineStats refine;
   size_t num_matches = 0;
@@ -114,6 +137,10 @@ struct PipelineStats {
   /// search.steps for estimated-vs-actual.
   double est_cost = 0.0;
 
+  /// Adds a later call's stats: counters and timers add, the per-call
+  /// fields (size_*, order, num_matches, threads) become the later call's.
+  void Add(PipelineStats later);
+
   /// Search-space size as a product of per-node candidate counts.
   static double Space(const std::vector<size_t>& sizes);
   double SpaceAttr() const { return Space(size_attr); }
@@ -126,15 +153,17 @@ struct PipelineStats {
 
 /// Retrieval of feasible mates (first phase of Algorithm 4.1 + Section 4.2
 /// pruning) over the data graph's compiled snapshot. Exposed separately so
-/// benchmarks can measure it; stats may be null. When `index` is null,
-/// falls back to a full scan (label-only).
+/// benchmarks can measure it; stats may be null. The call's counts are
+/// added to `stats` and written to `options.metrics` once. When `index` is
+/// null, falls back to a full scan (label-only).
 std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
     PipelineStats* stats = nullptr);
 
 /// Full selection over a single large graph: retrieve, refine, order,
-/// search. This is sigma_P({G}) with all graph-specific optimizations.
+/// search. This is sigma_P({G}) with all graph-specific optimizations. The
+/// call's stats are added to `stats` and written to `options.metrics` once.
 Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options = {},

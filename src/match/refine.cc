@@ -25,34 +25,21 @@ std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
   return out;
 }
 
-void FlushRefineStats(const RefineStats& local, RefineStats* stats,
-                      obs::MetricsRegistry* metrics) {
-  if (stats != nullptr) {
-    stats->bipartite_checks += local.bipartite_checks;
-    stats->removed += local.removed;
-    stats->dirty_skips += local.dirty_skips;
-    stats->levels_run = local.levels_run;
-    stats->pairs_charged += local.pairs_charged;
-    stats->aborted |= local.aborted;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.bipartite_checks")
-        ->Increment(local.bipartite_checks);
-    metrics->GetCounter("match.refine.removed")->Increment(local.removed);
-    metrics->GetCounter("match.refine.dirty_skips")
-        ->Increment(local.dirty_skips);
-    metrics->GetCounter("match.refine.levels")
-        ->Increment(static_cast<uint64_t>(local.levels_run));
-  }
-}
-
 }  // namespace
+
+void RefineStats::Add(const RefineStats& later) {
+  bipartite_checks += later.bipartite_checks;
+  removed += later.removed;
+  dirty_skips += later.dirty_skips;
+  levels_run = later.levels_run;
+  pairs_charged += later.pairs_charged;
+  aborted |= later.aborted;
+}
 
 void RefineSearchSpace(const algebra::GraphPattern& pattern,
                        const GraphSnapshot& snap, int level,
                        std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats, bool use_marking,
-                       obs::MetricsRegistry* metrics,
                        ResourceGovernor* governor) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
@@ -178,7 +165,7 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
                list.end());
   }
 
-  FlushRefineStats(local, stats, metrics);
+  if (stats != nullptr) stats->Add(local);
 }
 
 }  // namespace graphql::match

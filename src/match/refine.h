@@ -8,7 +8,6 @@
 #include "common/governor.h"
 #include "graph/graph.h"
 #include "graph/snapshot.h"
-#include "obs/metrics.h"
 
 namespace graphql::match {
 
@@ -24,6 +23,10 @@ struct RefineStats {
                                   ///< refined (still sound) — the pipeline
                                   ///< restores its pre-refine snapshot when
                                   ///< it wants the exact unrefined space.
+
+  /// Adds a later refinement's counts; `levels_run` becomes the later
+  /// one's.
+  void Add(const RefineStats& later);
 };
 
 /// Joint (global) reduction of the search space by pseudo subgraph
@@ -51,9 +54,6 @@ struct RefineStats {
 /// The refinement is sound: it never removes a candidate that participates
 /// in a real match (verified by property tests).
 ///
-/// When `metrics` is given, one end-of-call flush emits
-/// match.refine.{bipartite_checks, removed, dirty_skips, levels}.
-///
 /// When `governor` is given, every (u, v) pair processed charges one step
 /// to GovernPoint::kRefine and the bit matrices are accounted against the
 /// memory budget. A trip aborts the pass early with `stats->aborted` set;
@@ -64,7 +64,6 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
                        const GraphSnapshot& snap, int level,
                        std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats = nullptr, bool use_marking = true,
-                       obs::MetricsRegistry* metrics = nullptr,
                        ResourceGovernor* governor = nullptr);
 
 }  // namespace graphql::match

@@ -1,18 +1,13 @@
 #include "match/vectorized.h"
 
-#include "obs/metrics.h"
-
 namespace graphql::match {
 
 SelectionPlan::SelectionPlan(const algebra::GraphPattern& pattern,
-                             const GraphSnapshot& snap,
-                             obs::MetricsRegistry* metrics, bool label_lists)
+                             const GraphSnapshot& snap, bool label_lists)
     : pattern_(&pattern), snap_(&snap) {
   static const SymbolId kLabelAttr = SymbolTable::Global().Intern("label");
   const size_t k = pattern.graph().NumNodes();
   nodes_.resize(k);
-  uint64_t compiled = 0;
-  uint64_t fallback = 0;
   for (size_t u = 0; u < k; ++u) {
     const NodeId pu = static_cast<NodeId>(u);
     NodePlan& np = nodes_[u];
@@ -28,15 +23,8 @@ SelectionPlan::SelectionPlan(const algebra::GraphPattern& pattern,
       }
       np.reqs.push_back(Req{snap.NodeColumn(r.attr_sym), &r});
     }
-    np.preds = BuildNodePredPlan(pattern, pu, snap, &compiled, &fallback);
-  }
-  if (metrics != nullptr) {
-    if (compiled != 0) {
-      metrics->GetCounter("match.bytecode.pred_compiled")->Increment(compiled);
-    }
-    if (fallback != 0) {
-      metrics->GetCounter("match.bytecode.pred_fallback")->Increment(fallback);
-    }
+    np.preds = BuildNodePredPlan(pattern, pu, snap, &preds_compiled_,
+                                 &preds_fallback_);
   }
 }
 

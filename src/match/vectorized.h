@@ -9,10 +9,6 @@
 #include "graph/snapshot.h"
 #include "match/pred_bytecode.h"
 
-namespace graphql::obs {
-class MetricsRegistry;
-}
-
 namespace graphql::match {
 
 /// Per-(pattern, snapshot) compiled selection state: bound requirement
@@ -30,9 +26,7 @@ namespace graphql::match {
 /// share one instance (each with its own PatternScratch).
 class SelectionPlan {
  public:
-  /// Binds columns and compiles pushed predicates. When `metrics` is
-  /// non-null, bumps match.bytecode.pred_compiled / pred_fallback with the
-  /// per-conjunct coverage tallies.
+  /// Binds columns and compiles pushed predicates.
   ///
   /// With `label_lists`, the caller scans every labelled pattern node's
   /// base_label posting list of a LabelIndex built from `snap`. That list
@@ -40,9 +34,14 @@ class SelectionPlan {
   /// the node's `label` requirement. Without it the plan checks every
   /// requirement, for any base list.
   SelectionPlan(const algebra::GraphPattern& pattern, const GraphSnapshot& snap,
-                obs::MetricsRegistry* metrics, bool label_lists = false);
+                bool label_lists = false);
 
   const algebra::GraphPattern& pattern() const { return *pattern_; }
+
+  /// Pushed conjuncts compiled to bytecode, and those left to the AST
+  /// interpreter, over every pattern node.
+  uint64_t preds_compiled() const { return preds_compiled_; }
+  uint64_t preds_fallback() const { return preds_fallback_; }
 
   /// The symbol the pattern interned for u's label (the key of its
   /// posting list); kNoSymbol when u is unlabelled.
@@ -95,6 +94,8 @@ class SelectionPlan {
   const algebra::GraphPattern* pattern_;
   const GraphSnapshot* snap_;
   std::vector<NodePlan> nodes_;
+  uint64_t preds_compiled_ = 0;
+  uint64_t preds_fallback_ = 0;
 };
 
 /// Scans one base list with the per-candidate test, appending the

@@ -74,20 +74,6 @@ void Histogram::Record(uint64_t value) {
   buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
-void Histogram::Merge(const HistogramSnapshot& other) {
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum, std::memory_order_relaxed);
-  if (other.count != 0) {
-    AtomicStoreMin(&min_, other.min);
-    AtomicStoreMax(&max_, other.max);
-  }
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (other.buckets[i] != 0) {
-      buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-    }
-  }
-}
-
 void Histogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
@@ -270,15 +256,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     out.histograms[name] = s;
   }
   return out;
-}
-
-void MetricsRegistry::Merge(const MetricsSnapshot& shard) {
-  for (const auto& [name, value] : shard.counters) {
-    if (value != 0) GetCounter(name)->Increment(value);
-  }
-  for (const auto& [name, hist] : shard.histograms) {
-    if (hist.count != 0) GetHistogram(name)->Merge(hist);
-  }
 }
 
 void MetricsRegistry::Reset() {

@@ -29,8 +29,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-struct HistogramSnapshot;
-
 /// Log2-bucketed latency/size histogram: bucket 0 holds the value 0 and
 /// bucket i (1..63) holds values in [2^(i-1), 2^i). Recording is a couple
 /// of relaxed atomic adds, safe from any thread.
@@ -39,9 +37,6 @@ class Histogram {
   static constexpr int kNumBuckets = 64;
 
   void Record(uint64_t value);
-  /// Folds a snapshot of another histogram into this one (bucket-wise
-  /// adds). Used to merge per-worker metric shards after a parallel stage.
-  void Merge(const HistogramSnapshot& other);
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   /// Smallest / largest value recorded so far; 0 when empty.
@@ -121,11 +116,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(std::string_view name) GQL_EXCLUDES(mu_);
 
   MetricsSnapshot Snapshot() const GQL_EXCLUDES(mu_);
-  /// Adds every metric in `shard` into this registry (counters add,
-  /// histograms merge bucket-wise), creating metrics as needed. The
-  /// parallel pipeline stages give each worker a private registry and fold
-  /// the shards back here so hot loops never contend on shared counters.
-  void Merge(const MetricsSnapshot& shard);
   /// Zeroes every registered metric (names stay registered, and cached
   /// pointers stay valid).
   void Reset();

@@ -118,6 +118,24 @@ TEST_F(FlightTest, ExplainAnalyzePrintsEstimatesAndActuals) {
   EXPECT_NE(text->find("member graphs"), std::string::npos);
   // ANALYZE executed the program: the run reached the flight recorder.
   EXPECT_EQ(ev.recorder()->size(), 1u);
+
+  // Snapshot probes come from the select's own stats, so they are
+  // reported with no metrics sink attached.
+  auto net = motif::GraphsFromProgramSource(
+      "graph N { node a <author>; node b <author>; edge (a, b); };");
+  ASSERT_TRUE(net.ok()) << net.status();
+  GraphCollection coll;
+  coll.Add(std::move((*net)[0]));
+  docs_.Register("Net", std::move(coll));
+  Evaluator sinkless(&docs_);
+  sinkless.mutable_match_options()->metrics = nullptr;
+  auto probed = sinkless.ExplainAnalyzeSource(R"(
+    graph Q { node v1 <author>; node v2 <author>; edge (v1, v2); };
+    for Q exhaustive in doc("Net") return Q;
+  )");
+  ASSERT_TRUE(probed.ok()) << probed.status();
+  ASSERT_NE(probed->find("snapshot-probes="), std::string::npos) << *probed;
+  EXPECT_EQ(probed->find("snapshot-probes=0,"), std::string::npos) << *probed;
 }
 
 TEST_F(FlightTest, TrippedRunIsRetainedInSlowLogWithFullTrace) {

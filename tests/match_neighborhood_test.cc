@@ -123,7 +123,7 @@ TEST(NeighborhoodSubIsoTest, BudgetExhaustionIsConservative) {
   NeighborhoodSubgraph dn = ExtractNeighborhood(g, g.FindNode("b2"), 1);
   ASSERT_FALSE(NeighborhoodSubIsomorphic(pn, dn));
   ResourceGovernor gov(GovernorLimits{.max_steps = 1});
-  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, nullptr, &gov));
+  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, &gov));
   EXPECT_TRUE(gov.tripped());
   EXPECT_EQ(gov.trip_point(), GovernPoint::kNeighborhood);
 }

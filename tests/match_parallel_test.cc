@@ -124,8 +124,7 @@ TEST(MatchParallelTest, GreedyOrderListsEqualSerial) {
   }
 }
 
-/// Satellite: every stage must tolerate a null metric sink and no tracer —
-/// the parallel workers shard and merge metrics only when a sink exists.
+/// Every stage must tolerate a null metric sink and no tracer.
 TEST(MatchParallelTest, RunsWithNullMetricsAndNoTracer) {
   ThreadPool pool(3);
   Graph g = MakeData(30, 99);
@@ -252,7 +251,9 @@ TEST(MatchParallelTest, StealHeavySkewedRootsStayExact) {
 /// Capped and first-match searches skip roots the root-order merge would
 /// discard; the merged lists must still equal serial at 2 and 4 workers.
 /// Declaration order over label-only spaces gives many roots with hits,
-/// so the cap is reached early and later roots are cut off.
+/// so the cap is reached early and later roots are cut off. A search
+/// counts as truncated once in the registry, however many of its roots
+/// reached the cap.
 TEST(MatchParallelTest, CappedAndFirstMatchListsEqualSerial) {
   ThreadPool pool(3);
   Graph g = MakeData(400, 4242);
@@ -280,6 +281,8 @@ TEST(MatchParallelTest, CappedAndFirstMatchListsEqualSerial) {
         match::PipelineOptions par = serial;
         par.num_threads = threads;
         par.pool = &pool;
+        obs::MetricsRegistry metrics;
+        par.metrics = &metrics;
         match::PipelineStats stats;
         auto got = match::MatchPattern(p, g, &index, par, &stats);
         ASSERT_TRUE(got.ok()) << got.status();
@@ -287,6 +290,9 @@ TEST(MatchParallelTest, CappedAndFirstMatchListsEqualSerial) {
             << "qsize=" << qsize << " exhaustive=" << exhaustive
             << " cap=" << cap << " threads=" << threads;
         EXPECT_EQ(stats.search.truncated, exhaustive && want->size() >= cap);
+        EXPECT_EQ(metrics.GetCounter("match.search.truncated")->Value(),
+                  stats.search.truncated ? 1u : 0u)
+            << "qsize=" << qsize << " cap=" << cap << " threads=" << threads;
         ++compared;
       }
     }

@@ -29,7 +29,6 @@
 #include "match/pipeline.h"
 #include "match/refine.h"
 #include "match_oracle.h"
-#include "obs/metrics.h"
 #include "workload/erdos_renyi.h"
 #include "workload/protein_network.h"
 #include "workload/queries.h"
@@ -229,8 +228,7 @@ TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
     for (int threads : {0, 1, 3}) {
       SearchStats got_stats;
       auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates,
-                               c.order, {}, &got_stats, nullptr, threads,
-                               &pool);
+                               c.order, {}, &got_stats, threads, &pool);
       ASSERT_TRUE(got.ok()) << got.status() << " " << c.where;
       std::string where = c.where + " threads " + std::to_string(threads);
       EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << where;
@@ -249,8 +247,7 @@ TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
     for (int threads : {0, 1, 3}) {
       SearchStats got_stats;
       auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates,
-                               c.order, capped, &got_stats, nullptr, threads,
-                               &pool);
+                               c.order, capped, &got_stats, threads, &pool);
       ASSERT_TRUE(got.ok()) << got.status();
       std::string where = c.where + " capped threads " +
                           std::to_string(threads);
@@ -303,9 +300,8 @@ void ExpectSameTrip(const Case& c, ThreadPool* pool, const ArmFn& arm,
     MatchOptions got_opts;
     got_opts.governor = &got_gov;
     SearchStats got_stats;
-    obs::MetricsRegistry metrics;
     auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order,
-                             got_opts, &got_stats, &metrics, threads, pool);
+                             got_opts, &got_stats, threads, pool);
     ASSERT_TRUE(got.ok()) << got.status() << " " << at;
     EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << at;
     EXPECT_EQ(got_gov.trip_kind(), want_gov.trip_kind()) << at;
@@ -320,8 +316,7 @@ void ExpectSameTrip(const Case& c, ThreadPool* pool, const ArmFn& arm,
     }
     const uint64_t bytes = got_gov.limits().max_memory_bytes;
     if (bytes != 0) {
-      EXPECT_LE(metrics.GetCounter("match.search.matches")->Value() *
-                    match_bytes,
+      EXPECT_LE(got_stats.matches * match_bytes,
                 bytes + threads * (bytes + match_bytes))
           << at;
     }
@@ -424,7 +419,7 @@ TEST(SearchDifferentialTest, RejectsCandidateListsThatAreNotAscending) {
     std::vector<std::vector<NodeId>> cand = {{0, 1, 2, 3, 4}, bad};
     for (int threads : {0, 3}) {
       auto got = SearchMatches(*p, d.graph, cand, DeclarationOrder(*p), {},
-                               nullptr, nullptr, threads);
+                               nullptr, threads);
       ASSERT_FALSE(got.ok());
       EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
     }

@@ -114,8 +114,8 @@ TEST(VectorizedDifferentialTest, KernelsBitIdenticalAcrossConfigs) {
   size_t kept = 0;
   size_t label_lists = 0;
   for (const algebra::GraphPattern& p : MakePatterns()) {
-    SelectionPlan plan(p, *snap, nullptr);
-    SelectionPlan label_plan(p, *snap, nullptr, /*label_lists=*/true);
+    SelectionPlan plan(p, *snap);
+    SelectionPlan label_plan(p, *snap, /*label_lists=*/true);
     for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
       const NodeId pu = static_cast<NodeId>(u);
       auto ast_scan = [&](const std::vector<NodeId>& base) {
@@ -176,7 +176,7 @@ TEST(VectorizedDifferentialTest, RetrieveCandidatesIdenticalAcrossKernels) {
   for (const algebra::GraphPattern& p : MakePatterns()) {
     const std::vector<std::vector<NodeId>> want =
         oracle::ScanCandidates(p, data);
-    SelectionPlan plan(p, *snap, nullptr, /*label_lists=*/true);
+    SelectionPlan plan(p, *snap, /*label_lists=*/true);
     for (size_t u = 0; u < p.graph().NumNodes(); ++u) {
       accepts_all.insert(plan.AcceptsAll(static_cast<NodeId>(u)));
     }
@@ -326,7 +326,9 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
   // budget must trip at the same point at every thread count and on every
   // run: the partial results, the trip and the governor's consumption must
   // equal the first, calling-thread run's bit for bit, and so must the
-  // candidate sizes and scan counters retrieval reports about its lists.
+  // candidate sizes and scan counters retrieval reports about its lists,
+  // the refine counters, the trip and degrade counters and the truncation
+  // count.
   // Most neighborhood budgets trip inside retrieval's sub-isomorphism
   // tests, some inside one node's own tests (the smallest ones) and some
   // in a later node.
@@ -364,11 +366,14 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
         auto got = MatchPattern(patterns[pi], data, &index, options, &stats);
         ASSERT_TRUE(got.ok()) << got.status();
         std::ostringstream counts;
-        for (const char* name :
-             {"match.retrieve.feasible_hits", "match.retrieve.feasible_misses",
-              "match.retrieve.profile_pruned",
-              "match.retrieve.neighborhood_pruned"}) {
-          counts << name << "=" << metrics.GetCounter(name)->Value() << " ";
+        for (const auto& [name, value] : metrics.Snapshot().counters) {
+          for (const char* prefix :
+               {"match.retrieve.", "match.refine.", "match.queries",
+                "match.search.truncated", "governor."}) {
+            if (name.rfind(prefix, 0) == 0) {
+              counts << name << "=" << value << " ";
+            }
+          }
         }
         for (size_t n : stats.size_attr) counts << n << " ";
         counts << "|";

@@ -30,6 +30,12 @@ mechanical. Rules:
                           verifies them — before any field is trusted.
                           A torn write must surface as DataLoss, never
                           as a half-applied record.
+  stage-metrics           The selection stages in src/match count into
+                          PipelineStats and never touch the metrics
+                          registry: no GetCounter(, GetHistogram( or
+                          Merge( there, except inside RecordCall, the one
+                          function that writes a call's stats to the
+                          registry.
 
 Suppression: a line (or the line above it) may carry
     // invariant-lint: allow(<rule>) <reason>
@@ -57,6 +63,7 @@ RULES = (
     "governor-charge-loop",
     "length-validated-alloc",
     "checksum-before-trust",
+    "stage-metrics",
 )
 
 ALLOW_RE = re.compile(
@@ -339,6 +346,26 @@ def rule_checksum_before_trust(path, lines, out):
             "before its contents are trusted"))
 
 
+REGISTRY_CALL = re.compile(r"\b(?:GetCounter|GetHistogram|Merge)\s*\(")
+RECORD_FUNCTION = "RecordCall"
+
+
+def rule_stage_metrics(path, lines, out):
+    text = "\n".join(lines)
+    exempt = set()  # Lines of the record function's body.
+    for name, lineno, body in extract_functions(text):
+        if name.split("::")[-1] == RECORD_FUNCTION:
+            exempt.update(range(lineno, lineno + body.count("\n") + 1))
+    for i, raw in enumerate(lines, 1):
+        m = REGISTRY_CALL.search(strip_line_comment(raw))
+        if m is None or i in exempt or allows(lines, i, "stage-metrics"):
+            continue
+        out.append(Violation(
+            path, i, "stage-metrics",
+            f"'{m.group(0)}' outside {RECORD_FUNCTION}; count into "
+            "PipelineStats and let the call's record write the registry"))
+
+
 RULE_FUNCS = {
     "naked-mutex": rule_naked_mutex,
     "graph-version-bump": rule_graph_version_bump,
@@ -346,6 +373,7 @@ RULE_FUNCS = {
     "governor-charge-loop": rule_governor_charge_loop,
     "length-validated-alloc": rule_length_validated_alloc,
     "checksum-before-trust": rule_checksum_before_trust,
+    "stage-metrics": rule_stage_metrics,
 }
 
 # rule -> (include globs, exclude basenames) relative to the repo root.
@@ -369,6 +397,8 @@ TREE_SCOPE = {
     # be checksummed (or read through a reader that checksums) before use.
     "checksum-before-trust": (
         ["src/storage", "src/io/snapshot_v3.cc"], set()),
+    # One registry write per MatchPattern / RetrieveCandidates call.
+    "stage-metrics": (["src/match"], set()),
 }
 
 

@@ -150,6 +150,26 @@ class StorageDecodersInAllocScopeTest(unittest.TestCase):
             self.assertTrue(any(p.endswith(tail) for p in paths), tail)
 
 
+class StageMetricsTest(unittest.TestCase):
+    def test_catches_registry_writes_outside_the_record(self):
+        vs = run_rule("stage-metrics", "stage_metrics.cc")
+        self.assertEqual([v.line for v in vs], [9, 13])
+        self.assertIn("GetCounter(", vs[0].message)
+        self.assertIn("Merge(", vs[1].message)
+
+    def test_record_function_is_exempt(self):
+        vs = run_rule("stage-metrics", "stage_metrics.cc")
+        self.assertFalse(any(16 <= v.line <= 19 for v in vs))
+
+    def test_match_stages_are_in_tree_scope(self):
+        scopes, exclude = invariant_lint.TREE_SCOPE["stage-metrics"]
+        paths = list(invariant_lint.iter_sources(ROOT, scopes, exclude))
+        for tail in ("match/matcher.cc", "match/refine.cc",
+                     "match/neighborhood.cc", "match/vectorized.cc",
+                     "match/pipeline.cc"):
+            self.assertTrue(any(p.endswith(tail) for p in paths), tail)
+
+
 class SuppressionTest(unittest.TestCase):
     def test_allow_with_reason_suppresses(self):
         vs = run_rule("governor-charge-loop", "suppressed.cc")
