@@ -1,9 +1,11 @@
 // Selection ablation over the compiled snapshot: the isolated retrieve
 // stage as MatchPattern runs it (RetrieveCandidates: the selection plan's
-// per-candidate test of what each base list does not already guarantee)
-// against the reference lane ("ast"), which scans the same base lists
-// with the AST feasible-mate test GraphPattern::NodeCompatible. The plan
-// lane must keep exactly the reference's candidates, or the bench exits
+// per-candidate test of what each base list does not already guarantee),
+// with the label index ("plan") and without one ("index-less", every node
+// a base candidate, as for the members of a collection select), against
+// the reference lane ("ast"), which scans the label index's base lists
+// with the AST feasible-mate test GraphPattern::NodeCompatible. Both
+// lanes must keep exactly the reference's candidates, or the bench exits
 // 2. The full MatchPattern wall time is reported once, for the
 // end-to-end view, and the results are dumped for
 // tools/summarize_bench.py.
@@ -36,11 +38,19 @@ namespace {
 constexpr size_t kMaxMatchesPerQuery = 100;
 
 /// Isolated-selection lanes; the first is the reference.
-enum class Lane { kAst, kPlan };
-constexpr Lane kLanes[] = {Lane::kAst, Lane::kPlan};
+enum class Lane { kAst, kPlan, kIndexLess };
+constexpr Lane kLanes[] = {Lane::kAst, Lane::kPlan, Lane::kIndexLess};
 
 const char* LaneName(Lane lane) {
-  return lane == Lane::kAst ? "ast" : "plan";
+  switch (lane) {
+    case Lane::kAst:
+      return "ast";
+    case Lane::kPlan:
+      return "plan";
+    case Lane::kIndexLess:
+      return "index-less";
+  }
+  return "?";
 }
 
 std::vector<algebra::GraphPattern> MakeQueries() {
@@ -84,11 +94,12 @@ const std::vector<NodeId>& BaseList(const algebra::GraphPattern& p, NodeId u,
 std::vector<std::vector<NodeId>> Select(
     Lane lane, const algebra::GraphPattern& p, const Graph& data,
     const match::LabelIndex& index, const std::vector<NodeId>& all_nodes) {
-  if (lane == Lane::kPlan) {
+  if (lane != Lane::kAst) {
     match::PipelineOptions o;
     o.candidate_mode = match::CandidateMode::kLabelOnly;
     o.metrics = nullptr;
-    return match::RetrieveCandidates(p, data, &index, o);
+    return match::RetrieveCandidates(
+        p, data, lane == Lane::kPlan ? &index : nullptr, o);
   }
   const size_t k = p.graph().NumNodes();
   std::vector<std::vector<NodeId>> out(k);

@@ -109,15 +109,15 @@ class GraphPattern {
   };
 
   /// Interned attribute-equality constraints of node `u` — the tuple
-  /// probes of NodeCompatible, exposed so the vectorized kernels can
-  /// evaluate them against snapshot columns.
+  /// probes of NodeCompatible, exposed so the selection plan can evaluate
+  /// them against snapshot columns.
   const std::vector<SymReq>& NodeReqs(NodeId u) const {
     return node_reqs_[u];
   }
 
   /// Evaluates a subset of the predicates pushed to node `u` (indices into
   /// NodePreds(u)), with bindings and verdict identical to the full
-  /// NodePredsOk pass. The vectorized kernels route only the conjuncts the
+  /// NodePredsOk pass. The selection plan routes only the conjuncts the
   /// bytecode compiler did not cover through this AST-interpreter path.
   bool NodePredsOkSubset(NodeId u, const Graph& data, NodeId v,
                          const std::vector<uint32_t>& indices,

@@ -9,12 +9,10 @@
 
 namespace graphql {
 
-/// Packed k x n bit matrix. Grown out of the snapshot refinement path
-/// (candidate membership and dirty marks in one bit each instead of a byte
-/// bitmap plus a hashed pair set); now also the verdict/candidate bitmap of
-/// the vectorized selection kernels, which AND whole predicate bitmaps
-/// word-at-a-time instead of probing per node. The footprint is known up
-/// front (bytes()), so callers reserve it once against the governor.
+/// Packed k x n bit matrix: the snapshot refinement's candidate membership
+/// and dirty marks, one bit each instead of a byte bitmap plus a hashed
+/// pair set. The footprint is known up front (bytes()), so callers reserve
+/// it once against the governor.
 ///
 /// A single bitmap is a PackedBits with rows == 1.
 class PackedBits {

@@ -224,7 +224,6 @@ Result<GraphCollection> ReadCollectionText(std::string_view text) {
 namespace {
 
 constexpr char kMagic[4] = {'G', 'Q', 'L', 'B'};
-constexpr uint8_t kVersionV1 = 1;  ///< Legacy inline-string records.
 constexpr uint8_t kVersionV2 = 2;  ///< String table + columnar records.
 
 void WriteU32(std::ostream* out, uint32_t v) {
@@ -241,40 +240,6 @@ void WriteU64(std::ostream* out, uint64_t v) {
 void WriteString(std::ostream* out, std::string_view s) {
   WriteU32(out, static_cast<uint32_t>(s.size()));
   out->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void WriteValue(std::ostream* out, const Value& v) {
-  out->put(static_cast<char>(v.kind()));
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      break;
-    case Value::Kind::kBool:
-      out->put(v.AsBool() ? 1 : 0);
-      break;
-    case Value::Kind::kInt:
-      WriteU64(out, static_cast<uint64_t>(v.AsInt()));
-      break;
-    case Value::Kind::kDouble: {
-      double d = v.AsDouble();
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      WriteU64(out, bits);
-      break;
-    }
-    case Value::Kind::kString:
-      WriteString(out, v.AsString());
-      break;
-  }
-}
-
-void WriteTuple(std::ostream* out, const AttrTuple& attrs) {
-  WriteString(out, attrs.tag());
-  WriteU32(out, static_cast<uint32_t>(attrs.attrs().size()));
-  for (const auto& [k, v] : attrs.attrs()) {
-    WriteString(out, k);
-    WriteValue(out, v);
-  }
 }
 
 /// Bytes left before EOF in a seekable stream; -1 when the stream cannot
@@ -327,49 +292,6 @@ Result<std::string> ReadString(std::istream* in) {
   in->read(s.data(), n);
   if (!*in) return Status::ParseError("truncated binary graph");
   return s;
-}
-
-Result<Value> ReadValue(std::istream* in) {
-  int kind = in->get();
-  if (kind == EOF) return Status::ParseError("truncated binary graph");
-  switch (static_cast<Value::Kind>(kind)) {
-    case Value::Kind::kNull:
-      return Value();
-    case Value::Kind::kBool: {
-      int b = in->get();
-      if (b == EOF) return Status::ParseError("truncated binary graph");
-      return Value(b != 0);
-    }
-    case Value::Kind::kInt: {
-      GQL_ASSIGN_OR_RETURN(uint64_t v, ReadU64(in));
-      return Value(static_cast<int64_t>(v));
-    }
-    case Value::Kind::kDouble: {
-      GQL_ASSIGN_OR_RETURN(uint64_t bits, ReadU64(in));
-      double d;
-      __builtin_memcpy(&d, &bits, sizeof(d));
-      return Value(d);
-    }
-    case Value::Kind::kString: {
-      GQL_ASSIGN_OR_RETURN(std::string s, ReadString(in));
-      return Value(std::move(s));
-    }
-  }
-  return Status::ParseError("unknown value kind in binary graph");
-}
-
-Result<AttrTuple> ReadTuple(std::istream* in) {
-  GQL_ASSIGN_OR_RETURN(std::string tag, ReadString(in));
-  AttrTuple attrs(std::move(tag));
-  GQL_ASSIGN_OR_RETURN(uint32_t n, ReadU32(in));
-  // Minimum encoding per attribute: 4-byte key length + 1-byte value kind.
-  GQL_RETURN_IF_ERROR(CheckCount(in, n, 5, "attribute"));
-  for (uint32_t i = 0; i < n; ++i) {
-    GQL_ASSIGN_OR_RETURN(std::string k, ReadString(in));
-    GQL_ASSIGN_OR_RETURN(Value v, ReadValue(in));
-    attrs.Set(k, std::move(v));
-  }
-  return attrs;
 }
 
 // ---- Version 2: per-graph string table + columnar records. -----------------
@@ -629,39 +551,6 @@ Result<Graph> ReadGraphBinaryV2Body(std::istream* in, bool directed) {
   return g;
 }
 
-Result<Graph> ReadGraphBinaryV1Body(std::istream* in, bool directed) {
-  GQL_ASSIGN_OR_RETURN(std::string name, ReadString(in));
-  Graph g(std::move(name), directed);
-  GQL_ASSIGN_OR_RETURN(AttrTuple gattrs, ReadTuple(in));
-  g.attrs() = std::move(gattrs);
-  GQL_ASSIGN_OR_RETURN(uint32_t num_nodes, ReadU32(in));
-  GQL_ASSIGN_OR_RETURN(uint32_t num_edges, ReadU32(in));
-  // Validate the counts against the remaining bytes before reserving: a
-  // node is at least a 4-byte name length plus an 8-byte minimal tuple
-  // (tag length + attr count); an edge additionally carries two 4-byte
-  // endpoints. Corrupt prefixes are rejected here, not over-allocated.
-  GQL_RETURN_IF_ERROR(CheckCount(in, num_nodes, 12, "node"));
-  GQL_RETURN_IF_ERROR(CheckCount(in, num_edges, 20, "edge"));
-  g.Reserve(num_nodes, num_edges);
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    GQL_ASSIGN_OR_RETURN(std::string nname, ReadString(in));
-    GQL_ASSIGN_OR_RETURN(AttrTuple attrs, ReadTuple(in));
-    g.AddNode(std::move(nname), std::move(attrs));
-  }
-  for (uint32_t e = 0; e < num_edges; ++e) {
-    GQL_ASSIGN_OR_RETURN(uint32_t src, ReadU32(in));
-    GQL_ASSIGN_OR_RETURN(uint32_t dst, ReadU32(in));
-    if (src >= num_nodes || dst >= num_nodes) {
-      return Status::ParseError("edge endpoint out of range");
-    }
-    GQL_ASSIGN_OR_RETURN(std::string ename, ReadString(in));
-    GQL_ASSIGN_OR_RETURN(AttrTuple attrs, ReadTuple(in));
-    g.AddEdge(static_cast<NodeId>(src), static_cast<NodeId>(dst),
-              std::move(ename), std::move(attrs));
-  }
-  return g;
-}
-
 }  // namespace
 
 Status WriteGraphBinary(const Graph& g, std::ostream* out) {
@@ -717,30 +606,6 @@ Status WriteGraphBinary(const Graph& g, std::ostream* out) {
   return Status::OK();
 }
 
-Status WriteGraphBinaryV1(const Graph& g, std::ostream* out) {
-  out->write(kMagic, 4);
-  out->put(static_cast<char>(kVersionV1));
-  out->put(g.directed() ? 1 : 0);
-  WriteString(out, g.name());
-  WriteTuple(out, g.attrs());
-  WriteU32(out, static_cast<uint32_t>(g.NumNodes()));
-  WriteU32(out, static_cast<uint32_t>(g.NumEdges()));
-  for (size_t v = 0; v < g.NumNodes(); ++v) {
-    const Graph::Node& n = g.node(static_cast<NodeId>(v));
-    WriteString(out, n.name);
-    WriteTuple(out, n.attrs);
-  }
-  for (size_t e = 0; e < g.NumEdges(); ++e) {
-    const Graph::Edge& ed = g.edge(static_cast<EdgeId>(e));
-    WriteU32(out, static_cast<uint32_t>(ed.src));
-    WriteU32(out, static_cast<uint32_t>(ed.dst));
-    WriteString(out, ed.name);
-    WriteTuple(out, ed.attrs);
-  }
-  if (!*out) return Status::Internal("binary graph write failed");
-  return Status::OK();
-}
-
 Result<Graph> ReadGraphBinary(std::istream* in) {
   char magic[4];
   in->read(magic, 4);
@@ -748,16 +613,15 @@ Result<Graph> ReadGraphBinary(std::istream* in) {
     return Status::ParseError("not a binary GraphQL graph (bad magic)");
   }
   int version = in->get();
-  if (version != kVersionV1 && version != kVersionV2) {
+  if (version != kVersionV2) {
     return Status::ParseError("unsupported binary graph version " +
-                                   std::to_string(version));
+                              std::to_string(version));
   }
   int directed = in->get();
   if (directed == EOF) {
     return Status::ParseError("truncated binary graph");
   }
-  return version == kVersionV2 ? ReadGraphBinaryV2Body(in, directed != 0)
-                               : ReadGraphBinaryV1Body(in, directed != 0);
+  return ReadGraphBinaryV2Body(in, directed != 0);
 }
 
 Status WriteCollectionBinary(const GraphCollection& c, std::ostream* out) {

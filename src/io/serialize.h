@@ -38,17 +38,14 @@ Result<Graph> ReadGraphText(std::string_view text);
 /// Parses a collection serialized by WriteCollectionText.
 Result<GraphCollection> ReadCollectionText(std::string_view text);
 
-/// Binary encoding into/out of iostreams. The writer emits format
-/// version 2: a per-graph interned string table (names, tags, attribute
-/// keys, string values stored once, referenced by u32 index) followed by
-/// columnar node/edge records. The reader accepts both version 2 and the
-/// legacy inline-string version 1.
+/// Binary encoding into/out of iostreams, format version 2: a per-graph
+/// interned string table (names, tags, attribute keys, string values
+/// stored once, referenced by u32 index) followed by columnar node/edge
+/// records. Any other version, the retired inline-string version 1
+/// included, is a kParseError.
 Status WriteGraphBinary(const Graph& g, std::ostream* out);
 Result<Graph> ReadGraphBinary(std::istream* in);
 
-/// Emits the legacy version-1 encoding (inline strings). Kept for
-/// compatibility tests and for producing files older readers understand.
-Status WriteGraphBinaryV1(const Graph& g, std::ostream* out);
 Status WriteCollectionBinary(const GraphCollection& c, std::ostream* out);
 Result<GraphCollection> ReadCollectionBinary(std::istream* in);
 

@@ -767,8 +767,8 @@ Result<OpenedCollectionV3> OpenImpl(std::shared_ptr<PageFile> file,
         }
         int32_t prev = -1;
         for (int32_t id : col.ids) {
-          // Strictly ascending in-range ids: Find's binary search and the
-          // vectorized scan's bitmap writes both rely on this.
+          // Strictly ascending in-range ids: Find's binary search and its
+          // dense-column lookup (id == position) both rely on this.
           if (id <= prev || static_cast<uint64_t>(id) >= id_limit) {
             return Status::DataLoss("v3: column ids invalid");
           }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -152,7 +153,6 @@ void EmitWorkerLanes(obs::Tracer* tracer,
 /// registry write needs beyond them.
 struct Call {
   PipelineStats stats;
-  bool retrieved = false;  ///< Retrieve got past its empty and trip exits.
   bool refined = false;    ///< Refinement ran.
   bool searched = false;   ///< The search engine ran.
   const GraphSnapshot* built = nullptr;  ///< A snapshot this call compiled.
@@ -180,26 +180,24 @@ void RecordCall(const Call& call, const PipelineOptions& options) {
         ->Record(static_cast<uint64_t>(call.built->build_micros()));
   }
   const PipelineStats& s = call.stats;
-  if (call.retrieved) {
-    const RetrieveStats& r = s.retrieve;
-    add_nonzero("match.bytecode.pred_compiled", r.pred_compiled);
-    add_nonzero("match.bytecode.pred_fallback", r.pred_fallback);
-    add_nonzero("match.retrieve.scans", r.scans);
-    add("match.retrieve.feasible_hits", r.feasible_hits);
-    add("match.retrieve.feasible_misses", r.feasible_misses);
-    // Indexed retrieval reports what its candidate mode pruned.
-    if (r.scans == 0 && options.candidate_mode != CandidateMode::kLabelOnly) {
-      add(options.candidate_mode == CandidateMode::kProfile
-              ? "match.retrieve.profile_pruned"
-              : "match.retrieve.neighborhood_pruned",
-          r.pruned);
-    }
-    if (r.neighborhood.tests != 0) {
-      add("match.neighborhood.tests", r.neighborhood.tests);
-      add("match.neighborhood.steps", r.neighborhood.steps);
-    }
-    add_nonzero("match.neighborhood.budget_hits", r.neighborhood.budget_hits);
+  const RetrieveStats& r = s.retrieve;
+  add_nonzero("match.bytecode.pred_compiled", r.pred_compiled);
+  add_nonzero("match.bytecode.pred_fallback", r.pred_fallback);
+  add_nonzero("match.retrieve.scans", r.scans);
+  add("match.retrieve.feasible_hits", r.feasible_hits);
+  add("match.retrieve.feasible_misses", r.feasible_misses);
+  // Indexed retrieval reports what its candidate mode pruned.
+  if (r.scans == 0 && options.candidate_mode != CandidateMode::kLabelOnly) {
+    add(options.candidate_mode == CandidateMode::kProfile
+            ? "match.retrieve.profile_pruned"
+            : "match.retrieve.neighborhood_pruned",
+        r.pruned);
   }
+  if (r.neighborhood.tests != 0) {
+    add("match.neighborhood.tests", r.neighborhood.tests);
+    add("match.neighborhood.steps", r.neighborhood.steps);
+  }
+  add_nonzero("match.neighborhood.budget_hits", r.neighborhood.budget_hits);
   if (call.refined) {
     add("match.refine.bipartite_checks", s.refine.bipartite_checks);
     add("match.refine.removed", s.refine.removed);
@@ -225,120 +223,94 @@ void RecordCall(const Call& call, const PipelineOptions& options) {
   }
 }
 
-/// Index-less retrieval: every data node is a base candidate, so each
-/// pattern node runs the bitmap kernel over the whole graph and iterates
-/// the surviving bits in ascending node order. Allocates one plan, one
-/// 2 x n bitmap and the output lists per call — this path serves every
-/// small member graph of a collection scan.
-std::vector<std::vector<NodeId>> ScanAllNodes(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const GraphSnapshot& snap, const PipelineOptions& options, Call* call) {
-  const size_t k = pattern.graph().NumNodes();
-  const size_t n = snap.num_nodes();
-  std::vector<std::vector<NodeId>> out(k);
-  PipelineStats& stats = call->stats;
-  stats.size_attr.assign(k, 0);
-  stats.size_retrieved.assign(k, 0);
-  // Bulk-charge the scan's probes; on a trip return empty candidate lists
-  // (the search then finds nothing — partial-result semantics).
-  if (!GovCharge(options.governor, k * n, GovernPoint::kRetrieve)) return out;
-  call->retrieved = true;
-  SelectionPlan plan(pattern, snap);
-  PackedBits bits(2, n);
-  algebra::PatternScratch scratch;
-  size_t kept = 0;
-  for (size_t u = 0; u < k; ++u) {
-    NodeId pu = static_cast<NodeId>(u);
-    plan.FillStructuralBitmap(pu, &bits);
-    const bool preds = plan.HasPreds(pu);
-    bits.ForEachInRow(0, [&](size_t v) {
-      NodeId dv = static_cast<NodeId>(v);
-      if (!preds || plan.PredsOk(pu, data, dv, &scratch)) out[u].push_back(dv);
-      return true;
-    });
-    kept += out[u].size();
-    stats.size_attr[u] = out[u].size();
-    stats.size_retrieved[u] = out[u].size();
-  }
-  RetrieveStats& r = stats.retrieve;
-  r.scans += 1;
-  r.feasible_hits += kept;
-  r.feasible_misses += k * n - kept;
-  r.pred_compiled += plan.preds_compiled();
-  r.pred_fallback += plan.preds_fallback();
-  return out;
-}
-
-/// Indexed retrieval (first phase of Algorithm 4.1 + Section 4.2 pruning).
-/// Each pattern node scans its base list — the label index's posting list,
-/// a B+-tree range, or every node — with the per-candidate test of what
-/// the base list does not already guarantee (nothing at all for a node
-/// left with no tag, requirement or predicate), then applies the candidate
-/// mode's local pruning: a profile signature AND before each profile
-/// merge, or a neighborhood sub-isomorphism test. The calling thread scans
-/// node by node, charging the governor as it goes; with two or more
-/// workers one task per pattern node fans out, counting its charges in a
-/// TaskLedger, and the calling thread replays them in node order, so the
-/// lists equal the serial ones under any budget. Anything that touches
-/// non-thread-safe structures (B+-tree lookups, pattern profile /
-/// neighborhood construction, the all-nodes list) runs before the scans.
-std::vector<std::vector<NodeId>> RetrieveIndexed(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const GraphSnapshot& snap, const LabelIndex& index,
-    const PipelineOptions& options, Call* call,
-    ThreadPool::RunStats* run_stats) {
+/// Retrieval of feasible mates (first phase of Algorithm 4.1 + Section 4.2
+/// pruning). Each pattern node scans its base list with the per-candidate
+/// test of what the base list does not already guarantee (nothing at all
+/// for a node left with no tag, requirement or predicate). Without an
+/// index the base list is every node and nothing else applies; with one it
+/// is the label's posting list, a B+-tree range or every node, and the
+/// candidate mode's local pruning follows: a profile signature AND before
+/// each profile merge, or a neighborhood sub-isomorphism test. Each node
+/// charges the governor |base(u)| before its scan; on a trip the remaining
+/// candidate lists stay empty (partial-result semantics). With an index
+/// and two or more workers one task per pattern node fans out, counting
+/// its charges in a TaskLedger, and the calling thread replays them in
+/// node order, so the lists equal the serial ones under any budget;
+/// anything that touches non-thread-safe structures (B+-tree lookups,
+/// pattern profile / neighborhood construction, the all-nodes list) runs
+/// before the scans. Without an index the calling thread scans: those
+/// graphs are collection members, cheaper to scan than a pool dispatch, so
+/// the scan also allocates nothing it does not use.
+std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
+                                          const Graph& data,
+                                          const GraphSnapshot& snap,
+                                          const LabelIndex* index,
+                                          const PipelineOptions& options,
+                                          Call* call,
+                                          ThreadPool::RunStats* run_stats) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   std::vector<std::vector<NodeId>> out(k);
   PipelineStats& stats = call->stats;
   RetrieveStats& counts = stats.retrieve;
-  stats.size_attr.assign(k, 0);
+  stats.size_attr.assign(k, 0);  // |Phi0(u)|, set by each node's scan.
   stats.size_retrieved.assign(k, 0);
-  if (k == 0) return out;
-  call->retrieved = true;
+  if (index == nullptr) counts.scans = 1;
   ResourceGovernor* gov = options.governor;
-  const int workers = ResolveWorkers(options.num_threads, options.pool);
+  const int workers =
+      index != nullptr ? ResolveWorkers(options.num_threads, options.pool) : 0;
   const bool parallel = workers > 1;
 
   // One read-only plan shared by every worker. A labelled node's base list
   // is its label's posting list; built from this very snapshot, the index
   // guarantees the label, so the plan does not re-check it.
-  SelectionPlan plan(pattern, snap,
-                     /*label_lists=*/&index.snapshot() == &snap);
+  SelectionPlan plan(
+      pattern, snap,
+      /*label_lists=*/index != nullptr && &index->snapshot() == &snap);
   counts.pred_compiled += plan.preds_compiled();
   counts.pred_fallback += plan.preds_fallback();
+  // Base lists: every node without an index; with one, a labelled node's
+  // posting list, a B+-tree range or every node.
   std::vector<NodeId> all_nodes;
-  std::vector<std::vector<NodeId>> owned_base(k);
-  std::vector<const std::vector<NodeId>*> base(k, nullptr);
-  for (size_t u = 0; u < k; ++u) {
-    NodeId pu = static_cast<NodeId>(u);
-    if (SymbolId label = plan.base_label(pu); label != kNoSymbol) {
-      base[u] = &index.NodesWithLabelSym(label);
-    } else if (auto from_attr = AttrIndexBaseList(pattern, pu, index)) {
-      // B+-tree lookups return value order; the search needs every
-      // candidate list ascending by node id.
-      owned_base[u] = std::move(*from_attr);
-      std::sort(owned_base[u].begin(), owned_base[u].end());
-      base[u] = &owned_base[u];
-    } else {
-      if (all_nodes.empty() && data.NumNodes() > 0) {
-        all_nodes.resize(data.NumNodes());
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          all_nodes[v] = static_cast<NodeId>(v);
-        }
+  std::vector<const std::vector<NodeId>*> base;  // Only with an index.
+  std::vector<std::vector<NodeId>> owned_base;   // B+-tree ranges.
+  bool every_node = index == nullptr;
+  if (index != nullptr) {
+    base.assign(k, &all_nodes);
+    for (size_t u = 0; u < k; ++u) {
+      NodeId pu = static_cast<NodeId>(u);
+      if (SymbolId label = plan.base_label(pu); label != kNoSymbol) {
+        base[u] = &index->NodesWithLabelSym(label);
+      } else if (auto from_attr = AttrIndexBaseList(pattern, pu, *index)) {
+        // B+-tree lookups return value order; the search needs every
+        // candidate list ascending by node id.
+        if (owned_base.empty()) owned_base.resize(k);
+        owned_base[u] = std::move(*from_attr);
+        std::sort(owned_base[u].begin(), owned_base[u].end());
+        base[u] = &owned_base[u];
+      } else {
+        every_node = true;
       }
-      base[u] = &all_nodes;
     }
   }
+  if (every_node) {
+    all_nodes.resize(data.NumNodes());
+    std::iota(all_nodes.begin(), all_nodes.end(), NodeId{0});
+  }
+  auto base_of = [&](size_t u) -> const std::vector<NodeId>& {
+    return index != nullptr ? *base[u] : all_nodes;
+  };
   // Pattern profiles are interned into the process-wide symbol table (the
   // id space data profiles use), so a pattern label absent from the data
   // never occurs in any data profile and containment fails for it.
-  const bool use_profiles =
-      options.candidate_mode == CandidateMode::kProfile && index.has_profiles();
+  const bool use_profiles = index != nullptr &&
+                            options.candidate_mode == CandidateMode::kProfile &&
+                            index->has_profiles();
   const bool use_neighborhoods =
+      index != nullptr &&
       options.candidate_mode == CandidateMode::kNeighborhood &&
-      index.has_neighborhoods();
-  const int radius = index.options().radius;
+      index->has_neighborhoods();
+  const int radius = index != nullptr ? index->options().radius : 0;
   std::vector<Profile> want_profile(use_profiles ? k : 0);
   std::vector<uint64_t> want_sig(use_profiles ? k : 0);
   std::vector<NeighborhoodSubgraph> want_nbh(use_neighborhoods ? k : 0);
@@ -363,33 +335,42 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
     bool stopped = false;
   };
   std::vector<NodeRun> runs(parallel ? k : 0);
-  std::vector<size_t> feasible(k, 0);  // Per node, the kernel's hits.
   auto scan = [&](size_t u, Worker& w) {
     NodeId pu = static_cast<NodeId>(u);
-    const std::vector<NodeId>& b = *base[u];
+    const std::vector<NodeId>& b = base_of(u);
     // The feasible candidates: the base list itself when the plan checks
-    // nothing for u, else the kernel's survivors.
+    // nothing for u, else the kernel's survivors. A posting list bounds
+    // its survivors closely, every node does not.
     const bool all = plan.AcceptsAll(pu);
     std::vector<NodeId> kept;
     if (!all) {
-      kept.reserve(b.size());
+      if (index != nullptr) kept.reserve(b.size());
       ScanBaseList(plan, pu, data, b, &w.scratch, &kept);
     }
     const std::vector<NodeId>& stage = all ? b : kept;
-    feasible[u] = stage.size();
+    stats.size_attr[u] = stage.size();
+    // Hands the feasible list on; `all ? b : std::move(kept)` would copy
+    // kept, as the operands differ in constness.
+    auto take = [&](std::vector<NodeId>* to) {
+      if (all) {
+        *to = b;
+      } else {
+        *to = std::move(kept);
+      }
+    };
     if (use_profiles) {
       // One AND rejects most candidates; the merge runs on the rest.
       const uint64_t sig = want_sig[u];
       for (NodeId v : stage) {
-        if ((sig & ~index.profile_signature(v)) == 0 &&
-            ProfileSpanContains(index.profile(v), want_profile[u])) {
+        if ((sig & ~index->profile_signature(v)) == 0 &&
+            ProfileSpanContains(index->profile(v), want_profile[u])) {
           out[u].push_back(v);
         }
       }
     } else if (use_neighborhoods) {
       for (NodeId v : stage) {
         const uint64_t before = w.ledger.steps();
-        if (NeighborhoodSubIsomorphic(want_nbh[u], index.neighborhood(v), gov,
+        if (NeighborhoodSubIsomorphic(want_nbh[u], index->neighborhood(v), gov,
                                       parallel ? &w.ledger : nullptr,
                                       &w.tests)) {
           out[u].push_back(v);
@@ -399,26 +380,24 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
         if (w.ledger.stopped()) break;  // The replay redoes the rest.
       }
     } else {
-      out[u] = all ? b : std::move(kept);
+      take(&out[u]);
       return;
     }
-    if (parallel && use_neighborhoods) {
-      runs[u].stage = all ? b : std::move(kept);
-    }
+    if (parallel && use_neighborhoods) take(&runs[u].stage);
   };
 
-  std::vector<Worker> ws(parallel ? static_cast<size_t>(workers) : 1);
   size_t scanned = 0;  // Nodes the serial loop scans; later lists stay empty.
   if (!parallel) {
-    // One charge per feasible-mate probe; on a trip the remaining
-    // candidate lists stay empty (partial-result semantics).
+    Worker w;
     for (; scanned < k; ++scanned) {
-      if (!GovCharge(gov, base[scanned]->size(), GovernPoint::kRetrieve)) {
+      if (!GovCharge(gov, base_of(scanned).size(), GovernPoint::kRetrieve)) {
         break;
       }
-      scan(scanned, ws[0]);
+      scan(scanned, w);
     }
+    counts.neighborhood.Add(w.tests);
   } else {
+    std::vector<Worker> ws(static_cast<size_t>(workers));
     const TaskLedger budget(gov);
     for (Worker& w : ws) w.ledger = budget;
     ThreadPool& tp =
@@ -427,10 +406,11 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
         tp.ParallelFor(k, workers, [&](size_t u, int w) {
           Worker& s = ws[static_cast<size_t>(w)];
           s.ledger.Restart();
-          if (s.ledger.Charge(base[u]->size())) scan(u, s);
+          if (s.ledger.Charge(base_of(u).size())) scan(u, s);
           runs[u].stopped = s.ledger.stopped();
         });
     if (run_stats != nullptr) *run_stats = std::move(run);
+    for (const Worker& w : ws) counts.neighborhood.Add(w.tests);
     // The serial loop's governor calls, node by node. Where they stop it
     // inside node u, serial keeps the verdicts of the tests before the
     // trip, and from the tripped test on each test meets a tripped
@@ -439,7 +419,7 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
     // in full saw the governor expire: CheckNow() takes that trip.
     scanned = k;
     for (size_t u = 0; gov != nullptr && scanned == k && u < k; ++u) {
-      if (!gov->Charge(base[u]->size(), GovernPoint::kRetrieve)) {
+      if (!gov->Charge(base_of(u).size(), GovernPoint::kRetrieve)) {
         scanned = u;
         break;
       }
@@ -459,7 +439,7 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
       out[u].resize(kept);
       for (size_t j = i; j < r.stage.size(); ++j) {
         if (NeighborhoodSubIsomorphic(want_nbh[u],
-                                      index.neighborhood(r.stage[j]), gov,
+                                      index->neighborhood(r.stage[j]), gov,
                                       nullptr, &counts.neighborhood)) {
           out[u].push_back(r.stage[j]);
         }
@@ -472,17 +452,15 @@ std::vector<std::vector<NodeId>> RetrieveIndexed(
   // serial's at any thread count. The neighborhood counts instead cover
   // the tests run, the workers' past the serial stop and the replay's
   // re-runs included, as the search's steps count the tries run.
-  for (const Worker& w : ws) counts.neighborhood.Add(w.tests);
   for (size_t u = 0; u < k; ++u) {
     if (u < scanned) {
-      counts.feasible_hits += feasible[u];
-      counts.feasible_misses += base[u]->size() - feasible[u];
-      counts.pruned += feasible[u] - out[u].size();
+      counts.feasible_hits += stats.size_attr[u];
+      counts.feasible_misses += base_of(u).size() - stats.size_attr[u];
+      counts.pruned += stats.size_attr[u] - out[u].size();
     } else {
       out[u].clear();
-      feasible[u] = 0;
+      stats.size_attr[u] = 0;
     }
-    stats.size_attr[u] = feasible[u];
     stats.size_retrieved[u] = out[u].size();
   }
   return out;
@@ -547,10 +525,8 @@ std::vector<std::vector<NodeId>> RetrieveCandidates(
     PipelineStats* stats) {
   std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
   Call call;
-  std::vector<std::vector<NodeId>> out =
-      index != nullptr ? RetrieveIndexed(pattern, data, *snap, *index, options,
-                                         &call, /*run_stats=*/nullptr)
-                       : ScanAllNodes(pattern, data, *snap, options, &call);
+  std::vector<std::vector<NodeId>> out = Retrieve(
+      pattern, data, *snap, index, options, &call, /*run_stats=*/nullptr);
   RecordCall(call, options);
   if (stats != nullptr) stats->Add(std::move(call.stats));
   return out;
@@ -610,10 +586,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
 
   obs::Span retrieve_span(tracer, "retrieve", obs::Span::Timing::kAlways);
   ThreadPool::RunStats retrieve_run;
-  std::vector<std::vector<NodeId>> candidates =
-      index != nullptr ? RetrieveIndexed(pattern, data, *snap, *index, options,
-                                         &call, &retrieve_run)
-                       : ScanAllNodes(pattern, data, *snap, options, &call);
+  std::vector<std::vector<NodeId>> candidates = Retrieve(
+      pattern, data, *snap, index, options, &call, &retrieve_run);
   if (retrieve_span.active()) {
     size_t total = 0;
     for (const auto& c : candidates) total += c.size();
@@ -738,23 +712,16 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
 Result<std::vector<algebra::MatchedGraph>> SelectCollection(
     const algebra::GraphPattern& pattern, const GraphCollection& collection,
     const PipelineOptions& options) {
+  return SelectCollectionAny({&pattern, 1}, collection, options);
+}
+
+Result<std::vector<algebra::MatchedGraph>> SelectCollectionAny(
+    std::span<const algebra::GraphPattern> alternatives,
+    const GraphCollection& collection, const PipelineOptions& options) {
   std::vector<algebra::MatchedGraph> out;
   for (const Graph& g : collection) {
     // A tripped governor ends the scan; matches found so far are returned
     // (the caller reads the trip off the governor).
-    if (!GovOk(options.governor)) break;
-    GQL_ASSIGN_OR_RETURN(std::vector<algebra::MatchedGraph> matches,
-                         MatchPattern(pattern, g, /*index=*/nullptr, options));
-    for (algebra::MatchedGraph& m : matches) out.push_back(std::move(m));
-  }
-  return out;
-}
-
-Result<std::vector<algebra::MatchedGraph>> SelectCollectionAny(
-    const std::vector<algebra::GraphPattern>& alternatives,
-    const GraphCollection& collection, const PipelineOptions& options) {
-  std::vector<algebra::MatchedGraph> out;
-  for (const Graph& g : collection) {
     if (!GovOk(options.governor)) break;
     for (const algebra::GraphPattern& pattern : alternatives) {
       GQL_ASSIGN_OR_RETURN(

@@ -2,6 +2,7 @@
 #define GRAPHQL_MATCH_PIPELINE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "algebra/matched_graph.h"
@@ -155,7 +156,8 @@ struct PipelineStats {
 /// pruning) over the data graph's compiled snapshot. Exposed separately so
 /// benchmarks can measure it; stats may be null. The call's counts are
 /// added to `stats` and written to `options.metrics` once. When `index` is
-/// null, falls back to a full scan (label-only).
+/// null, every data node is a base candidate and the scan runs on the
+/// calling thread with no candidate-mode pruning (label-only).
 std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
@@ -178,9 +180,11 @@ Result<std::vector<algebra::MatchedGraph>> SelectCollection(
     const PipelineOptions& options = {});
 
 /// Selection with a disjunctive/recursive pattern: a member graph matches
-/// if any derived alternative matches (Definition 4.2).
+/// if any derived alternative matches (Definition 4.2). Alternatives are
+/// tried in order; without exhaustive mode a member stops at the first
+/// alternative that matches it.
 Result<std::vector<algebra::MatchedGraph>> SelectCollectionAny(
-    const std::vector<algebra::GraphPattern>& alternatives,
+    std::span<const algebra::GraphPattern> alternatives,
     const GraphCollection& collection, const PipelineOptions& options = {});
 
 /// Exact graph isomorphism including attributes: a bijective node mapping

@@ -101,7 +101,7 @@ class PredProgram {
 
 /// All compiled node predicates of one pattern, plus the per-conjunct
 /// fallback bookkeeping. Built once per (pattern, retrieve) by the
-/// vectorized kernels; read-only afterwards (workers share it).
+/// SelectionPlan; read-only afterwards (workers share it).
 struct NodePredPlan {
   /// One compiled conjunct of NodePreds(u).
   struct Compiled {

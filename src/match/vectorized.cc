@@ -44,48 +44,6 @@ bool SelectionPlan::NodeCompatible(NodeId u, const Graph& data, NodeId v,
   return PredsOk(u, data, v, scratch);
 }
 
-void SelectionPlan::FillStructuralBitmap(NodeId u, PackedBits* bits) const {
-  const size_t n = snap_->num_nodes();
-  const SymbolId tag = pattern_->node_tag_sym(u);
-  if (tag != kNoSymbol) {
-    bits->ClearRow(0);
-    for (size_t v = 0; v < n; ++v) {
-      if (snap_->node_tag_sym(static_cast<NodeId>(v)) == tag) {
-        bits->Set(0, v);
-      }
-    }
-  } else {
-    bits->SetRow(0);
-  }
-  for (const Req& q : nodes_[u].reqs) {
-    const GraphSnapshot::Column* col = q.col;
-    if (col == nullptr) {
-      // No such attribute anywhere: the requirement rejects every node.
-      bits->ClearRow(0);
-      return;
-    }
-    bits->ClearRow(1);
-    const auto& r = *q.req;
-    if (r.val_sym != kNoSymbol) {
-      // String equality: interned-symbol compare. val_syms is kNoSymbol
-      // for non-string stored values, which correctly never matches.
-      for (size_t j = 0; j < col->ids.size(); ++j) {
-        if (col->val_syms[j] == r.val_sym) {
-          bits->Set(1, static_cast<size_t>(col->ids[j]));
-        }
-      }
-    } else {
-      for (size_t j = 0; j < col->ids.size(); ++j) {
-        if (col->values[j] == r.value) {
-          bits->Set(1, static_cast<size_t>(col->ids[j]));
-        }
-      }
-    }
-    bits->AndRow(0, *bits, 1);
-    if (bits->PopCountRow(0) == 0) return;
-  }
-}
-
 bool SelectionPlan::PredsOk(NodeId u, const Graph& data, NodeId v,
                             algebra::PatternScratch* scratch) const {
   const NodePlan& np = nodes_[u];

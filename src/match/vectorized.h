@@ -5,25 +5,20 @@
 #include <vector>
 
 #include "algebra/pattern.h"
-#include "common/packed_bits.h"
 #include "graph/snapshot.h"
 #include "match/pred_bytecode.h"
 
 namespace graphql::match {
 
 /// Per-(pattern, snapshot) compiled selection state: bound requirement
-/// columns and predicate plans for every pattern node. Two kernels read
-/// it, both keeping exactly the candidates the AST feasible-mate test
-/// (GraphPattern::NodeCompatible) keeps:
-///  - ScanBaseList (indexed retrieval): per-candidate probes of the base
-///    list against the pre-bound columns, pushed predicates run as
-///    compiled bytecode (AST fallback for uncovered conjuncts);
-///  - FillStructuralBitmap + PredsOk (index-less retrieval, whose base is
-///    every node): tag and attribute-equality requirements fill a
-///    PackedBits verdict row column at a time, survivors evaluate pushed
-///    predicates.
-/// Built once per retrieve; read-only afterwards, so parallel workers
-/// share one instance (each with its own PatternScratch).
+/// columns and predicate plans for every pattern node. Its kernel,
+/// ScanBaseList, keeps exactly the candidates the AST feasible-mate test
+/// (GraphPattern::NodeCompatible) keeps: per-candidate probes of a base
+/// list (a posting list, a B+-tree range or every node) against the
+/// pre-bound columns, pushed predicates run as compiled bytecode (AST
+/// fallback for uncovered conjuncts). Built once per retrieve; read-only
+/// afterwards, so parallel workers share one instance (each with its own
+/// PatternScratch).
 class SelectionPlan {
  public:
   /// Binds columns and compiles pushed predicates.
@@ -59,13 +54,7 @@ class SelectionPlan {
   bool NodeCompatible(NodeId u, const Graph& data, NodeId v,
                       algebra::PatternScratch* scratch) const;
 
-  /// Column-at-a-time structural pass: overwrites row 0 of `bits` (which must
-  /// have at least 2 rows of snapshot-node width; row 1 is scratch) with
-  /// the verdict of the tag and attribute-equality requirements of pattern
-  /// node `u` over every data node. Pushed predicates are NOT included —
-  /// callers run PredsOk on surviving bits.
-  void FillStructuralBitmap(NodeId u, PackedBits* bits) const;
-
+ private:
   /// Evaluates the pushed predicates of `u` for candidate `v`: compiled
   /// programs first, residual conjuncts via the AST interpreter. True when
   /// u carries no predicates.
@@ -77,7 +66,6 @@ class SelectionPlan {
     return !np.preds.compiled.empty() || !np.preds.residual.empty();
   }
 
- private:
   /// One attribute-equality requirement bound to its column; `col` is
   /// nullptr when the snapshot has no column for the attribute (the
   /// requirement can never hold).

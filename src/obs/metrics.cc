@@ -220,7 +220,7 @@ std::string MetricsSnapshot::ToText() const {
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   MutexLock lock(&mu_);
-  auto it = counters_.find(std::string(name));
+  auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
@@ -230,7 +230,7 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   MutexLock lock(&mu_);
-  auto it = histograms_.find(std::string(name));
+  auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;

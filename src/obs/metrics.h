@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -128,11 +129,17 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
  private:
+  /// Transparent, so a lookup by string_view builds no key; a miss stores
+  /// one.
+  struct NameHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  template <typename Metric>
+  using NameMap = std::unordered_map<std::string, std::unique_ptr<Metric>,
+                                     NameHash, std::equal_to<>>;
   mutable Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Counter>> counters_
-      GQL_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_
-      GQL_GUARDED_BY(mu_);
+  NameMap<Counter> counters_ GQL_GUARDED_BY(mu_);
+  NameMap<Histogram> histograms_ GQL_GUARDED_BY(mu_);
 };
 
 }  // namespace graphql::obs

@@ -81,9 +81,6 @@ class DurableStore {
     std::string dir;
     /// Auto-checkpoint after this many WAL records (MaybeCheckpoint).
     uint64_t checkpoint_every = 64;
-    /// WAL group-commit batch (1 = fsync per commit, the default; see
-    /// WalWriter::set_sync_every).
-    uint32_t wal_sync_every = 1;
     /// Consulted at `wal_append@N` and `checkpoint@N`; null disables.
     FaultInjector* injector = nullptr;
   };

@@ -160,8 +160,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     next_lsn_ = other.next_lsn_;
     bytes_ = other.bytes_;
     records_appended_ = other.records_appended_;
-    sync_every_ = other.sync_every_;
-    unsynced_ = other.unsynced_;
     injector_ = other.injector_;
   }
   return *this;
@@ -210,19 +208,9 @@ Status WalWriter::Append(uint8_t kind, std::span<const uint8_t> body) {
   bytes_ += record.size();
   ++next_lsn_;
   ++records_appended_;
-  if (++unsynced_ >= sync_every_) {
-    GQL_RETURN_IF_ERROR(Sync());
-  }
-  return Status::OK();
-}
-
-Status WalWriter::Sync() {
-  if (fd_ < 0) return Status::Internal("wal writer is closed");
-  if (unsynced_ == 0) return Status::OK();
   if (::fsync(fd_) != 0) {
     return Status::Internal("fsync wal '" + path_ + "' failed");
   }
-  unsynced_ = 0;
   return Status::OK();
 }
 

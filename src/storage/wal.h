@@ -73,21 +73,12 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
   ~WalWriter();
 
-  /// Appends one record and makes it durable (fsync) unless batching is
-  /// configured via set_sync_every. Consults the fault injector's
-  /// `wal_append@N` point first: an injected fault writes a deliberately
-  /// torn prefix of the record (the on-disk shape of a crash mid-write)
-  /// and fails the append.
+  /// Appends one record and makes it durable (fsync) before returning, as
+  /// the commit protocol's publish-after-durable ordering requires.
+  /// Consults the fault injector's `wal_append@N` point first: an injected
+  /// fault writes a deliberately torn prefix of the record (the on-disk
+  /// shape of a crash mid-write) and fails the append.
   Status Append(uint8_t kind, std::span<const uint8_t> body);
-
-  /// Forces everything appended so far to disk.
-  Status Sync();
-
-  /// Group commit: fsync once per `n` appends (1 = every append, the
-  /// default and what the commit protocol requires for publish-after-
-  /// durable ordering; >1 trades durability of the last n-1 commits for
-  /// throughput, for bulk loads).
-  void set_sync_every(uint32_t n) { sync_every_ = n == 0 ? 1 : n; }
 
   /// Injector consulted at `wal_append@N`; null disables.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
@@ -104,8 +95,6 @@ class WalWriter {
   uint64_t next_lsn_ = 1;
   uint64_t bytes_ = 0;
   uint64_t records_appended_ = 0;
-  uint32_t sync_every_ = 1;
-  uint32_t unsynced_ = 0;
   FaultInjector* injector_ = nullptr;
 };
 

@@ -349,8 +349,9 @@ TEST_F(GovernedPipelineTest, RetrieveTripYieldsEmptyCandidates) {
   FaultInjector inj;
   inj.AddRule(GovernPoint::kRetrieve, 1, TripKind::kSteps);
   gov.set_fault_injector(&inj);
-  // Prime the amortization counter so retrieval's bulk charge (800 steps,
-  // below the 1024 interval on its own) lands on a slow check.
+  // Prime the amortization counter so retrieval's first per-node charge
+  // (|V| = 200 steps, below the 1024 interval on its own) lands on a slow
+  // check: the first pattern node trips, so every candidate list is empty.
   ASSERT_TRUE(gov.Charge(ResourceGovernor::kCheckIntervalSteps - 1,
                          GovernPoint::kOther));
   obs::MetricsRegistry reg;

@@ -158,6 +158,17 @@ TEST(BinarySerializeTest, BadMagicRejected) {
   auto back = ReadGraphBinary(&stream);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  // Only version 2 is read: a stream in the retired inline-string version
+  // 1 is rejected by its version byte.
+  std::string v1 = "GQLB";
+  v1 += '\x01';  // Version.
+  v1 += '\x00';  // Undirected.
+  v1.append(4, '\x00');  // Empty name.
+  std::stringstream old(v1);
+  back = ReadGraphBinary(&old);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(back.status().message(), "unsupported binary graph version 1");
 }
 
 TEST(BinarySerializeTest, TruncationRejected) {
@@ -171,54 +182,30 @@ TEST(BinarySerializeTest, TruncationRejected) {
   EXPECT_EQ(back.status().code(), StatusCode::kParseError);
 }
 
-TEST(BinarySerializeTest, OverpromisingCountsRejectedWithoutAllocating) {
-  // A header that claims 2^31 nodes but carries no payload must fail with
-  // a clean ParseError before any proportional allocation happens. Layout:
-  // magic "GQLB", version, directed flag, name, graph attrs, counts.
-  std::string data;
-  data += "GQLB";
-  data += '\x01';                      // Version.
-  data += '\x00';                      // Undirected.
-  data.append(4, '\x00');              // Empty name (length 0).
-  data.append(8, '\x00');              // Graph attrs: empty tag, 0 entries.
-  data += std::string("\x00\x00\x00\x80", 4);  // num_nodes = 2^31 (LE).
-  data.append(4, '\x00');              // num_edges = 0.
-  std::stringstream stream(data);
-  auto back = ReadGraphBinary(&stream);
-  ASSERT_FALSE(back.ok());
-  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
-}
-
 TEST(BinarySerializeTest, OverpromisingStringLengthRejected) {
-  // A string length prefix far beyond the remaining bytes.
-  std::string data;
-  data += "GQLB";
-  data += '\x01';
-  data += '\x00';
-  data += std::string("\xff\xff\xff\x7f", 4);  // Name length 2^31-1.
-  data += "x";                                 // ... but one byte follows.
-  std::stringstream stream(data);
-  auto back = ReadGraphBinary(&stream);
-  ASSERT_FALSE(back.ok());
-  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
-}
-
-TEST(BinarySerializeTest, LegacyV1StillReadable) {
-  // The writer now emits version 2 (string table + columns), but version-1
-  // files in the wild must keep loading. WriteGraphBinaryV1 produces the
-  // exact legacy encoding.
-  Graph g = SampleGraph();
-  std::stringstream stream;
-  ASSERT_TRUE(WriteGraphBinaryV1(g, &stream).ok());
-  auto back = ReadGraphBinary(&stream);
-  ASSERT_TRUE(back.ok()) << back.status();
-  ExpectEquivalent(g, *back);
-  EXPECT_EQ(back->node(0).name, g.node(0).name);
+  // A string-table entry whose length prefix is beyond the remaining bytes
+  // (2^20, one byte follows) or beyond the string cap (2^31-1).
+  for (const char* length : {"\x00\x00\x10\x00", "\xff\xff\xff\x7f"}) {
+    std::string data;
+    data += "GQLB";
+    data += '\x02';
+    data += '\x00';
+    data += std::string("\x01\x00\x00\x00", 4);  // 1 string in the table.
+    data += std::string(length, 4);               // Its length...
+    data += "x";                                  // ... but one byte follows.
+    std::stringstream stream(data);
+    auto back = ReadGraphBinary(&stream);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(BinarySerializeTest, V2DeduplicatesStrings) {
   // 100 nodes sharing one tag and one attribute key/value must store those
-  // strings once: the v2 stream stays well under the v1 stream's size.
+  // strings once. A node then costs 17 bytes (name and tag references, one
+  // column entry of id, kind and value reference), so the stream stays
+  // under 20 bytes a node; one inline copy per node of any of the three
+  // strings (12 bytes or more) would break that.
   Graph g;
   for (int i = 0; i < 100; ++i) {
     AttrTuple t("espresso-machine");
@@ -226,10 +213,8 @@ TEST(BinarySerializeTest, V2DeduplicatesStrings) {
     g.AddNode("", t);
   }
   std::stringstream v2;
-  std::stringstream v1;
   ASSERT_TRUE(WriteGraphBinary(g, &v2).ok());
-  ASSERT_TRUE(WriteGraphBinaryV1(g, &v1).ok());
-  EXPECT_LT(v2.str().size() * 2, v1.str().size());
+  EXPECT_LT(v2.str().size(), 100u * 20);
   auto back = ReadGraphBinary(&v2);
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectEquivalent(g, *back);

@@ -1,13 +1,14 @@
 // Differential tests for candidate selection. At the kernel seam,
-// ScanBaseList's per-candidate test and the index-less scan's column-at-
-// a-time bitmap must keep exactly the candidates — in base-list order —
-// that the AST feasible-mate test GraphPattern::NodeCompatible keeps, for
-// every pattern node, with predicates inside and outside the bytecode ISA;
-// a plan that omits the label requirement must keep them over the label's
-// posting list. Through the pipeline, retrieval must equal the AST scan in
-// the match_oracle.h reference, indexed or not, at any thread count.
-// Governed queries must trip at the same point and return the same partial
-// results at every thread count and on every repeated run.
+// ScanBaseList's per-candidate test must keep exactly the candidates — in
+// base-list order — that the AST feasible-mate test
+// GraphPattern::NodeCompatible keeps, for every pattern node, with
+// predicates inside and outside the bytecode ISA; a plan that omits the
+// label requirement must keep them over the label's posting list. Through
+// the pipeline, retrieval must equal the AST scan in the match_oracle.h
+// reference, indexed or not, at any thread count, and over the mapped
+// snapshots of a collection opened from a v3 image. Governed queries must
+// trip at the same point and return the same partial results at every
+// thread count and on every repeated run, indexed or not.
 
 #include <gtest/gtest.h>
 
@@ -18,13 +19,14 @@
 #include <vector>
 
 #include "common/governor.h"
-#include "common/packed_bits.h"
 #include "common/thread_pool.h"
+#include "io/snapshot_v3.h"
 #include "match/pipeline.h"
 #include "match/profile.h"
 #include "match/vectorized.h"
 #include "match_oracle.h"
 #include "obs/metrics.h"
+#include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
 #include "workload/queries.h"
 
@@ -83,7 +85,7 @@ std::vector<algebra::GraphPattern> MakePatterns() {
            R"(graph P { node a where tier == "gold"; node b;
                         edge (a, b); })",
            // Arithmetic predicate outside the ISA: forces the AST
-           // interpreter fallback on the bytecode/bitmap kernels.
+           // interpreter fallback.
            R"(graph P { node a where score + 0 > 10; node b <label="L1">;
                         edge (a, b); })",
        }) {
@@ -132,17 +134,6 @@ TEST(VectorizedDifferentialTest, KernelsBitIdenticalAcrossConfigs) {
         std::vector<NodeId> got;
         ScanBaseList(plan, pu, data, *bases[bi], &scratch, &got);
         EXPECT_EQ(got, want) << "per-candidate u" << u << " base " << bi;
-        // The index-less scan: the structural bitmap, then the predicates.
-        PackedBits bits(2, snap->num_nodes());
-        plan.FillStructuralBitmap(pu, &bits);
-        got.clear();
-        for (NodeId v : *bases[bi]) {
-          if (bits.Test(0, static_cast<size_t>(v)) &&
-              plan.PredsOk(pu, data, v, &scratch)) {
-            got.push_back(v);
-          }
-        }
-        EXPECT_EQ(got, want) << "bitmap u" << u << " base " << bi;
       }
       // Over its own posting list, a labelled node's plan skips the label
       // check and still keeps what the AST test keeps.
@@ -296,9 +287,9 @@ TEST(VectorizedDifferentialTest, ProfileRetrievalMatchesOracle) {
 }
 
 TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
-  // index == nullptr exercises the full-scan retrieve (dense base: the
-  // bitmap kernel over every node); it must equal the AST scan, and the
-  // scan-fed pipeline must find the index-fed pipeline's matches.
+  // index == nullptr exercises the full-scan retrieve (every node is a
+  // base candidate); it must equal the AST scan, and the scan-fed pipeline
+  // must find the index-fed pipeline's matches.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
@@ -320,6 +311,68 @@ TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
   }
 }
 
+TEST(VectorizedDifferentialTest, IndexLessRetrieveOverMappedMembers) {
+  // A durable store recovers its documents from v3 images: each member
+  // graph adopts a snapshot that views the mapped pages. Index-less
+  // retrieval over such members, the per-member step of a collection
+  // select, must keep what the AST scan keeps over the materialized graph
+  // for a tag, a string-equality requirement, a compiled predicate and a
+  // residual (AST-interpreted) predicate.
+  Rng rng(2020);
+  workload::DblpOptions o;
+  o.num_papers = 40;
+  o.num_authors = 12;
+  GraphCollection dblp = workload::MakeDblpCollection(o, &rng);
+  auto image = io::BuildCollectionV3(dblp, /*store_version=*/1);
+  ASSERT_TRUE(image.ok()) << image.status();
+  auto opened = io::OpenCollectionV3FromBuffer(std::move(image).value());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto members = io::MaterializeGraphs(*opened);
+  ASSERT_TRUE(members.ok()) << members.status();
+  ASSERT_EQ(members->size(), dblp.size());
+
+  std::vector<algebra::GraphPattern> patterns;
+  for (const char* source : {
+           R"(graph Q { node a <author>; })",
+           R"(graph Q { node a <author name="A3">; })",
+           R"(graph Q { node a <author>; node b <author>; }
+              where a.name == "A3")",
+           R"(graph Q { node a <author>; node b; } where a.name + "" == "A3")",
+       }) {
+    auto p = algebra::GraphPattern::Parse(source);
+    ASSERT_TRUE(p.ok()) << p.status();
+    patterns.push_back(std::move(p).value());
+  }
+  PipelineOptions options;
+  options.metrics = nullptr;
+  std::vector<size_t> kept(patterns.size(), 0);
+  std::vector<PipelineStats> stats(patterns.size());
+  for (size_t gi = 0; gi < members->size(); ++gi) {
+    const Graph& g = (*members)[gi];
+    bool fresh = true;
+    std::shared_ptr<const GraphSnapshot> snap = g.snapshot(&fresh);
+    ASSERT_FALSE(fresh) << "member " << gi;
+    ASSERT_EQ(snap.get(), opened->snapshots[gi].get());
+    EXPECT_TRUE(snap->is_mapped()) << "member " << gi;
+    for (size_t pi = 0; pi < patterns.size(); ++pi) {
+      const std::vector<std::vector<NodeId>> want =
+          oracle::ScanCandidates(patterns[pi], g);
+      kept[pi] += want[0].size();
+      EXPECT_EQ(RetrieveCandidates(patterns[pi], g, nullptr, options,
+                                   &stats[pi]),
+                want)
+          << "member " << gi << " pattern " << pi;
+    }
+  }
+  for (size_t pi = 0; pi < patterns.size(); ++pi) {
+    EXPECT_GT(kept[pi], 0u) << "pattern " << pi << " kept nothing";
+    EXPECT_EQ(stats[pi].retrieve.scans, members->size());
+  }
+  EXPECT_GT(stats[2].retrieve.pred_compiled, 0u);
+  EXPECT_EQ(stats[2].retrieve.pred_fallback, 0u);
+  EXPECT_GT(stats[3].retrieve.pred_fallback, 0u);
+}
+
 TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
   // Every stage charges the governor at fixed sites with fixed amounts, and
   // parallel stages replay their tasks' charges in serial order, so a step
@@ -331,22 +384,34 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
   // count.
   // Most neighborhood budgets trip inside retrieval's sub-isomorphism
   // tests, some inside one node's own tests (the smallest ones) and some
-  // in a later node.
+  // in a later node. Index-less retrieval charges |V| = 150 per pattern
+  // node: 100 trips on the first node, 200 on the second, 400 on the third
+  // of a three-node pattern, and 5000 lets every scan through.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
   data.snapshot();  // Compiled once, so no run reserves its bytes.
+  ASSERT_EQ(data.NumNodes(), 150u);
   ThreadPool pool(3);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
+  struct Config {
+    CandidateMode mode;
+    uint64_t max_steps;
+    const LabelIndex* index;
+  };
+  size_t mid_scan_trips = 0;  // Index-less trips after a node's scan.
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    for (auto [mode, max_steps] :
-         {std::pair{CandidateMode::kProfile, 50u},
-          std::pair{CandidateMode::kProfile, 400u},
-          std::pair{CandidateMode::kProfile, 5000u},
-          std::pair{CandidateMode::kNeighborhood, 100u},
-          std::pair{CandidateMode::kNeighborhood, 200u},
-          std::pair{CandidateMode::kNeighborhood, 400u},
-          std::pair{CandidateMode::kNeighborhood, 5000u},
-          std::pair{CandidateMode::kNeighborhood, 20000u}}) {
+    for (const Config& c : {Config{CandidateMode::kProfile, 50, &index},
+                            Config{CandidateMode::kProfile, 400, &index},
+                            Config{CandidateMode::kProfile, 5000, &index},
+                            Config{CandidateMode::kNeighborhood, 100, &index},
+                            Config{CandidateMode::kNeighborhood, 200, &index},
+                            Config{CandidateMode::kNeighborhood, 400, &index},
+                            Config{CandidateMode::kNeighborhood, 5000, &index},
+                            Config{CandidateMode::kNeighborhood, 20000, &index},
+                            Config{CandidateMode::kLabelOnly, 100, nullptr},
+                            Config{CandidateMode::kLabelOnly, 200, nullptr},
+                            Config{CandidateMode::kLabelOnly, 400, nullptr},
+                            Config{CandidateMode::kLabelOnly, 5000, nullptr}}) {
       std::string want;
       std::string want_counts;
       TripKind want_trip = TripKind::kNone;
@@ -354,16 +419,16 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
       size_t want_peak = 0;
       for (int run = 0; run < 9; ++run) {
         const int threads = std::vector<int>{0, 1, 4}[run % 3];
-        ResourceGovernor governor(GovernorLimits{.max_steps = max_steps});
+        ResourceGovernor governor(GovernorLimits{.max_steps = c.max_steps});
         obs::MetricsRegistry metrics;
         PipelineStats stats;
         PipelineOptions options;
-        options.candidate_mode = mode;
+        options.candidate_mode = c.mode;
         options.metrics = &metrics;
         options.governor = &governor;
         options.num_threads = threads;
         options.pool = &pool;
-        auto got = MatchPattern(patterns[pi], data, &index, options, &stats);
+        auto got = MatchPattern(patterns[pi], data, c.index, options, &stats);
         ASSERT_TRUE(got.ok()) << got.status();
         std::ostringstream counts;
         for (const auto& [name, value] : metrics.Snapshot().counters) {
@@ -384,13 +449,20 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
           want_trip = governor.trip_kind();
           want_steps = governor.steps_used();
           want_peak = governor.peak_memory();
+          if (c.index == nullptr && governor.tripped() &&
+              governor.trip_point() == GovernPoint::kRetrieve &&
+              stats.size_attr[0] > 0) {
+            ++mid_scan_trips;
+            EXPECT_EQ(stats.size_attr.back(), 0u);
+            EXPECT_TRUE(got->empty());
+          }
           continue;
         }
-        const std::string where = "pattern " + std::to_string(pi) + " " +
-                                  CandidateModeName(mode) + " max_steps " +
-                                  std::to_string(max_steps) +
-                                  " threads " + std::to_string(threads) +
-                                  " run " + std::to_string(run);
+        const std::string where =
+            "pattern " + std::to_string(pi) + " " + CandidateModeName(c.mode) +
+            (c.index == nullptr ? " index-less" : "") + " max_steps " +
+            std::to_string(c.max_steps) + " threads " +
+            std::to_string(threads) + " run " + std::to_string(run);
         EXPECT_EQ(want, Fingerprint(*got)) << where;
         EXPECT_EQ(want_counts, counts.str()) << where;
         EXPECT_EQ(want_trip, governor.trip_kind()) << where;
@@ -399,6 +471,7 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
       }
     }
   }
+  EXPECT_GT(mid_scan_trips, 0u) << "no index-less trip between node scans";
 }
 
 TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,17 @@ TEST(CounterTest, RegistryReturnsSamePointerForSameName) {
   Counter* b = registry.GetCounter("x");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, registry.GetCounter("y"));
+  // Lookups take views: a view into a longer buffer finds the stored name
+  // by its own bytes, and a prefix of a stored name is another name.
+  const std::string buffer = "match.retrieve.feasible_hits+tail";
+  const std::string_view name(buffer.data(), buffer.size() - 5);
+  Counter* hits = registry.GetCounter("match.retrieve.feasible_hits");
+  EXPECT_EQ(registry.GetCounter(name), hits);
+  EXPECT_NE(registry.GetCounter(name.substr(0, 14)), hits);
+  Histogram* h = registry.GetHistogram("match.query.us");
+  EXPECT_EQ(registry.GetHistogram(std::string_view(buffer).substr(0, 5)),
+            registry.GetHistogram("match"));
+  EXPECT_EQ(registry.GetHistogram(std::string("match.query.us")), h);
 }
 
 TEST(HistogramTest, BucketBoundaries) {

@@ -222,23 +222,5 @@ TEST(WalTest, InjectedFaultLeavesTornRecordThatRecoveryDrops) {
   EXPECT_EQ(seen[0].body, "survives the crash");
 }
 
-TEST(WalTest, GroupCommitBatchingStillReplays) {
-  TempPath tmp;
-  {
-    auto w = WalWriter::Open(tmp.path(), 1, 0);
-    ASSERT_TRUE(w.ok());
-    w.value().set_sync_every(4);
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(w.value().Append(1, Body("r" + std::to_string(i))).ok());
-    }
-    ASSERT_TRUE(w.value().Sync().ok());
-  }
-  std::vector<Seen> seen;
-  auto stats = ReplayWalFile(tmp.path(), Collect(&seen));
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().records, 10u);
-  EXPECT_EQ(seen.back().body, "r9");
-}
-
 }  // namespace
 }  // namespace graphql::storage
