@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
 
 #include "bench_common.h"
@@ -45,10 +46,11 @@ BENCHMARK(BM_ProfileContains);
 
 void BM_BuildProfileRadius1(benchmark::State& state) {
   const Graph& g = GetProteinWorkload().graph;
-  std::vector<int> scratch(g.NumNodes(), -1);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  match::NeighborhoodWalker walker(*snap);
   NodeId v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(match::BuildProfile(g, v, 1, &scratch));
+    benchmark::DoNotOptimize(match::BuildProfile(&walker, v, 1));
     v = static_cast<NodeId>((v + 1) % g.NumNodes());
   }
 }
@@ -56,10 +58,11 @@ BENCHMARK(BM_BuildProfileRadius1);
 
 void BM_ExtractNeighborhood(benchmark::State& state) {
   const Graph& g = GetProteinWorkload().graph;
-  std::vector<NodeId> scratch(g.NumNodes(), kInvalidNode);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  match::NeighborhoodWalker walker(*snap);
   NodeId v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(match::ExtractNeighborhood(g, v, 1, &scratch));
+    benchmark::DoNotOptimize(match::ExtractNeighborhood(&walker, v, 1));
     v = static_cast<NodeId>((v + 1) % g.NumNodes());
   }
 }

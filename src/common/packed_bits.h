@@ -26,8 +26,6 @@ class PackedBits {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  /// 64-bit words per row (the unit of the bulk operations below).
-  size_t row_words() const { return row_words_; }
   size_t bytes() const { return words_.size() * sizeof(uint64_t); }
 
   bool Test(size_t r, size_t c) const {
@@ -49,56 +47,6 @@ class PackedBits {
     words_ = other.words_;
   }
 
-  /// Sets every bit of row `r` in [0, cols); bits in the tail of the last
-  /// word stay zero so PopCount and word-level scans never see ghosts.
-  void SetRow(size_t r) {
-    uint64_t* row = words_.data() + r * row_words_;
-    for (size_t w = 0; w < row_words_; ++w) row[w] = ~uint64_t{0};
-    TrimRowTail(row);
-  }
-  void ClearRow(size_t r) {
-    uint64_t* row = words_.data() + r * row_words_;
-    for (size_t w = 0; w < row_words_; ++w) row[w] = 0;
-  }
-
-  /// Word-at-a-time row combinators: row `r` of this matrix op= row `sr`
-  /// of `src` (which may be this matrix). Shapes must agree on cols.
-  void AndRow(size_t r, const PackedBits& src, size_t sr) {
-    assert(row_words_ == src.row_words_);
-    uint64_t* dst = words_.data() + r * row_words_;
-    const uint64_t* s = src.words_.data() + sr * src.row_words_;
-    for (size_t w = 0; w < row_words_; ++w) dst[w] &= s[w];
-  }
-  void OrRow(size_t r, const PackedBits& src, size_t sr) {
-    assert(row_words_ == src.row_words_);
-    uint64_t* dst = words_.data() + r * row_words_;
-    const uint64_t* s = src.words_.data() + sr * src.row_words_;
-    for (size_t w = 0; w < row_words_; ++w) dst[w] |= s[w];
-  }
-  /// dst &= ~src (keep bits of `r` not set in `sr`).
-  void AndNotRow(size_t r, const PackedBits& src, size_t sr) {
-    assert(row_words_ == src.row_words_);
-    uint64_t* dst = words_.data() + r * row_words_;
-    const uint64_t* s = src.words_.data() + sr * src.row_words_;
-    for (size_t w = 0; w < row_words_; ++w) dst[w] &= ~s[w];
-  }
-
-  /// Population count of row `r`.
-  size_t PopCountRow(size_t r) const {
-    const uint64_t* row = words_.data() + r * row_words_;
-    size_t n = 0;
-    for (size_t w = 0; w < row_words_; ++w) {
-      n += static_cast<size_t>(std::popcount(row[w]));
-    }
-    return n;
-  }
-  /// Population count of the whole matrix.
-  size_t PopCount() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(std::popcount(w));
-    return n;
-  }
-
   /// Set bits of row `r` in ascending column order — row by row, the
   /// ascending (u, v) order refinement drains its dirty pairs in.
   /// `fn` returning false stops the scan (and returns false here).
@@ -116,21 +64,7 @@ class PackedBits {
     return true;
   }
 
-  /// Raw word access for block-at-a-time consumers (a word covers columns
-  /// [64*w, 64*w + 63] of the row).
-  uint64_t RowWord(size_t r, size_t w) const {
-    return words_[r * row_words_ + w];
-  }
-
  private:
-  /// Zeroes the bits past `cols_` in a row's last word.
-  void TrimRowTail(uint64_t* row) {
-    size_t tail = cols_ & 63;
-    if (row_words_ != 0 && tail != 0) {
-      row[row_words_ - 1] &= (uint64_t{1} << tail) - 1;
-    }
-  }
-
   size_t rows_ = 0;
   size_t cols_ = 0;
   size_t row_words_ = 0;

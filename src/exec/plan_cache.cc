@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 
+#include "graph/snapshot.h"
 #include "lang/lexer.h"
 #include "lang/token.h"
 #include "obs/recorder.h"
@@ -120,7 +121,31 @@ size_t CachedPlan::EstimateBytes(const PlanKey& key, const CachedPlan& plan) {
     for (const algebra::GraphPattern& alt : alts) {
       // Per-node/edge structures (preds, reqs, interned tags) dominate.
       bytes += 1024 + 256 * (alt.graph().NumNodes() + alt.graph().NumEdges());
+      bytes += EstimateSnapshotBytes(alt.graph());
     }
+  }
+  return bytes;
+}
+
+size_t CachedPlan::EstimateSnapshotBytes(const Graph& pattern) {
+  // Per node: its symbols and CSR offsets. Per edge: its symbols, its
+  // endpoints, a CSR entry at each end and the distinct-neighbour slots.
+  // Per attribute: a column cell (id, value, symbol, string payload) and,
+  // counted once per cell rather than per name, the column holding it.
+  size_t bytes = sizeof(GraphSnapshot) + 64 + 32 * pattern.NumNodes() +
+                 64 * pattern.NumEdges();
+  auto cells = [&bytes](const AttrTuple& t) {
+    for (const auto& [name, value] : t.attrs()) {
+      bytes += sizeof(GraphSnapshot::Column) + sizeof(int32_t) +
+               sizeof(Value) + sizeof(SymbolId) +
+               (value.is_string() ? value.AsString().size() : 0);
+    }
+  };
+  for (size_t v = 0; v < pattern.NumNodes(); ++v) {
+    cells(pattern.node(static_cast<NodeId>(v)).attrs);
+  }
+  for (size_t e = 0; e < pattern.NumEdges(); ++e) {
+    cells(pattern.edge(static_cast<EdgeId>(e)).attrs);
   }
   return bytes;
 }

@@ -93,6 +93,13 @@ struct CachedPlan {
   /// per-alternative costs. Deliberately coarse — the bound exists to keep
   /// a long session from hoarding plans, not to meter bytes exactly.
   static size_t EstimateBytes(const PlanKey& key, const CachedPlan& plan);
+
+  /// The part of EstimateBytes for one alternative's pattern snapshot,
+  /// which the match pipeline's indexed retrieve compiles and caches on
+  /// the pattern graph for its profile and neighbourhood tests, estimated
+  /// without compiling it. At least sizeof(GraphSnapshot) plus the
+  /// snapshot's bytes().
+  static size_t EstimateSnapshotBytes(const Graph& pattern);
 };
 
 /// Byte-bounded LRU over compiled query plans, keyed on normalized shape +

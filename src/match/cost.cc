@@ -1,8 +1,6 @@
 #include "match/cost.h"
 
-#include <algorithm>
-#include <limits>
-#include <string>
+#include <string_view>
 
 namespace graphql::match {
 
@@ -26,10 +24,8 @@ double JoinGamma(const Graph& p, NodeId u, const std::vector<char>& joined,
                  const std::vector<SymbolId>& labels, const LabelIndex* index,
                  const OrderOptions& options) {
   double gamma = 1.0;
-  bool any = false;
   auto fold = [&](NodeId w) {
     if (!joined[w]) return;
-    any = true;
     double p_edge = options.constant_gamma;
     if (options.use_edge_probs && index != nullptr &&
         labels[u] != kNoSymbol && labels[w] != kNoSymbol) {
@@ -42,7 +38,6 @@ double JoinGamma(const Graph& p, NodeId u, const std::vector<char>& joined,
   if (p.directed()) {
     for (const Graph::Adj& a : p.in_neighbors(u)) fold(a.node);
   }
-  (void)any;
   return gamma;
 }
 
@@ -81,72 +76,6 @@ std::vector<NodeId> GreedySearchOrder(
     joined[best] = 1;
     order.push_back(best);
     size = best_result;  // Size(i) = Size(l) x Size(r) x gamma(i).
-  }
-  return order;
-}
-
-Result<std::vector<NodeId>> DpSearchOrder(
-    const algebra::GraphPattern& pattern,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const LabelIndex* index, const OrderOptions& options) {
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k > kMaxDpPatternSize) {
-    return Status::InvalidArgument(
-        "DP ordering supports patterns up to " +
-        std::to_string(kMaxDpPatternSize) + " nodes, got " +
-        std::to_string(k));
-  }
-  if (k == 0) return std::vector<NodeId>{};
-  std::vector<SymbolId> labels = PatternLabels(p, index);
-
-  size_t num_subsets = size_t{1} << k;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // size_of[S]: estimated cardinality of the join over subset S
-  // (order-independent); best[S]: minimal accumulated cost reaching S;
-  // last[S]: the node joined last on an optimal path.
-  std::vector<double> size_of(num_subsets, 0.0);
-  std::vector<double> best(num_subsets, kInf);
-  std::vector<int> last(num_subsets, -1);
-  size_of[0] = 1.0;
-  best[0] = 0.0;
-
-  std::vector<char> joined(k, 0);
-  for (size_t set = 1; set < num_subsets; ++set) {
-    // Compute size_of[set] from any member u (consistent by construction).
-    size_t u = 0;
-    while (!(set & (size_t{1} << u))) ++u;
-    size_t prev = set & ~(size_t{1} << u);
-    for (size_t w = 0; w < k; ++w) joined[w] = (prev >> w) & 1;
-    double gamma = JoinGamma(p, static_cast<NodeId>(u), joined, labels,
-                             index, options);
-    size_of[set] = size_of[prev] *
-                   static_cast<double>(candidates[u].size()) * gamma;
-
-    // Transition: join any member last.
-    bool first_node = (set & (set - 1)) == 0;
-    for (size_t v = 0; v < k; ++v) {
-      if (!(set & (size_t{1} << v))) continue;
-      size_t before = set & ~(size_t{1} << v);
-      if (best[before] == kInf) continue;
-      double join_cost =
-          first_node ? 0.0
-                     : size_of[before] *
-                           static_cast<double>(candidates[v].size());
-      double total = best[before] + join_cost;
-      if (total < best[set]) {
-        best[set] = total;
-        last[set] = static_cast<int>(v);
-      }
-    }
-  }
-
-  std::vector<NodeId> order(k);
-  size_t set = num_subsets - 1;
-  for (size_t i = k; i-- > 0;) {
-    int v = last[set];
-    order[i] = static_cast<NodeId>(v);
-    set &= ~(size_t{1} << v);
   }
   return order;
 }

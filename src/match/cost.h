@@ -32,24 +32,6 @@ std::vector<NodeId> GreedySearchOrder(
     const std::vector<std::vector<NodeId>>& candidates,
     const LabelIndex* index, const OrderOptions& options = {});
 
-/// Largest pattern for which exact DP ordering is permitted (2^k states).
-inline constexpr size_t kMaxDpPatternSize = 20;
-
-/// Exact left-deep search-order selection by dynamic programming over
-/// node subsets (O(2^k k^2)). The paper observes that "traditional dynamic
-/// programming does not scale well with the number of joins", motivating
-/// its greedy choice; this implementation makes that trade-off measurable
-/// (see bench_ablation_order). The estimated size of a joined subset is
-/// order-independent (each edge's reduction factor applies exactly once,
-/// when its second endpoint joins), which makes the subset DP exact for
-/// the cost model of Definitions 4.11-4.13.
-///
-/// Fails with InvalidArgument for patterns above kMaxDpPatternSize nodes.
-Result<std::vector<NodeId>> DpSearchOrder(
-    const algebra::GraphPattern& pattern,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const LabelIndex* index, const OrderOptions& options = {});
-
 /// Total estimated cost of a given search order (Definition 4.13):
 /// sum over joins of Size(left) x Size(right), with
 /// Size(i) = Size(left) x Size(right) x gamma(i). Exposed for tests and

@@ -16,7 +16,7 @@ uint64_t PairKey(SymbolId a, SymbolId b) {
 
 LabelIndex LabelIndex::Build(const Graph& g, LabelIndexOptions options) {
   std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
-  LabelIndex index(g, *snap, std::move(options));
+  LabelIndex index(*snap, std::move(options));
   index.pin_ = std::move(snap);
   return index;
 }
@@ -33,7 +33,7 @@ std::shared_ptr<const LabelIndex> LabelIndex::Shared(const Graph& g,
                       LabelIndexOptions options;
                       options.build_neighborhoods = with_neighborhoods;
                       return std::shared_ptr<const LabelIndex>(
-                          new LabelIndex(g, *snap, std::move(options)));
+                          new LabelIndex(*snap, std::move(options)));
                     },
                     built);
   // Aliasing: the handle owns the snapshot, which owns the index.
@@ -41,8 +41,7 @@ std::shared_ptr<const LabelIndex> LabelIndex::Shared(const Graph& g,
       std::move(snap), static_cast<const LabelIndex*>(cached));
 }
 
-LabelIndex::LabelIndex(const Graph& g, const GraphSnapshot& snap,
-                       LabelIndexOptions options)
+LabelIndex::LabelIndex(const GraphSnapshot& snap, LabelIndexOptions options)
     : snap_(&snap), options_(std::move(options)) {
   const size_t n = snap.num_nodes();
 
@@ -62,17 +61,37 @@ LabelIndex::LabelIndex(const Graph& g, const GraphSnapshot& snap,
     ++edge_pair_freq_[PairKey(a, b)];
   }
 
-  if (options_.build_profiles && n > 0) {
+  // One walk per node fills both its profile run and its neighborhood run.
+  const bool profiles = options_.build_profiles && n > 0;
+  const bool neighborhoods = options_.build_neighborhoods && n > 0;
+  if (profiles) {
     profile_offsets_.reserve(n + 1);
     profile_offsets_.push_back(0);
     profile_sigs_.reserve(n);
-    std::vector<int> scratch(n, -1);
+  }
+  if (neighborhoods) {
+    nbh_offsets_.reserve(n + 1);
+    nbh_offsets_.push_back(0);
+    nbh_edges_.reserve(n);
+  }
+  if (profiles || neighborhoods) {
+    NeighborhoodWalker walker(snap);
     for (size_t v = 0; v < n; ++v) {
-      Profile p = BuildProfile(snap, static_cast<NodeId>(v), options_.radius,
-                               &scratch);
-      profile_syms_.insert(profile_syms_.end(), p.begin(), p.end());
-      profile_offsets_.push_back(static_cast<uint32_t>(profile_syms_.size()));
-      profile_sigs_.push_back(ProfileSignature(p));
+      std::span<const NodeId> members =
+          walker.Walk(static_cast<NodeId>(v), options_.radius);
+      if (profiles) {
+        const size_t begin = profile_syms_.size();
+        AppendProfile(snap, members, &profile_syms_);
+        profile_offsets_.push_back(static_cast<uint32_t>(profile_syms_.size()));
+        profile_sigs_.push_back(ProfileSignature(
+            std::span<const SymbolId>(profile_syms_).subspan(begin)));
+      }
+      if (neighborhoods) {
+        nbh_members_.insert(nbh_members_.end(), members.begin(),
+                            members.end());
+        nbh_offsets_.push_back(static_cast<uint32_t>(nbh_members_.size()));
+        nbh_edges_.push_back(static_cast<uint32_t>(walker.InducedEdges()));
+      }
     }
   }
   for (const std::string& attr : options_.indexed_attributes) {
@@ -88,15 +107,6 @@ LabelIndex::LabelIndex(const Graph& g, const GraphSnapshot& snap,
       }
     }
     attr_trees_.emplace(attr, std::move(tree));
-  }
-
-  if (options_.build_neighborhoods) {
-    neighborhoods_.resize(n);
-    std::vector<NodeId> scratch(n, kInvalidNode);
-    for (size_t v = 0; v < n; ++v) {
-      neighborhoods_[v] = ExtractNeighborhood(g, static_cast<NodeId>(v),
-                                              options_.radius, &scratch);
-    }
   }
 }
 

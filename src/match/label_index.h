@@ -21,11 +21,13 @@ struct LabelIndexOptions {
   /// Radius of the stored neighborhood subgraphs and profiles (Section 5.1
   /// uses radius 1). Radius 0 degenerates both to plain labels.
   int radius = 1;
-  /// Store per-node profiles (cheap: one flat array of label symbols for
-  /// the whole graph, plus one 64-bit signature per node).
+  /// Store per-node profiles (one flat array of label symbols for the
+  /// whole graph, plus one 64-bit signature per node).
   bool build_profiles = true;
-  /// Store per-node neighborhood subgraphs (heavier; needed only for
-  /// retrieve-by-subgraphs).
+  /// Store per-node neighborhood subgraphs for retrieve-by-subgraphs: one
+  /// flat array of member ids for the whole graph, plus an edge count per
+  /// node. The members are the profile's nodes, so this costs about what
+  /// profiles do.
   bool build_neighborhoods = true;
   /// Node attributes to index in B+-trees for exact and range retrieval
   /// (the paper's "node attributes can be indexed directly using
@@ -43,8 +45,9 @@ struct LabelIndexOptions {
 ///
 /// Labels are keyed by process-wide SymbolId (SymbolTable::Global()), the
 /// same id space used by GraphSnapshot and profiles, so every structure
-/// agrees on what id a label has. The index is built from the graph's
-/// compiled snapshot; B+-trees for indexed attributes are loaded straight
+/// agrees on what id a label has. The index reads only the graph's
+/// compiled snapshot: one NeighborhoodWalker pass fills the profiles and
+/// neighborhoods, and B+-trees for indexed attributes are loaded straight
 /// from the snapshot's columns.
 class LabelIndex {
  public:
@@ -90,7 +93,7 @@ class LabelIndex {
   const std::vector<NodeId>& UnlabeledNodes() const { return unlabeled_; }
 
   bool has_profiles() const { return !profile_sigs_.empty(); }
-  bool has_neighborhoods() const { return !neighborhoods_.empty(); }
+  bool has_neighborhoods() const { return !nbh_offsets_.empty(); }
   /// Node v's profile, sorted (a view into one CSR array).
   std::span<const SymbolId> profile(NodeId v) const {
     return {profile_syms_.data() + profile_offsets_[v],
@@ -98,8 +101,12 @@ class LabelIndex {
   }
   /// ProfileSignature(profile(v)), precomputed.
   uint64_t profile_signature(NodeId v) const { return profile_sigs_[v]; }
-  const NeighborhoodSubgraph& neighborhood(NodeId v) const {
-    return neighborhoods_[v];
+  /// Node v's neighborhood subgraph (a view into one CSR array).
+  NeighborhoodSubgraph neighborhood(NodeId v) const {
+    return {snap_,
+            {nbh_members_.data() + nbh_offsets_[v],
+             nbh_members_.data() + nbh_offsets_[v + 1]},
+            nbh_edges_[v]};
   }
 
   /// Number of nodes carrying the label symbol (0 if unknown).
@@ -135,10 +142,8 @@ class LabelIndex {
                                 bool hi_inclusive) const;
 
  private:
-  /// Builds over `snap`, which must be `g`'s current snapshot, without
-  /// keeping it alive.
-  LabelIndex(const Graph& g, const GraphSnapshot& snap,
-             LabelIndexOptions options);
+  /// Builds over `snap` without keeping it alive.
+  LabelIndex(const GraphSnapshot& snap, LabelIndexOptions options);
 
   /// Not owning: a shared index lives in its snapshot's slot, so owning
   /// the snapshot would make a cycle. `pin_` owns it for Build's indexes.
@@ -152,7 +157,12 @@ class LabelIndex {
   std::vector<uint32_t> profile_offsets_;
   std::vector<SymbolId> profile_syms_;
   std::vector<uint64_t> profile_sigs_;
-  std::vector<NeighborhoodSubgraph> neighborhoods_;
+  // Neighborhoods in the same form: node v's members are nbh_members_[
+  // nbh_offsets_[v] .. nbh_offsets_[v + 1]), and nbh_edges_[v] counts the
+  // edges among them. All three are empty without neighborhoods.
+  std::vector<uint32_t> nbh_offsets_;
+  std::vector<NodeId> nbh_members_;
+  std::vector<uint32_t> nbh_edges_;
   std::unordered_map<uint64_t, size_t> edge_pair_freq_;
   std::unordered_map<std::string, rel::BPlusTree> attr_trees_;
   std::vector<NodeId> empty_;

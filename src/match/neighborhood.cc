@@ -1,135 +1,118 @@
 #include "match/neighborhood.h"
 
 #include <algorithm>
-#include <string>
 
 namespace graphql::match {
 
-NeighborhoodSubgraph ExtractNeighborhood(const Graph& g, NodeId v, int radius,
-                                         std::vector<NodeId>* scratch_local) {
-  NeighborhoodSubgraph out;
-  std::vector<NodeId>& local = *scratch_local;
-  std::vector<NodeId> members = {v};
-  local[v] = 0;
-  size_t frontier_begin = 0;
-  for (int d = 1; d <= radius; ++d) {
-    size_t frontier_end = members.size();
-    for (size_t i = frontier_begin; i < frontier_end; ++i) {
-      NodeId x = members[i];
-      for (const Graph::Adj& a : g.neighbors(x)) {
-        if (local[a.node] != kInvalidNode) continue;
-        local[a.node] = static_cast<NodeId>(members.size());
-        members.push_back(a.node);
-      }
-      if (g.directed()) {
-        for (const Graph::Adj& a : g.in_neighbors(x)) {
-          if (local[a.node] != kInvalidNode) continue;
-          local[a.node] = static_cast<NodeId>(members.size());
-          members.push_back(a.node);
-        }
-      }
+NeighborhoodWalker::NeighborhoodWalker(const GraphSnapshot& snap)
+    : snap_(&snap), stamp_(snap.num_nodes(), 0) {}
+
+std::span<const NodeId> NeighborhoodWalker::Walk(NodeId v, int radius) {
+  if (++epoch_ == 0) {  // Wrapped: forget every stamp.
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  members_.clear();
+  auto visit = [this](NodeId x) {
+    if (stamp_[x] == epoch_) return;
+    stamp_[x] = epoch_;
+    members_.push_back(x);
+  };
+  visit(v);
+  size_t level_begin = 0;
+  for (int d = 0; d < radius && level_begin < members_.size(); ++d) {
+    const size_t level_end = members_.size();
+    for (size_t i = level_begin; i < level_end; ++i) {
+      const NodeId x = members_[i];
+      for (const GraphSnapshot::AdjEntry& a : snap_->out(x)) visit(a.node);
+      for (const GraphSnapshot::AdjEntry& a : snap_->in(x)) visit(a.node);
     }
-    frontier_begin = frontier_end;
+    level_begin = level_end;
   }
-  // local[x] currently stores the position in `members`; build the subgraph
-  // with only the label attribute retained.
-  out.sub = Graph("", g.directed());
-  out.sub.Reserve(members.size(), members.size() * 2);
-  out.label_syms.reserve(members.size());
-  for (NodeId x : members) {
-    std::string_view label = g.Label(x);
-    AttrTuple attrs;
-    if (!label.empty()) attrs.Set("label", Value(std::string(label)));
-    out.label_syms.push_back(
-        label.empty() ? kNoSymbol : SymbolTable::Global().Intern(label));
-    out.sub.AddNode("", std::move(attrs));
-  }
-  out.center = 0;
-  // Edges among members (each once: iterate each member's adjacency and
-  // keep pairs where this endpoint is the smaller local id, or always for
-  // directed graphs using out-adjacency only).
-  for (size_t i = 0; i < members.size(); ++i) {
-    NodeId x = members[i];
-    for (const Graph::Adj& a : g.neighbors(x)) {
-      NodeId j = local[a.node];
-      if (j == kInvalidNode) continue;
-      const Graph::Edge& e = g.edge(a.edge);
-      if (g.directed()) {
-        // neighbors() lists outgoing edges: emit every one.
-        out.sub.AddEdge(static_cast<NodeId>(i), j);
-      } else {
-        // Undirected adjacency lists each edge at both endpoints; emit it
-        // only from the endpoint that is the edge's stored source (or for
-        // self-loops, once).
-        if (e.src == x) out.sub.AddEdge(static_cast<NodeId>(i), j);
-      }
-    }
-  }
-  for (NodeId x : members) local[x] = kInvalidNode;
-  return out;
+  return members_;
 }
 
-NeighborhoodSubgraph ExtractNeighborhood(const Graph& g, NodeId v,
+size_t NeighborhoodWalker::InducedEdges() const {
+  size_t edges = 0;
+  for (NodeId x : members_) {
+    std::span<const GraphSnapshot::AdjEntry> run = snap_->out(x);
+    if (!snap_->directed()) {
+      // An undirected edge is listed at both endpoints and a self-loop
+      // once, so count each at its lower endpoint: the run from x on.
+      run = {std::partition_point(run.begin(), run.end(),
+                                  [x](const GraphSnapshot::AdjEntry& a) {
+                                    return a.node < x;
+                                  }),
+             run.end()};
+    }
+    for (const GraphSnapshot::AdjEntry& a : run) {
+      if (stamp_[a.node] == epoch_) ++edges;
+    }
+  }
+  return edges;
+}
+
+NeighborhoodSubgraph ExtractNeighborhood(NeighborhoodWalker* walker, NodeId v,
                                          int radius) {
-  std::vector<NodeId> local(g.NumNodes(), kInvalidNode);
-  return ExtractNeighborhood(g, v, radius, &local);
+  std::span<const NodeId> members = walker->Walk(v, radius);
+  return {&walker->snapshot(), members, walker->InducedEdges()};
 }
 
 namespace {
 
+/// The DFS over member positions: position 0 is the center, mapped to the
+/// data center before the search starts.
 struct SubIsoState {
-  const Graph* q;
-  const Graph* d;
-  const std::vector<SymbolId>* q_syms;  // Pre-interned labels; never strings
-  const std::vector<SymbolId>* d_syms;  // in the match loop.
-  std::vector<NodeId> assign;   // query node -> data node
-  std::vector<char> used;       // data node used
+  const NeighborhoodSubgraph& q;
+  const NeighborhoodSubgraph& d;
+  std::vector<uint32_t> assign;  // Query position -> data position.
+  std::vector<char> used;        // Data position taken.
+  ResourceGovernor* governor;
   uint64_t steps = 0;
   bool budget_hit = false;
-  ResourceGovernor* governor = nullptr;
-  TaskLedger* ledger = nullptr;  // Counts replace `governor` charges when set.
 
-  bool NodeOk(NodeId qu, NodeId dv) const {
-    SymbolId ql = (*q_syms)[qu];
-    if (ql == kNoSymbol) return true;  // Unlabeled query node: wildcard.
-    return ql == (*d_syms)[dv];
+  SymbolId QueryLabel(size_t i) const {
+    return q.snap->node_label_sym(q.members[i]);
+  }
+  SymbolId DataLabel(size_t j) const {
+    return d.snap->node_label_sym(d.members[j]);
   }
 
-  bool Dfs(size_t i, const std::vector<NodeId>& order) {
-    if (i == order.size()) return true;
+  /// Whether mapping query position i to data position j keeps every
+  /// query edge between i and an earlier non-center position.
+  bool EdgesOk(size_t i, size_t j) const {
+    const NodeId qu = q.members[i];
+    const NodeId dv = d.members[j];
+    for (size_t w = 1; w < i; ++w) {
+      const NodeId qw = q.members[w];
+      const NodeId dw = d.members[assign[w]];
+      if (q.snap->HasEdgeBetween(qu, qw) && !d.snap->HasEdgeBetween(dv, dw)) {
+        return false;
+      }
+      if (q.snap->directed() && q.snap->HasEdgeBetween(qw, qu) &&
+          !d.snap->HasEdgeBetween(dw, dv)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  bool Dfs(size_t i) {
+    if (i == q.members.size()) return true;
     ++steps;
-    bool charged = ledger != nullptr
-                       ? ledger->Charge(1)
-                       : GovCharge(governor, 1, GovernPoint::kNeighborhood);
-    if (!charged) {
+    if (!GovCharge(governor, 1, GovernPoint::kNeighborhood)) {
       budget_hit = true;
       return true;  // Conservative; the trip is reported by the caller.
     }
-    NodeId qu = order[i];
-    for (size_t dv = 0; dv < d->NumNodes(); ++dv) {
-      NodeId v = static_cast<NodeId>(dv);
-      if (used[dv]) continue;
-      if (!NodeOk(qu, v)) continue;
-      bool edges_ok = true;
-      for (size_t j = 0; j < i; ++j) {
-        NodeId qw = order[j];
-        if (q->HasEdgeBetween(qu, qw) &&
-            !d->HasEdgeBetween(v, assign[qw])) {
-          edges_ok = false;
-          break;
-        }
-        if (q->directed() && q->HasEdgeBetween(qw, qu) &&
-            !d->HasEdgeBetween(assign[qw], v)) {
-          edges_ok = false;
-          break;
-        }
-      }
-      if (!edges_ok) continue;
-      assign[qu] = v;
-      used[dv] = 1;
-      if (Dfs(i + 1, order)) return true;
-      used[dv] = 0;
-      assign[qu] = kInvalidNode;
+    const SymbolId want = QueryLabel(i);
+    for (size_t j = 1; j < d.members.size(); ++j) {
+      if (used[j]) continue;
+      if (want != kNoSymbol && want != DataLabel(j)) continue;
+      if (!EdgesOk(i, j)) continue;
+      assign[i] = static_cast<uint32_t>(j);
+      used[j] = 1;
+      if (Dfs(i + 1)) return true;
+      used[j] = 0;
     }
     return false;
   }
@@ -139,47 +122,20 @@ struct SubIsoState {
 
 bool NeighborhoodSubIsomorphic(const NeighborhoodSubgraph& query,
                                const NeighborhoodSubgraph& data,
-                               ResourceGovernor* governor, TaskLedger* ledger,
+                               ResourceGovernor* governor,
                                NeighborhoodStats* stats) {
   if (stats != nullptr) ++stats->tests;
-  const Graph& q = query.sub;
-  const Graph& d = data.sub;
-  if (q.NumNodes() > d.NumNodes() || q.NumEdges() > d.NumEdges()) {
+  if (query.members.size() > data.members.size() ||
+      query.num_edges > data.num_edges) {
     return false;
   }
-  SubIsoState state;
-  state.q = &q;
-  state.d = &d;
-  state.q_syms = &query.label_syms;
-  state.d_syms = &data.label_syms;
-  state.assign.assign(q.NumNodes(), kInvalidNode);
-  state.used.assign(d.NumNodes(), 0);
-  state.governor = governor;
-  state.ledger = ledger;
-
-  if (!state.NodeOk(query.center, data.center)) return false;
-  state.assign[query.center] = data.center;
-  state.used[data.center] = 1;
-
-  // Order remaining query nodes by BFS from the center so each new node
-  // has a mapped neighbor (maximizes early pruning).
-  std::vector<NodeId> order;
-  std::vector<char> seen(q.NumNodes(), 0);
-  std::vector<NodeId> bfs = {query.center};
-  seen[query.center] = 1;
-  for (size_t i = 0; i < bfs.size(); ++i) {
-    for (const Graph::Adj& a : q.neighbors(bfs[i])) {
-      if (!seen[a.node]) {
-        seen[a.node] = 1;
-        bfs.push_back(a.node);
-        order.push_back(a.node);
-      }
-    }
-  }
-  for (size_t v = 0; v < q.NumNodes(); ++v) {
-    if (!seen[v]) order.push_back(static_cast<NodeId>(v));
-  }
-  bool found = state.Dfs(0, order);
+  SubIsoState state{query, data, {}, {}, governor};
+  const SymbolId center = state.QueryLabel(0);
+  if (center != kNoSymbol && center != state.DataLabel(0)) return false;
+  state.assign.assign(query.members.size(), 0);
+  state.used.assign(data.members.size(), 0);
+  state.used[0] = 1;
+  const bool found = state.Dfs(1);
   if (stats != nullptr) {
     stats->steps += state.steps;
     stats->budget_hits += state.budget_hit ? 1 : 0;

@@ -233,14 +233,16 @@ void RecordCall(const Call& call, const PipelineOptions& options) {
 /// each profile merge, or a neighborhood sub-isomorphism test. Each node
 /// charges the governor |base(u)| before its scan; on a trip the remaining
 /// candidate lists stay empty (partial-result semantics). With an index
-/// and two or more workers one task per pattern node fans out, counting
-/// its charges in a TaskLedger, and the calling thread replays them in
-/// node order, so the lists equal the serial ones under any budget;
-/// anything that touches non-thread-safe structures (B+-tree lookups,
-/// pattern profile / neighborhood construction, the all-nodes list) runs
-/// before the scans. Without an index the calling thread scans: those
-/// graphs are collection members, cheaper to scan than a pool dispatch, so
-/// the scan also allocates nothing it does not use.
+/// and two or more workers one task per pattern node fans out the scan and
+/// the profile checks, counting its charge in a TaskLedger, and the
+/// calling thread replays the charges in node order, so the lists equal
+/// the serial ones under any budget; anything that touches non-thread-safe
+/// structures (B+-tree lookups, the pattern's snapshot, profiles and
+/// neighborhoods, the all-nodes list) runs before the scans. Neighborhood
+/// tests run on the calling thread at every thread count, each node's
+/// right after its charge. Without an index the calling thread scans:
+/// those graphs are collection members, cheaper to scan than a pool
+/// dispatch, so the scan also allocates nothing it does not use.
 std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
                                           const Graph& data,
                                           const GraphSnapshot& snap,
@@ -300,7 +302,9 @@ std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
   auto base_of = [&](size_t u) -> const std::vector<NodeId>& {
     return index != nullptr ? *base[u] : all_nodes;
   };
-  // Pattern profiles are interned into the process-wide symbol table (the
+  // The pattern side of local pruning walks the pattern graph's snapshot,
+  // compiled once per pattern graph, with the walker the index was built
+  // with. Its labels are interned into the process-wide symbol table (the
   // id space data profiles use), so a pattern label absent from the data
   // never occurs in any data profile and containment fails for it.
   const bool use_profiles = index != nullptr &&
@@ -310,31 +314,33 @@ std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
       index != nullptr &&
       options.candidate_mode == CandidateMode::kNeighborhood &&
       index->has_neighborhoods();
-  const int radius = index != nullptr ? index->options().radius : 0;
+  std::shared_ptr<const GraphSnapshot> pattern_snap;
   std::vector<Profile> want_profile(use_profiles ? k : 0);
   std::vector<uint64_t> want_sig(use_profiles ? k : 0);
+  std::vector<std::vector<NodeId>> want_members(use_neighborhoods ? k : 0);
   std::vector<NeighborhoodSubgraph> want_nbh(use_neighborhoods ? k : 0);
-  for (size_t u = 0; u < want_profile.size(); ++u) {
-    want_profile[u] = BuildProfile(p, static_cast<NodeId>(u), radius);
-    want_sig[u] = ProfileSignature(want_profile[u]);
-  }
-  for (size_t u = 0; u < want_nbh.size(); ++u) {
-    want_nbh[u] = ExtractNeighborhood(p, static_cast<NodeId>(u), radius);
+  if (use_profiles || use_neighborhoods) {
+    pattern_snap = p.snapshot();
+    NeighborhoodWalker walker(*pattern_snap);
+    const int radius = index->options().radius;
+    for (size_t u = 0; u < want_profile.size(); ++u) {
+      want_profile[u] = BuildProfile(&walker, static_cast<NodeId>(u), radius);
+      want_sig[u] = ProfileSignature(want_profile[u]);
+    }
+    for (size_t u = 0; u < want_nbh.size(); ++u) {
+      // The walker's view lasts until its next walk: keep the members.
+      want_nbh[u] =
+          ExtractNeighborhood(&walker, static_cast<NodeId>(u), radius);
+      want_members[u].assign(want_nbh[u].members.begin(),
+                             want_nbh[u].members.end());
+      want_nbh[u].members = want_members[u];
+    }
   }
 
   struct Worker {
-    TaskLedger ledger;  // Parallel: the node's charges, for the replay.
-    NeighborhoodStats tests;
+    TaskLedger ledger;  // Parallel: the node's charge, for the replay.
     algebra::PatternScratch scratch;
   };
-  // Parallel, per pattern node: the list the neighborhood tests ran over,
-  // each test's steps, and whether the ledger stopped the task.
-  struct NodeRun {
-    std::vector<NodeId> stage;
-    std::vector<uint64_t> test_steps;
-    bool stopped = false;
-  };
-  std::vector<NodeRun> runs(parallel ? k : 0);
   auto scan = [&](size_t u, Worker& w) {
     NodeId pu = static_cast<NodeId>(u);
     const std::vector<NodeId>& b = base_of(u);
@@ -349,15 +355,6 @@ std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
     }
     const std::vector<NodeId>& stage = all ? b : kept;
     stats.size_attr[u] = stage.size();
-    // Hands the feasible list on; `all ? b : std::move(kept)` would copy
-    // kept, as the operands differ in constness.
-    auto take = [&](std::vector<NodeId>* to) {
-      if (all) {
-        *to = b;
-      } else {
-        *to = std::move(kept);
-      }
-    };
     if (use_profiles) {
       // One AND rejects most candidates; the merge runs on the rest.
       const uint64_t sig = want_sig[u];
@@ -367,36 +364,24 @@ std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
           out[u].push_back(v);
         }
       }
-    } else if (use_neighborhoods) {
-      for (NodeId v : stage) {
-        const uint64_t before = w.ledger.steps();
-        if (NeighborhoodSubIsomorphic(want_nbh[u], index->neighborhood(v), gov,
-                                      parallel ? &w.ledger : nullptr,
-                                      &w.tests)) {
-          out[u].push_back(v);
-        }
-        if (!parallel) continue;
-        runs[u].test_steps.push_back(w.ledger.steps() - before);
-        if (w.ledger.stopped()) break;  // The replay redoes the rest.
-      }
+    } else if (all) {
+      out[u] = b;
     } else {
-      take(&out[u]);
-      return;
+      out[u] = std::move(kept);
     }
-    if (parallel && use_neighborhoods) take(&runs[u].stage);
+  };
+  // Node u's neighborhood tests, on the calling thread, over the feasible
+  // list its scan left in out[u].
+  auto test_neighborhoods = [&](size_t u) {
+    std::erase_if(out[u], [&](NodeId v) {
+      return !NeighborhoodSubIsomorphic(want_nbh[u], index->neighborhood(v),
+                                        gov, &counts.neighborhood);
+    });
   };
 
-  size_t scanned = 0;  // Nodes the serial loop scans; later lists stay empty.
-  if (!parallel) {
-    Worker w;
-    for (; scanned < k; ++scanned) {
-      if (!GovCharge(gov, base_of(scanned).size(), GovernPoint::kRetrieve)) {
-        break;
-      }
-      scan(scanned, w);
-    }
-    counts.neighborhood.Add(w.tests);
-  } else {
+  // Parallel, per pattern node: whether the ledger stopped the task.
+  std::vector<char> stopped(parallel ? k : 0, 0);
+  if (parallel) {
     std::vector<Worker> ws(static_cast<size_t>(workers));
     const TaskLedger budget(gov);
     for (Worker& w : ws) w.ledger = budget;
@@ -407,51 +392,32 @@ std::vector<std::vector<NodeId>> Retrieve(const algebra::GraphPattern& pattern,
           Worker& s = ws[static_cast<size_t>(w)];
           s.ledger.Restart();
           if (s.ledger.Charge(base_of(u).size())) scan(u, s);
-          runs[u].stopped = s.ledger.stopped();
+          stopped[u] = s.ledger.stopped();
         });
     if (run_stats != nullptr) *run_stats = std::move(run);
-    for (const Worker& w : ws) counts.neighborhood.Add(w.tests);
-    // The serial loop's governor calls, node by node. Where they stop it
-    // inside node u, serial keeps the verdicts of the tests before the
-    // trip, and from the tripped test on each test meets a tripped
-    // governor, so only its size and center-label checks decide; later
-    // nodes stay empty. A task its ledger stopped that the replay accepts
-    // in full saw the governor expire: CheckNow() takes that trip.
-    scanned = k;
-    for (size_t u = 0; gov != nullptr && scanned == k && u < k; ++u) {
-      if (!gov->Charge(base_of(u).size(), GovernPoint::kRetrieve)) {
-        scanned = u;
-        break;
-      }
-      const NodeRun& r = runs[u];
-      size_t i = 0;
-      while (i < r.test_steps.size() &&
-             gov->ChargeEach(r.test_steps[i], GovernPoint::kNeighborhood) ==
-                 r.test_steps[i]) {
-        ++i;
-      }
-      if (i == r.test_steps.size() && !r.stopped) continue;
-      gov->CheckNow(GovernPoint::kRetrieve);
-      size_t kept = 0;  // out[u] is the kept subsequence of the stage.
-      for (size_t j = 0; j < i; ++j) {
-        if (kept < out[u].size() && out[u][kept] == r.stage[j]) ++kept;
-      }
-      out[u].resize(kept);
-      for (size_t j = i; j < r.stage.size(); ++j) {
-        if (NeighborhoodSubIsomorphic(want_nbh[u],
-                                      index->neighborhood(r.stage[j]), gov,
-                                      nullptr, &counts.neighborhood)) {
-          out[u].push_back(r.stage[j]);
-        }
-      }
-      scanned = u + 1;
+  }
+  // The serial loop's governor calls, node by node; in parallel the scans
+  // are done and this replays their charges. A task its ledger stopped
+  // whose charge the governor accepts saw the governor expire: CheckNow()
+  // takes that trip, and the node keeps its empty list.
+  size_t scanned = 0;  // Nodes charged in full; later lists stay empty.
+  Worker serial;
+  for (; scanned < k; ++scanned) {
+    if (!GovCharge(gov, base_of(scanned).size(), GovernPoint::kRetrieve)) {
+      break;
     }
+    if (!parallel) {
+      scan(scanned, serial);
+    } else if (stopped[scanned]) {
+      gov->CheckNow(GovernPoint::kRetrieve);
+      ++scanned;
+      break;
+    }
+    if (use_neighborhoods) test_neighborhoods(scanned);
   }
 
-  // Sizes and scan counters describe the lists returned, so they equal
-  // serial's at any thread count. The neighborhood counts instead cover
-  // the tests run, the workers' past the serial stop and the replay's
-  // re-runs included, as the search's steps count the tries run.
+  // Sizes and counters describe the lists returned and the tests run, so
+  // they equal serial's at any thread count.
   for (size_t u = 0; u < k; ++u) {
     if (u < scanned) {
       counts.feasible_hits += stats.size_attr[u];
@@ -734,28 +700,6 @@ Result<std::vector<algebra::MatchedGraph>> SelectCollectionAny(
     }
   }
   return out;
-}
-
-bool AreIsomorphic(const Graph& a, const Graph& b) {
-  if (a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges()) {
-    return false;
-  }
-  if (a.directed() != b.directed()) return false;
-  if (!(a.attrs() == b.attrs())) return false;
-  auto embeds = [](const Graph& from, const Graph& into) {
-    algebra::GraphPattern p = algebra::GraphPattern::FromGraph(from);
-    PipelineOptions options;
-    options.candidate_mode = CandidateMode::kLabelOnly;
-    options.refine_level = -1;
-    options.match.exhaustive = false;
-    Result<std::vector<algebra::MatchedGraph>> m =
-        MatchPattern(p, into, nullptr, options);
-    return m.ok() && !m->empty();
-  };
-  // With equal sizes, mutual embedding pins the node bijection and forces
-  // attribute equality in both directions (each side's attributes are a
-  // subset of the other's on corresponding entities).
-  return embeds(a, b) && embeds(b, a);
 }
 
 }  // namespace graphql::match

@@ -90,8 +90,8 @@ struct RetrieveStats {
   /// Feasible candidates the candidate mode's local pruning (profiles or
   /// neighborhood subgraphs) rejected.
   uint64_t pruned = 0;
-  /// The tests run: a governed parallel retrieve also counts the tests its
-  /// workers ran past the serial stop and the ones its replay re-ran.
+  /// The neighborhood tests run. They run on the calling thread, so these
+  /// counts equal serial's at any thread count.
   NeighborhoodStats neighborhood;
   uint64_t pred_compiled = 0;  ///< Pushed conjuncts compiled to bytecode.
   uint64_t pred_fallback = 0;  ///< Pushed conjuncts left to the AST.
@@ -186,13 +186,6 @@ Result<std::vector<algebra::MatchedGraph>> SelectCollection(
 Result<std::vector<algebra::MatchedGraph>> SelectCollectionAny(
     std::span<const algebra::GraphPattern> alternatives,
     const GraphCollection& collection, const PipelineOptions& options = {});
-
-/// Exact graph isomorphism including attributes: a bijective node mapping
-/// exists under which edges and all node/edge/graph attributes correspond.
-/// Decided by two subgraph-isomorphism runs (a into b and b into a) after
-/// size checks, so both attribute containments force equality. Assumes
-/// simple graphs (parallel-edge multiplicity is not distinguished).
-bool AreIsomorphic(const Graph& a, const Graph& b);
 
 }  // namespace graphql::match
 

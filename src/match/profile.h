@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "common/symbols.h"
-#include "graph/graph.h"
 #include "graph/snapshot.h"
+#include "match/neighborhood.h"
 
 namespace graphql::match {
 
@@ -18,32 +18,25 @@ namespace graphql::match {
 /// neighborhood subgraphs: node v can host node u only if profile(u) is a
 /// sub-multiset of profile(v).
 ///
-/// This heap form is what the builders return and what a pattern's
-/// profiles are kept in; LabelIndex stores the data graph's profiles flat
-/// (one CSR array of symbols) and hands them out as spans, each with a
-/// ProfileSignature.
+/// Profiles come from the same NeighborhoodWalker as neighborhood
+/// subgraphs. This heap form is what BuildProfile returns and what a
+/// pattern's profiles are kept in; LabelIndex stores the data graph's
+/// profiles flat (one CSR array of symbols) and hands them out as spans,
+/// each with a ProfileSignature.
 ///
 /// Labels are interned through SymbolTable::Global() — the same id space
 /// as GraphSnapshot and LabelIndex — so a label always maps to one id no
 /// matter which structure interned it first.
 using Profile = std::vector<SymbolId>;
 
-/// Builds the profile of node v in graph g: labels of every node within
-/// `radius` hops (hop 0 = v itself), sorted. Unlabeled nodes contribute
-/// nothing. `scratch_dist` must be a vector of size g.NumNodes() filled
-/// with -1; it is restored before returning (amortizes allocation across a
-/// whole graph).
-Profile BuildProfile(const Graph& g, NodeId v, int radius,
-                     std::vector<int>* scratch_dist);
+/// Appends the profile of a walked neighborhood to `out`: the labels of
+/// `members` in `snap`, sorted. Unlabeled members contribute nothing.
+void AppendProfile(const GraphSnapshot& snap, std::span<const NodeId> members,
+                   std::vector<SymbolId>* out);
 
-/// Convenience overload that allocates its own scratch space.
-Profile BuildProfile(const Graph& g, NodeId v, int radius);
-
-/// Snapshot overload: BFS over the CSR arrays reading pre-interned label
-/// symbols — no string hashing in the loop. Produces exactly the profile
-/// the builder overload produces for the source graph.
-Profile BuildProfile(const GraphSnapshot& snap, NodeId v, int radius,
-                     std::vector<int>* scratch_dist);
+/// The profile of node v over the walker's snapshot: the labels of every
+/// node within `radius` hops (hop 0 = v itself), sorted.
+Profile BuildProfile(NeighborhoodWalker* walker, NodeId v, int radius);
 
 /// True if sorted multiset `needle` is contained in sorted multiset
 /// `haystack` (the profile pruning test). An element equal to kNoSymbol in

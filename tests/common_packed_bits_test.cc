@@ -2,34 +2,54 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace graphql {
 namespace {
 
+/// The set bits of row `r`, tail bits past cols() included: the check
+/// that no operation touched a bit it was not asked to.
+std::vector<size_t> SetBits(const PackedBits& b, size_t r) {
+  std::vector<size_t> out;
+  b.ForEachInRow(r, [&](size_t c) {
+    out.push_back(c);
+    return true;
+  });
+  return out;
+}
+
 TEST(PackedBitsTest, StartsAllZero) {
   PackedBits b(3, 130);
   EXPECT_EQ(b.rows(), 3u);
   EXPECT_EQ(b.cols(), 130u);
-  EXPECT_EQ(b.row_words(), 3u);  // ceil(130 / 64)
-  EXPECT_EQ(b.PopCount(), 0u);
+  EXPECT_EQ(b.bytes(), 3 * 3 * sizeof(uint64_t));  // ceil(130 / 64) a row.
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 130; ++c) EXPECT_FALSE(b.Test(r, c));
+    EXPECT_TRUE(SetBits(b, r).empty()) << r;
   }
 }
 
 TEST(PackedBitsTest, SetTestClearAcrossWordBoundaries) {
   PackedBits b(2, 130);
-  const size_t probes[] = {0, 1, 63, 64, 65, 127, 128, 129};
+  const std::vector<size_t> probes = {0, 1, 63, 64, 65, 127, 128, 129};
+  // Every bit of both rows: row 1 holds exactly `want`, row 0 nothing.
+  auto expect_row1 = [&](const std::vector<size_t>& want) {
+    for (size_t c = 0; c < 130; ++c) {
+      EXPECT_EQ(b.Test(1, c),
+                std::find(want.begin(), want.end(), c) != want.end())
+          << c;
+      EXPECT_FALSE(b.Test(0, c)) << c;  // Row isolation.
+    }
+    EXPECT_EQ(SetBits(b, 1), want);
+    EXPECT_TRUE(SetBits(b, 0).empty());
+  };
   for (size_t c : probes) b.Set(1, c);
-  for (size_t c : probes) {
-    EXPECT_TRUE(b.Test(1, c)) << c;
-    EXPECT_FALSE(b.Test(0, c)) << c;  // Row isolation.
-  }
-  EXPECT_EQ(b.PopCountRow(1), 8u);
+  expect_row1(probes);
   b.Clear(1, 64);
-  EXPECT_FALSE(b.Test(1, 64));
-  EXPECT_EQ(b.PopCountRow(1), 7u);
+  std::vector<size_t> cleared = probes;
+  cleared.erase(std::find(cleared.begin(), cleared.end(), 64));
+  expect_row1(cleared);
 }
 
 TEST(PackedBitsTest, BytesMatchesWordFootprint) {
@@ -44,10 +64,14 @@ TEST(PackedBitsTest, CopyFromSameShape) {
   PackedBits b(2, 70);
   b.Set(0, 1);  // Overwritten by the copy.
   b.CopyFrom(a);
-  EXPECT_TRUE(b.Test(0, 5));
-  EXPECT_TRUE(b.Test(1, 69));
-  EXPECT_FALSE(b.Test(0, 1));
-  EXPECT_EQ(b.PopCount(), 2u);
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t c = 0; c < 70; ++c) {
+      EXPECT_EQ(b.Test(r, c), (r == 0 && c == 5) || (r == 1 && c == 69))
+          << r << "," << c;
+    }
+  }
+  EXPECT_EQ(SetBits(b, 0), std::vector<size_t>{5});
+  EXPECT_EQ(SetBits(b, 1), std::vector<size_t>{69});
 }
 
 #ifndef NDEBUG
@@ -61,58 +85,6 @@ TEST(PackedBitsDeathTest, CopyFromRejectsShapeMismatch) {
   EXPECT_DEATH(c.CopyFrom(a), "identical shapes");
 }
 #endif
-
-TEST(PackedBitsTest, SetRowLeavesTailBitsZero) {
-  PackedBits b(2, 70);  // 6 ghost bits in the second word.
-  b.SetRow(0);
-  EXPECT_EQ(b.PopCountRow(0), 70u);
-  EXPECT_EQ(b.PopCountRow(1), 0u);
-  // The last word must not carry bits past col 69 or PopCount would lie.
-  EXPECT_EQ(b.RowWord(0, 1), (uint64_t{1} << 6) - 1);
-  b.ClearRow(0);
-  EXPECT_EQ(b.PopCount(), 0u);
-}
-
-TEST(PackedBitsTest, SetRowExactWordMultiple) {
-  PackedBits b(1, 128);
-  b.SetRow(0);
-  EXPECT_EQ(b.PopCountRow(0), 128u);
-  EXPECT_EQ(b.RowWord(0, 1), ~uint64_t{0});
-}
-
-TEST(PackedBitsTest, AndOrAndNotRows) {
-  PackedBits b(3, 130);
-  b.Set(0, 3);
-  b.Set(0, 64);
-  b.Set(0, 129);
-  b.Set(1, 64);
-  b.Set(1, 100);
-
-  PackedBits acc(1, 130);
-  acc.OrRow(0, b, 0);
-  acc.OrRow(0, b, 1);
-  EXPECT_EQ(acc.PopCountRow(0), 4u);  // {3, 64, 100, 129}
-
-  acc.AndRow(0, b, 0);
-  EXPECT_TRUE(acc.Test(0, 3));
-  EXPECT_TRUE(acc.Test(0, 64));
-  EXPECT_TRUE(acc.Test(0, 129));
-  EXPECT_FALSE(acc.Test(0, 100));
-
-  acc.AndNotRow(0, b, 1);  // Drop 64.
-  EXPECT_TRUE(acc.Test(0, 3));
-  EXPECT_FALSE(acc.Test(0, 64));
-  EXPECT_TRUE(acc.Test(0, 129));
-  EXPECT_EQ(acc.PopCountRow(0), 2u);
-}
-
-TEST(PackedBitsTest, SelfAndRowIsIdentity) {
-  PackedBits b(1, 90);
-  b.Set(0, 10);
-  b.Set(0, 80);
-  b.AndRow(0, b, 0);
-  EXPECT_EQ(b.PopCountRow(0), 2u);
-}
 
 TEST(PackedBitsTest, ForEachInRowAscendingAndEarlyStop) {
   PackedBits b(1, 200);
@@ -133,15 +105,6 @@ TEST(PackedBitsTest, ForEachInRowAscendingAndEarlyStop) {
   }));
   EXPECT_EQ(got.size(), 3u);
   EXPECT_EQ(got[2], 63u);
-}
-
-TEST(PackedBitsTest, RowWordExposesBlocks) {
-  PackedBits b(1, 130);
-  b.Set(0, 1);
-  b.Set(0, 65);
-  EXPECT_EQ(b.RowWord(0, 0), uint64_t{2});
-  EXPECT_EQ(b.RowWord(0, 1), uint64_t{2});
-  EXPECT_EQ(b.RowWord(0, 2), uint64_t{0});
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <string>
 
 #include "exec/evaluator.h"
+#include "graph/snapshot.h"
 #include "io/serialize.h"
+#include "lang/parser.h"
 #include "motif/deriver.h"
 #include "server/session.h"  // SubstituteParams: the prepared-site producer.
 
@@ -434,6 +436,77 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedUnderByteBound) {
   // A reinsert replaces in place.
   EXPECT_EQ(cache.Insert(c, 1, MakePlan(120)), 0u);
   EXPECT_EQ(cache.entries(), 2u);
+}
+
+// An indexed retrieve compiles each alternative's pattern snapshot and
+// caches it on the cached plan's pattern graph, so an entry's estimate
+// must cover those snapshots.
+TEST(PlanCacheEstimateTest, CoversPatternSnapshots) {
+  auto held = [](const Graph& g) {
+    return sizeof(GraphSnapshot) + g.snapshot()->bytes();
+  };
+  // The alternatives' share of an entry's estimate, and the bytes their
+  // compiled snapshots hold. One key for every query, so the key text
+  // does not enter the comparison.
+  const PlanKey key = MakeKey("for ? return ?");
+  struct Share {
+    size_t estimate = 0;
+    size_t snapshots = 0;
+  };
+  auto share = [&](const std::string& q) {
+    Share out;
+    auto program = lang::Parser::ParseProgram(q);
+    EXPECT_TRUE(program.ok()) << program.status();
+    if (!program.ok()) return out;
+    auto alts = algebra::GraphPattern::CreateAll(
+        *program->statements[0].flwr.pattern);
+    EXPECT_TRUE(alts.ok()) << alts.status();
+    if (!alts.ok()) return out;
+    CachedPlan plan;
+    const size_t bare = CachedPlan::EstimateBytes(key, plan);
+    plan.alternatives.push_back(std::move(*alts));
+    out.estimate = CachedPlan::EstimateBytes(key, plan) - bare;
+    for (const algebra::GraphPattern& alt : plan.alternatives[0]) {
+      EXPECT_GE(CachedPlan::EstimateSnapshotBytes(alt.graph()),
+                held(alt.graph()))
+          << q;
+      out.snapshots += held(alt.graph());
+    }
+    EXPECT_GE(out.estimate, out.snapshots) << q;
+    return out;
+  };
+  const Share short_name = share(
+      R"(for graph Q { node a <author name="A12">; } in doc("S") return Q;)");
+  const Share long_name =
+      share("for graph Q { node a <author name=\"" + std::string(200, 'x') +
+            "\">; } in doc(\"S\") return Q;");
+  share(R"(for graph Q {
+             node u0 <label="L0">; node u1 <label="L1">; node u2 <label="L2">;
+             node u3 <label="L3">; node u4 <label="L4">; node u5 <label="L5">;
+             edge (u0, u1) <w=1>; edge (u1, u2); edge (u2, u3) <w=2>;
+             edge (u3, u4); edge (u4, u5); edge (u5, u0); edge (u0, u3);
+           } exhaustive in doc("S") return Q;)");
+  // Same shape: the snapshot's string payload is the only difference, and
+  // the estimate grows by at least as much.
+  ASSERT_GT(long_name.snapshots, short_name.snapshots);
+  EXPECT_GE(long_name.estimate - short_name.estimate,
+            long_name.snapshots - short_name.snapshots);
+
+  // Directed, with parallel edges, a self-loop and edge attributes.
+  Graph g("P", /*directed=*/true);
+  for (int i = 0; i < 8; ++i) {
+    AttrTuple attrs("t");
+    attrs.Set("label", Value("L" + std::to_string(i % 3)));
+    g.AddNode("", std::move(attrs));
+  }
+  for (NodeId i = 0; i < 8; ++i) {
+    AttrTuple attrs;
+    attrs.Set("w", Value(static_cast<int64_t>(i)));
+    g.AddEdge(i, (i + 1) % 8, "", std::move(attrs));
+    g.AddEdge(i, (i + 1) % 8);
+  }
+  g.AddEdge(3, 3);
+  EXPECT_GE(CachedPlan::EstimateSnapshotBytes(g), held(g));
 }
 
 // ---- Prepared statements: parameter slots ----

@@ -163,7 +163,7 @@ TEST(CostTest, DpOrderNeverWorseThanGreedy) {
     OrderOptions opt;
     opt.use_edge_probs = false;
     std::vector<NodeId> greedy = GreedySearchOrder(p, cand, nullptr, opt);
-    auto dp = DpSearchOrder(p, cand, nullptr, opt);
+    auto dp = oracle::DpSearchOrder(p, cand, nullptr, opt);
     ASSERT_TRUE(dp.ok()) << dp.status();
     double greedy_cost = EstimateOrderCost(p, sizes, greedy, nullptr, opt);
     double dp_cost = EstimateOrderCost(p, sizes, *dp, nullptr, opt);
@@ -182,7 +182,7 @@ TEST(CostTest, DpMatchesPaperExample) {
   std::vector<std::vector<NodeId>> cand = {{0}, {1, 2}, {3}};
   OrderOptions opt;
   opt.use_edge_probs = false;
-  auto dp = DpSearchOrder(p, cand, nullptr, opt);
+  auto dp = oracle::DpSearchOrder(p, cand, nullptr, opt);
   ASSERT_TRUE(dp.ok());
   std::vector<size_t> sizes = {1, 2, 1};
   EXPECT_DOUBLE_EQ(EstimateOrderCost(p, sizes, *dp, nullptr, opt),
@@ -191,15 +191,15 @@ TEST(CostTest, DpMatchesPaperExample) {
 
 TEST(CostTest, DpRejectsOversizedPattern) {
   Graph motif("P");
-  for (size_t i = 0; i < kMaxDpPatternSize + 1; ++i) {
+  for (size_t i = 0; i < oracle::kMaxDpPatternSize + 1; ++i) {
     motif.AddNode("u" + std::to_string(i));
     if (i > 0) {
       motif.AddEdge(static_cast<NodeId>(i - 1), static_cast<NodeId>(i));
     }
   }
   algebra::GraphPattern p = algebra::GraphPattern::FromGraph(motif);
-  std::vector<std::vector<NodeId>> cand(kMaxDpPatternSize + 1);
-  auto dp = DpSearchOrder(p, cand, nullptr);
+  std::vector<std::vector<NodeId>> cand(oracle::kMaxDpPatternSize + 1);
+  auto dp = oracle::DpSearchOrder(p, cand, nullptr);
   ASSERT_FALSE(dp.ok());
   EXPECT_EQ(dp.status().code(), StatusCode::kInvalidArgument);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "match/label_index.h"
 #include "motif/deriver.h"
 
 namespace graphql::match {
@@ -30,36 +34,66 @@ Graph TrianglePattern() {
   return std::move(g).value();
 }
 
+/// A radius-1 index over g: its neighborhoods stay valid with it, so a
+/// test can hold several at once.
+LabelIndex Index(const Graph& g) { return LabelIndex::Build(g); }
+
 TEST(NeighborhoodTest, RadiusZeroIsSingleton) {
   Graph g = Sample();
-  NeighborhoodSubgraph n = ExtractNeighborhood(g, g.FindNode("b1"), 0);
-  EXPECT_EQ(n.sub.NumNodes(), 1u);
-  EXPECT_EQ(n.sub.NumEdges(), 0u);
-  EXPECT_EQ(n.center, 0);
-  EXPECT_EQ(n.sub.Label(0), "B");
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  const NodeId b1 = g.FindNode("b1");
+  NeighborhoodSubgraph n = ExtractNeighborhood(&walker, b1, 0);
+  ASSERT_EQ(n.members.size(), 1u);
+  EXPECT_EQ(n.num_edges, 0u);
+  EXPECT_EQ(n.members[0], b1);
+  EXPECT_EQ(SymbolTable::Global().Name(snap->node_label_sym(n.members[0])),
+            "B");
 }
 
 TEST(NeighborhoodTest, RadiusOneShape) {
   Graph g = Sample();
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
   // b1's radius-1 neighborhood: {b1, a1, c2, b2, c1} and edges among them:
-  // b1-a1, b1-c2, b1-b2, b1-c1, a1-c2, b2-c2 -> 5 nodes, 6 edges.
-  NeighborhoodSubgraph n = ExtractNeighborhood(g, g.FindNode("b1"), 1);
-  EXPECT_EQ(n.sub.NumNodes(), 5u);
-  EXPECT_EQ(n.sub.NumEdges(), 6u);
+  // b1-a1, b1-c2, b1-b2, b1-c1, a1-c2, b2-c2 -> 5 nodes, 6 edges. The
+  // center comes first, then its neighbors in CSR (ascending id) order.
+  NeighborhoodSubgraph n = ExtractNeighborhood(&walker, g.FindNode("b1"), 1);
+  EXPECT_EQ(n.members.size(), 5u);
+  EXPECT_EQ(n.num_edges, 6u);
+  EXPECT_EQ(std::vector<NodeId>(n.members.begin(), n.members.end()),
+            (std::vector<NodeId>{g.FindNode("b1"), g.FindNode("a1"),
+                                 g.FindNode("b2"), g.FindNode("c1"),
+                                 g.FindNode("c2")}));
 }
 
 TEST(NeighborhoodTest, LeafNeighborhood) {
   Graph g = Sample();
-  NeighborhoodSubgraph n = ExtractNeighborhood(g, g.FindNode("c1"), 1);
-  EXPECT_EQ(n.sub.NumNodes(), 2u);
-  EXPECT_EQ(n.sub.NumEdges(), 1u);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  NeighborhoodSubgraph n = ExtractNeighborhood(&walker, g.FindNode("c1"), 1);
+  EXPECT_EQ(n.members.size(), 2u);
+  EXPECT_EQ(n.num_edges, 1u);
 }
 
 TEST(NeighborhoodTest, ScratchRestored) {
+  // One walker serves every node of a graph: the marks of a wide walk must
+  // not leak into the next one.
   Graph g = Sample();
-  std::vector<NodeId> scratch(g.NumNodes(), kInvalidNode);
-  ExtractNeighborhood(g, 0, 2, &scratch);
-  for (NodeId v : scratch) EXPECT_EQ(v, kInvalidNode);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  ExtractNeighborhood(&walker, 0, 2);
+  for (size_t v = 0; v < g.NumNodes(); ++v) {
+    NeighborhoodWalker fresh(*snap);
+    NeighborhoodSubgraph want =
+        ExtractNeighborhood(&fresh, static_cast<NodeId>(v), 1);
+    NeighborhoodSubgraph got =
+        ExtractNeighborhood(&walker, static_cast<NodeId>(v), 1);
+    EXPECT_EQ(std::vector<NodeId>(got.members.begin(), got.members.end()),
+              std::vector<NodeId>(want.members.begin(), want.members.end()))
+        << "node " << v;
+    EXPECT_EQ(got.num_edges, want.num_edges) << "node " << v;
+  }
 }
 
 TEST(NeighborhoodSubIsoTest, PrunesPerFigure417) {
@@ -67,12 +101,11 @@ TEST(NeighborhoodSubIsoTest, PrunesPerFigure417) {
   // triangle pattern, only A1, B1, C2 survive.
   Graph g = Sample();
   Graph p = TrianglePattern();
+  LabelIndex gi = Index(g);
+  LabelIndex pi = Index(p);
   auto survives = [&](const char* pattern_node, const char* data_node) {
-    NeighborhoodSubgraph pn =
-        ExtractNeighborhood(p, p.FindNode(pattern_node), 1);
-    NeighborhoodSubgraph dn =
-        ExtractNeighborhood(g, g.FindNode(data_node), 1);
-    return NeighborhoodSubIsomorphic(pn, dn);
+    return NeighborhoodSubIsomorphic(pi.neighborhood(p.FindNode(pattern_node)),
+                                     gi.neighborhood(g.FindNode(data_node)));
   };
   EXPECT_TRUE(survives("u1", "a1"));
   EXPECT_FALSE(survives("u1", "a2"));
@@ -84,32 +117,39 @@ TEST(NeighborhoodSubIsoTest, PrunesPerFigure417) {
 
 TEST(NeighborhoodSubIsoTest, CenterLabelsMustAgree) {
   Graph g = Sample();
-  NeighborhoodSubgraph a = ExtractNeighborhood(g, g.FindNode("a1"), 1);
-  NeighborhoodSubgraph b = ExtractNeighborhood(g, g.FindNode("b1"), 1);
-  EXPECT_FALSE(NeighborhoodSubIsomorphic(a, b));
+  LabelIndex gi = Index(g);
+  EXPECT_FALSE(NeighborhoodSubIsomorphic(gi.neighborhood(g.FindNode("a1")),
+                                         gi.neighborhood(g.FindNode("b1"))));
 }
 
 TEST(NeighborhoodSubIsoTest, WildcardCenterMatches) {
   Graph g = Sample();
   Graph p;
   p.AddNode("u");  // No label: wildcard.
-  NeighborhoodSubgraph pn = ExtractNeighborhood(p, 0, 1);
-  NeighborhoodSubgraph dn = ExtractNeighborhood(g, g.FindNode("a1"), 1);
-  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn));
+  LabelIndex gi = Index(g);
+  LabelIndex pi = Index(p);
+  EXPECT_TRUE(NeighborhoodSubIsomorphic(pi.neighborhood(0),
+                                        gi.neighborhood(g.FindNode("a1"))));
 }
 
 TEST(NeighborhoodSubIsoTest, SizeFastPath) {
   Graph g = Sample();
-  NeighborhoodSubgraph small = ExtractNeighborhood(g, g.FindNode("c1"), 1);
-  NeighborhoodSubgraph big = ExtractNeighborhood(g, g.FindNode("b1"), 1);
-  // A bigger query neighborhood cannot embed in a smaller one.
-  EXPECT_FALSE(NeighborhoodSubIsomorphic(big, small));
+  LabelIndex gi = Index(g);
+  NeighborhoodSubgraph small = gi.neighborhood(g.FindNode("c1"));
+  NeighborhoodSubgraph big = gi.neighborhood(g.FindNode("b1"));
+  // A bigger query neighborhood cannot embed in a smaller one, and the
+  // size check decides before any step is counted.
+  NeighborhoodStats stats;
+  EXPECT_FALSE(NeighborhoodSubIsomorphic(big, small, nullptr, &stats));
+  EXPECT_EQ(stats.tests, 1u);
+  EXPECT_EQ(stats.steps, 0u);
 }
 
 TEST(NeighborhoodSubIsoTest, IdenticalNeighborhoodsMatch) {
   Graph g = Sample();
+  LabelIndex gi = Index(g);
   for (const char* n : {"a1", "b1", "c2", "b2"}) {
-    NeighborhoodSubgraph nb = ExtractNeighborhood(g, g.FindNode(n), 1);
+    NeighborhoodSubgraph nb = gi.neighborhood(g.FindNode(n));
     EXPECT_TRUE(NeighborhoodSubIsomorphic(nb, nb)) << n;
   }
 }
@@ -119,13 +159,17 @@ TEST(NeighborhoodSubIsoTest, BudgetExhaustionIsConservative) {
   // budget runs out mid-test the test gives up and keeps b2 (no pruning).
   Graph g = Sample();
   Graph p = TrianglePattern();
-  NeighborhoodSubgraph pn = ExtractNeighborhood(p, p.FindNode("u2"), 1);
-  NeighborhoodSubgraph dn = ExtractNeighborhood(g, g.FindNode("b2"), 1);
+  LabelIndex gi = Index(g);
+  LabelIndex pi = Index(p);
+  NeighborhoodSubgraph pn = pi.neighborhood(p.FindNode("u2"));
+  NeighborhoodSubgraph dn = gi.neighborhood(g.FindNode("b2"));
   ASSERT_FALSE(NeighborhoodSubIsomorphic(pn, dn));
   ResourceGovernor gov(GovernorLimits{.max_steps = 1});
-  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, &gov));
+  NeighborhoodStats stats;
+  EXPECT_TRUE(NeighborhoodSubIsomorphic(pn, dn, &gov, &stats));
   EXPECT_TRUE(gov.tripped());
   EXPECT_EQ(gov.trip_point(), GovernPoint::kNeighborhood);
+  EXPECT_EQ(stats.budget_hits, 1u);
 }
 
 TEST(NeighborhoodTest, DirectedNeighborhoodUsesBothDirections) {
@@ -135,9 +179,11 @@ TEST(NeighborhoodTest, DirectedNeighborhoodUsesBothDirections) {
   NodeId c = g.AddNode("c");
   g.AddEdge(a, b);
   g.AddEdge(c, a);  // Incoming to a.
-  NeighborhoodSubgraph n = ExtractNeighborhood(g, a, 1);
-  EXPECT_EQ(n.sub.NumNodes(), 3u);  // Both out- and in-neighbors included.
-  EXPECT_EQ(n.sub.NumEdges(), 2u);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  NeighborhoodSubgraph n = ExtractNeighborhood(&walker, a, 1);
+  EXPECT_EQ(n.members.size(), 3u);  // Both out- and in-neighbors included.
+  EXPECT_EQ(n.num_edges, 2u);
 }
 
 }  // namespace

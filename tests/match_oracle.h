@@ -2,8 +2,8 @@
 // None of them is used by src/: they are deliberately simple, slow, and
 // written over the mutable Graph (adjacency lists, AST predicates) rather
 // than the compiled GraphSnapshot the engine runs on, so a bug in the
-// snapshot, the selection kernels, or the refine bitmaps shows up as a
-// difference.
+// snapshot, the selection kernels, the neighborhood walker or the refine
+// bitmaps shows up as a difference.
 
 #ifndef GRAPHQL_TESTS_MATCH_ORACLE_H_
 #define GRAPHQL_TESTS_MATCH_ORACLE_H_
@@ -11,15 +11,22 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "algebra/pattern.h"
 #include "graph/graph.h"
 #include "common/governor.h"
+#include "common/symbols.h"
 #include "match/bipartite.h"
+#include "match/cost.h"
+#include "match/label_index.h"
 #include "match/matcher.h"
+#include "match/pipeline.h"
 #include "match/profile.h"
 #include "match/refine.h"
 
@@ -83,10 +90,45 @@ inline std::vector<std::vector<NodeId>> ScanCandidates(
   return out;
 }
 
+/// The profile of node v over the Graph's adjacency lists: labels of every
+/// node within `radius` hops (hop 0 = v itself), sorted, interned through
+/// SymbolTable::Global(). Unlabeled nodes contribute nothing.
+/// match::BuildProfile over the snapshot must return the same profile.
+inline Profile BuildProfile(const Graph& g, NodeId v, int radius) {
+  SymbolTable& syms = SymbolTable::Global();
+  Profile profile;
+  std::vector<int> dist(g.NumNodes(), -1);
+  std::vector<NodeId> frontier = {v};
+  dist[v] = 0;
+  auto add_label = [&](NodeId x) {
+    std::string_view label = g.Label(x);
+    if (!label.empty()) profile.push_back(syms.Intern(label));
+  };
+  add_label(v);
+  for (int d = 1; d <= radius && !frontier.empty(); ++d) {
+    std::vector<NodeId> next;
+    auto visit = [&](NodeId x) {
+      if (dist[x] >= 0) return;
+      dist[x] = d;
+      next.push_back(x);
+      add_label(x);
+    };
+    for (NodeId x : frontier) {
+      for (const Graph::Adj& a : g.neighbors(x)) visit(a.node);
+      if (g.directed()) {
+        for (const Graph::Adj& a : g.in_neighbors(x)) visit(a.node);
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::sort(profile.begin(), profile.end());
+  return profile;
+}
+
 /// Profile-mode retrieval (Section 4.2) without an index: ScanCandidates,
 /// then each candidate v of pattern node u kept only if u's profile is
-/// contained in v's, both built as heap profiles by the builder overload
-/// BuildProfile(const Graph&, ...) and compared with ProfileContains.
+/// contained in v's, both built as heap profiles by the builder-graph
+/// BuildProfile above and compared with ProfileContains.
 inline std::vector<std::vector<NodeId>> ProfileCandidates(
     const algebra::GraphPattern& pattern, const Graph& data, int radius) {
   std::vector<std::vector<NodeId>> out = ScanCandidates(pattern, data);
@@ -99,6 +141,139 @@ inline std::vector<std::vector<NodeId>> ProfileCandidates(
         BuildProfile(pattern.graph(), static_cast<NodeId>(u), radius);
     std::erase_if(out[u], [&](NodeId v) {
       return !ProfileContains(profiles[v], want);
+    });
+  }
+  return out;
+}
+
+/// A neighborhood subgraph (Definition 4.10) as its own builder Graph:
+/// every node within `radius` hops of the center, in adjacency-list BFS
+/// order with the center at local id 0, and every edge among them. Only
+/// the labels are kept, interned, parallel to `sub`'s node ids.
+struct GraphNeighborhood {
+  Graph sub;
+  std::vector<SymbolId> label_syms;  ///< kNoSymbol when unlabeled.
+};
+
+inline GraphNeighborhood ExtractNeighborhood(const Graph& g, NodeId v,
+                                             int radius) {
+  GraphNeighborhood out;
+  std::vector<NodeId> local(g.NumNodes(), kInvalidNode);
+  std::vector<NodeId> members = {v};
+  local[v] = 0;
+  auto visit = [&](NodeId x) {
+    if (local[x] != kInvalidNode) return;
+    local[x] = static_cast<NodeId>(members.size());
+    members.push_back(x);
+  };
+  size_t frontier_begin = 0;
+  for (int d = 1; d <= radius; ++d) {
+    const size_t frontier_end = members.size();
+    for (size_t i = frontier_begin; i < frontier_end; ++i) {
+      for (const Graph::Adj& a : g.neighbors(members[i])) visit(a.node);
+      if (g.directed()) {
+        for (const Graph::Adj& a : g.in_neighbors(members[i])) visit(a.node);
+      }
+    }
+    frontier_begin = frontier_end;
+  }
+  out.sub = Graph("", g.directed());
+  for (NodeId x : members) {
+    std::string_view label = g.Label(x);
+    out.label_syms.push_back(
+        label.empty() ? kNoSymbol : SymbolTable::Global().Intern(label));
+    out.sub.AddNode("");
+  }
+  // Directed adjacency lists each edge once, at its source; undirected at
+  // both endpoints (a self-loop once), so keep it at its stored source.
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (const Graph::Adj& a : g.neighbors(members[i])) {
+      if (local[a.node] == kInvalidNode) continue;
+      if (g.directed() || g.edge(a.edge).src == members[i]) {
+        out.sub.AddEdge(static_cast<NodeId>(i), local[a.node]);
+      }
+    }
+  }
+  return out;
+}
+
+/// The neighborhood pruning test over builder graphs: the query's
+/// non-center nodes, in BFS order over the query's adjacency lists from
+/// the center, map injectively onto the data's non-center nodes with equal
+/// labels (an unlabeled query node is a wildcard) and the query edges
+/// among them; the centers map to each other. Ungoverned.
+inline bool NeighborhoodSubIsomorphic(const GraphNeighborhood& query,
+                                      const GraphNeighborhood& data) {
+  const Graph& q = query.sub;
+  const Graph& d = data.sub;
+  if (q.NumNodes() > d.NumNodes() || q.NumEdges() > d.NumEdges()) {
+    return false;
+  }
+  auto node_ok = [&](NodeId qu, NodeId dv) {
+    const SymbolId ql = query.label_syms[qu];
+    return ql == kNoSymbol || ql == data.label_syms[dv];
+  };
+  if (!node_ok(0, 0)) return false;
+  std::vector<NodeId> order;
+  std::vector<char> seen(q.NumNodes(), 0);
+  std::vector<NodeId> bfs = {0};
+  seen[0] = 1;
+  for (size_t i = 0; i < bfs.size(); ++i) {
+    for (const Graph::Adj& a : q.neighbors(bfs[i])) {
+      if (seen[a.node]) continue;
+      seen[a.node] = 1;
+      bfs.push_back(a.node);
+      order.push_back(a.node);
+    }
+  }
+  for (size_t v = 0; v < q.NumNodes(); ++v) {
+    if (!seen[v]) order.push_back(static_cast<NodeId>(v));
+  }
+  std::vector<NodeId> assign(q.NumNodes(), kInvalidNode);
+  std::vector<char> used(d.NumNodes(), 0);
+  assign[0] = 0;
+  used[0] = 1;
+  std::function<bool(size_t)> dfs = [&](size_t i) {
+    if (i == order.size()) return true;
+    const NodeId qu = order[i];
+    for (size_t dv = 0; dv < d.NumNodes(); ++dv) {
+      const NodeId v = static_cast<NodeId>(dv);
+      if (used[dv] || !node_ok(qu, v)) continue;
+      bool edges_ok = true;
+      for (size_t j = 0; j < i && edges_ok; ++j) {
+        const NodeId qw = order[j];
+        edges_ok = (!q.HasEdgeBetween(qu, qw) ||
+                    d.HasEdgeBetween(v, assign[qw])) &&
+                   (!q.directed() || !q.HasEdgeBetween(qw, qu) ||
+                    d.HasEdgeBetween(assign[qw], v));
+      }
+      if (!edges_ok) continue;
+      assign[qu] = v;
+      used[dv] = 1;
+      if (dfs(i + 1)) return true;
+      used[dv] = 0;
+      assign[qu] = kInvalidNode;
+    }
+    return false;
+  };
+  return dfs(0);
+}
+
+/// Neighborhood-mode retrieval (Section 4.2) without an index:
+/// ScanCandidates, then each candidate v of pattern node u kept only if
+/// u's builder-graph neighborhood is sub-isomorphic to v's.
+inline std::vector<std::vector<NodeId>> NeighborhoodCandidates(
+    const algebra::GraphPattern& pattern, const Graph& data, int radius) {
+  std::vector<std::vector<NodeId>> out = ScanCandidates(pattern, data);
+  std::vector<GraphNeighborhood> hoods;
+  for (size_t v = 0; v < data.NumNodes(); ++v) {
+    hoods.push_back(ExtractNeighborhood(data, static_cast<NodeId>(v), radius));
+  }
+  for (size_t u = 0; u < out.size(); ++u) {
+    const GraphNeighborhood want =
+        ExtractNeighborhood(pattern.graph(), static_cast<NodeId>(u), radius);
+    std::erase_if(out[u], [&](NodeId v) {
+      return !NeighborhoodSubIsomorphic(want, hoods[v]);
     });
   }
   return out;
@@ -328,6 +503,102 @@ inline void ReferenceRefine(const algebra::GraphPattern& pattern,
                list.end());
   }
   if (stats != nullptr) *stats = local;
+}
+
+/// Largest pattern DpSearchOrder accepts (2^k subsets).
+inline constexpr size_t kMaxDpPatternSize = 20;
+
+/// Exact left-deep search-order selection by dynamic programming over
+/// node subsets (O(2^k k^2)), the reference GreedySearchOrder is measured
+/// against. The paper observes that "traditional dynamic programming does
+/// not scale well with the number of joins", motivating its greedy
+/// choice. The estimated size of a joined subset is order-independent
+/// (each edge's reduction factor applies exactly once, when its second
+/// endpoint joins), which makes the subset DP exact for the cost model of
+/// Definitions 4.11-4.13 as EstimateOrderCost evaluates it. Fails with
+/// InvalidArgument above kMaxDpPatternSize nodes.
+inline Result<std::vector<NodeId>> DpSearchOrder(
+    const algebra::GraphPattern& pattern,
+    const std::vector<std::vector<NodeId>>& candidates,
+    const LabelIndex* index, const OrderOptions& options = {}) {
+  const Graph& p = pattern.graph();
+  const size_t k = p.NumNodes();
+  if (k > kMaxDpPatternSize) {
+    return Status::InvalidArgument(
+        "DP ordering supports patterns up to " +
+        std::to_string(kMaxDpPatternSize) + " nodes, got " +
+        std::to_string(k));
+  }
+  if (k == 0) return std::vector<NodeId>{};
+  std::vector<SymbolId> labels(k, kNoSymbol);
+  for (size_t u = 0; index != nullptr && u < k; ++u) {
+    std::string_view l = p.Label(static_cast<NodeId>(u));
+    if (!l.empty()) labels[u] = SymbolTable::Global().Lookup(l);
+  }
+  // The reduction factor of joining u to `set`: one edge probability per
+  // pattern edge between u and a member (Definition 4.11).
+  auto gamma = [&](size_t u, size_t set) {
+    double g = 1.0;
+    auto fold = [&](NodeId w) {
+      if (!((set >> w) & 1)) return;
+      double p_edge = options.constant_gamma;
+      if (options.use_edge_probs && index != nullptr &&
+          labels[u] != kNoSymbol && labels[w] != kNoSymbol) {
+        p_edge = index->EdgeProbability(labels[u], labels[w],
+                                        options.constant_gamma);
+      }
+      g *= p_edge;
+    };
+    for (const Graph::Adj& a : p.neighbors(static_cast<NodeId>(u))) {
+      fold(a.node);
+    }
+    if (p.directed()) {
+      for (const Graph::Adj& a : p.in_neighbors(static_cast<NodeId>(u))) {
+        fold(a.node);
+      }
+    }
+    return g;
+  };
+
+  const size_t num_subsets = size_t{1} << k;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // size_of[S]: estimated cardinality of the join over subset S;
+  // best[S]: minimal accumulated cost reaching S; last[S]: the node
+  // joined last on an optimal path.
+  std::vector<double> size_of(num_subsets, 0.0);
+  std::vector<double> best(num_subsets, kInf);
+  std::vector<int> last(num_subsets, -1);
+  size_of[0] = 1.0;
+  best[0] = 0.0;
+  for (size_t set = 1; set < num_subsets; ++set) {
+    size_t u = 0;
+    while (!(set & (size_t{1} << u))) ++u;
+    const size_t prev = set & ~(size_t{1} << u);
+    size_of[set] = size_of[prev] *
+                   static_cast<double>(candidates[u].size()) * gamma(u, prev);
+    const bool first_node = (set & (set - 1)) == 0;
+    for (size_t v = 0; v < k; ++v) {
+      if (!(set & (size_t{1} << v))) continue;
+      const size_t before = set & ~(size_t{1} << v);
+      if (best[before] == kInf) continue;
+      const double join_cost =
+          first_node ? 0.0
+                     : size_of[before] *
+                           static_cast<double>(candidates[v].size());
+      if (best[before] + join_cost < best[set]) {
+        best[set] = best[before] + join_cost;
+        last[set] = static_cast<int>(v);
+      }
+    }
+  }
+  std::vector<NodeId> order(k);
+  size_t set = num_subsets - 1;
+  for (size_t i = k; i-- > 0;) {
+    const int v = last[set];
+    order[i] = static_cast<NodeId>(v);
+    set &= ~(size_t{1} << v);
+  }
+  return order;
 }
 
 }  // namespace graphql::match::oracle

@@ -267,6 +267,32 @@ TEST(SelectCollectionAnyTest, DisjunctivePattern) {
   EXPECT_EQ(matches->size(), 2u);  // The two A nodes via alternative 2.
 }
 
+/// Exact graph isomorphism including attributes: a bijective node mapping
+/// exists under which edges and all node, edge and graph attributes
+/// correspond. Decided by two subgraph-isomorphism runs of the pipeline (a
+/// into b and b into a) after size checks, so both attribute containments
+/// force equality. Assumes simple graphs (parallel-edge multiplicity is
+/// not distinguished). It runs the engine itself, so the tests below check
+/// the mutual-embedding construction, not the engine.
+bool AreIsomorphic(const Graph& a, const Graph& b) {
+  if (a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges()) {
+    return false;
+  }
+  if (a.directed() != b.directed()) return false;
+  if (!(a.attrs() == b.attrs())) return false;
+  auto embeds = [](const Graph& from, const Graph& into) {
+    algebra::GraphPattern p = algebra::GraphPattern::FromGraph(from);
+    PipelineOptions options;
+    options.candidate_mode = CandidateMode::kLabelOnly;
+    options.refine_level = -1;
+    options.match.exhaustive = false;
+    Result<std::vector<algebra::MatchedGraph>> m =
+        MatchPattern(p, into, nullptr, options);
+    return m.ok() && !m->empty();
+  };
+  return embeds(a, b) && embeds(b, a);
+}
+
 TEST(AreIsomorphicTest, RelabeledTriangleIsIsomorphic) {
   auto a = motif::GraphFromSource(R"(
     graph A { node x <label="A">; node y <label="B">; node z <label="C">;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/symbols.h"
 #include "graph/snapshot.h"
+#include "match_oracle.h"
 #include "motif/deriver.h"
 
 namespace graphql::match {
@@ -24,6 +26,13 @@ Graph Sample() {
     })");
   EXPECT_TRUE(g.ok()) << g.status();
   return std::move(g).value();
+}
+
+/// v's radius-r profile through a fresh walker over g's snapshot.
+Profile ProfileOf(const Graph& g, NodeId v, int radius) {
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  return BuildProfile(&walker, v, radius);
 }
 
 std::string LabelsOf(const Profile& p) {
@@ -45,7 +54,7 @@ TEST(SymbolTableTest, InternAndLookup) {
 
 TEST(ProfileTest, RadiusZeroIsOwnLabel) {
   Graph g = Sample();
-  Profile p = BuildProfile(g, g.FindNode("a1"), 0);
+  Profile p = ProfileOf(g, g.FindNode("a1"), 0);
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(SymbolTable::Global().Name(p[0]), "A");
 }
@@ -55,7 +64,7 @@ TEST(ProfileTest, RadiusOneMatchesFigure417) {
   // over its 4-neighbor variant; ours follows the Figure 4.16 edges).
   Graph g = Sample();
   auto labels_of = [&](const char* name) {
-    return LabelsOf(BuildProfile(g, g.FindNode(name), 1));
+    return LabelsOf(ProfileOf(g, g.FindNode(name), 1));
   };
   EXPECT_EQ(labels_of("a1"), "ABC");
   EXPECT_EQ(labels_of("a2"), "AB");
@@ -65,8 +74,8 @@ TEST(ProfileTest, RadiusOneMatchesFigure417) {
 
 TEST(ProfileTest, RadiusTwoGrows) {
   Graph g = Sample();
-  Profile p1 = BuildProfile(g, g.FindNode("c1"), 1);
-  Profile p2 = BuildProfile(g, g.FindNode("c1"), 2);
+  Profile p1 = ProfileOf(g, g.FindNode("c1"), 1);
+  Profile p2 = ProfileOf(g, g.FindNode("c1"), 2);
   EXPECT_GT(p2.size(), p1.size());
   EXPECT_TRUE(ProfileContains(p2, p1));
 }
@@ -77,28 +86,36 @@ TEST(ProfileTest, UnlabeledNodesContributeNothing) {
   g.SetLabel(a, "A");
   NodeId b = g.AddNode("b");  // No label.
   g.AddEdge(a, b);
-  Profile p = BuildProfile(g, a, 1);
+  Profile p = ProfileOf(g, a, 1);
   EXPECT_EQ(p.size(), 1u);
 }
 
 TEST(ProfileTest, ScratchIsRestored) {
+  // One walker serves a whole graph: what an earlier walk marked must not
+  // leak into the next, so every profile equals a fresh walker's.
   Graph g = Sample();
-  std::vector<int> scratch(g.NumNodes(), -1);
-  BuildProfile(g, 0, 2, &scratch);
-  for (int d : scratch) EXPECT_EQ(d, -1);
+  std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
+  NeighborhoodWalker walker(*snap);
+  BuildProfile(&walker, 0, 2);
+  for (size_t v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(BuildProfile(&walker, static_cast<NodeId>(v), 1),
+              ProfileOf(g, static_cast<NodeId>(v), 1))
+        << "node " << v;
+  }
 }
 
 TEST(ProfileTest, SnapshotOverloadMatchesGraphOverload) {
-  // The CSR/pre-interned-symbol fast path must produce exactly the same
-  // sorted symbol multiset as the adjacency-list walk, at every radius.
+  // The walker over the snapshot's CSR and pre-interned symbols must
+  // produce exactly the sorted symbol multiset of the adjacency-list walk
+  // in match_oracle.h, at every radius.
   Graph g = Sample();
   std::shared_ptr<const GraphSnapshot> snap = g.snapshot();
-  std::vector<int> scratch(g.NumNodes(), -1);
+  NeighborhoodWalker walker(*snap);
   for (int radius = 0; radius <= 3; ++radius) {
     for (size_t v = 0; v < g.NumNodes(); ++v) {
-      Profile from_graph = BuildProfile(g, static_cast<NodeId>(v), radius);
-      Profile from_snap =
-          BuildProfile(*snap, static_cast<NodeId>(v), radius, &scratch);
+      Profile from_graph =
+          oracle::BuildProfile(g, static_cast<NodeId>(v), radius);
+      Profile from_snap = BuildProfile(&walker, static_cast<NodeId>(v), radius);
       EXPECT_EQ(from_graph, from_snap)
           << "radius " << radius << " node " << v;
     }
@@ -151,7 +168,7 @@ TEST(ProfileContainsTest, SoundForSubgraphs) {
   // {A,B,C}; the full graph's profile of b1 must contain it.
   Profile sub = {table.Intern("A"), table.Intern("B"), table.Intern("C")};
   std::sort(sub.begin(), sub.end());
-  Profile host = BuildProfile(g, g.FindNode("b1"), 1);
+  Profile host = ProfileOf(g, g.FindNode("b1"), 1);
   EXPECT_TRUE(ProfileContains(host, sub));
 }
 

@@ -252,7 +252,7 @@ TEST(VectorizedDifferentialTest, ProfileRetrievalMatchesOracle) {
     for (size_t u = 0; u < want.size(); ++u) {
       want_pruned += feasible[u].size() - want[u].size();
       const uint64_t sig = ProfileSignature(
-          BuildProfile(p.graph(), static_cast<NodeId>(u), radius));
+          oracle::BuildProfile(p.graph(), static_cast<NodeId>(u), radius));
       for (NodeId v : feasible[u]) {
         if (std::binary_search(want[u].begin(), want[u].end(), v)) continue;
         ++((sig & ~index.profile_signature(v)) != 0 ? sig_rejects
@@ -380,6 +380,7 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
   // run: the partial results, the trip and the governor's consumption must
   // equal the first, calling-thread run's bit for bit, and so must the
   // candidate sizes and scan counters retrieval reports about its lists,
+  // the neighborhood test counters (the tests run on the calling thread),
   // the refine counters, the trip and degrade counters and the truncation
   // count.
   // Most neighborhood budgets trip inside retrieval's sub-isomorphism
@@ -433,8 +434,8 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
         std::ostringstream counts;
         for (const auto& [name, value] : metrics.Snapshot().counters) {
           for (const char* prefix :
-               {"match.retrieve.", "match.refine.", "match.queries",
-                "match.search.truncated", "governor."}) {
+               {"match.retrieve.", "match.neighborhood.", "match.refine.",
+                "match.queries", "match.search.truncated", "governor."}) {
             if (name.rfind(prefix, 0) == 0) {
               counts << name << "=" << value << " ";
             }
