@@ -1,7 +1,8 @@
-// Micro-benchmarks of the individual substrates: Hopcroft-Karp matching,
-// profile containment, neighborhood extraction, label-index build, the
-// GraphQL parser, and relational index probes. These are regression
-// sentinels rather than paper figures.
+// Micro-benchmarks of the individual substrates: refinement on a dense
+// graph where its B(u, v) tests need augmenting paths, profile
+// containment, neighborhood extraction, label-index build, the GraphQL
+// parser, and relational index probes. These are regression sentinels
+// rather than paper figures.
 
 #include <benchmark/benchmark.h>
 
@@ -10,28 +11,64 @@
 
 #include "bench_common.h"
 #include "lang/parser.h"
-#include "match/bipartite.h"
 #include "match/neighborhood.h"
 #include "match/profile.h"
+#include "match/refine.h"
 #include "reach/reachability.h"
 
 namespace graphql::bench {
 namespace {
 
-void BM_HopcroftKarp(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(7);
-  std::vector<std::vector<int>> adj(n);
-  for (int l = 0; l < n; ++l) {
-    for (int r = 0; r < n; ++r) {
-      if (rng.NextBool(4.0 / n)) adj[l].push_back(r);
+// Refinement's routine B(u, v) tests end at an empty row or after the
+// greedy pass; this lane keeps the rare augmenting-path branch timed. On
+// an Erdos-Renyi graph with one label every neighbour is a label candidate
+// of every pattern neighbour, so B(u, v) is dense; profile retrieval keeps
+// only degree apart, so candidate sets nest and greedy's first pick often
+// blocks a later row.
+void BM_RefineDense(benchmark::State& state) {
+  constexpr size_t kPatternSize = 8;
+  static const SyntheticWorkload* const kW = [] {
+    auto* w = new SyntheticWorkload;
+    Rng rng(13);
+    workload::ErdosRenyiOptions options;
+    options.num_nodes = 2000;
+    options.num_edges = 3000;
+    options.num_labels = 1;
+    w->graph = workload::MakeErdosRenyi(options, &rng);
+    w->index = match::LabelIndex::Build(w->graph);
+    return w;
+  }();
+  std::vector<algebra::GraphPattern> patterns;
+  std::vector<std::vector<std::vector<NodeId>>> spaces;
+  Rng rng(5);
+  match::PipelineOptions prep;
+  prep.candidate_mode = match::CandidateMode::kProfile;
+  while (patterns.size() < 20) {
+    auto q = workload::ExtractConnectedQuery(kW->graph, kPatternSize, &rng);
+    if (!q.ok()) continue;
+    patterns.push_back(algebra::GraphPattern::FromGraph(*q));
+    spaces.push_back(match::RetrieveCandidates(patterns.back(), kW->graph,
+                                               &kW->index, prep));
+  }
+  const GraphSnapshot& snap = *kW->graph.snapshot();
+  uint64_t checks = 0;
+  uint64_t removed = 0;
+  for (auto _ : state) {
+    checks = 0;
+    removed = 0;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      auto cand = spaces[i];
+      match::RefineStats stats;
+      match::RefineSearchSpace(patterns[i], snap, kPatternSize, &cand,
+                               &stats);
+      checks += stats.bipartite_checks;
+      removed += stats.removed;
     }
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(match::MaxBipartiteMatching(n, n, adj));
-  }
+  state.counters["bipartite_checks"] = static_cast<double>(checks);
+  state.counters["removed"] = static_cast<double>(removed);
 }
-BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_RefineDense)->Unit(benchmark::kMicrosecond);
 
 void BM_ProfileContains(benchmark::State& state) {
   const ProteinWorkload& w = GetProteinWorkload();

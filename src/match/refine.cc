@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/packed_bits.h"
-#include "match/bipartite.h"
 
 namespace graphql::match {
 
@@ -26,6 +25,19 @@ std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
 }
 
 }  // namespace
+
+bool SemiPerfectMatcher::Augment(uint32_t row) {
+  for (uint32_t i = adj_start_[row]; i < adj_start_[row + 1]; ++i) {
+    const uint32_t c = adj_[i];
+    if (seen_[c] == visit_) continue;
+    seen_[c] = visit_;
+    if (taken_[c] != round_ || Augment(mate_[c])) {
+      Take(c, row);
+      return true;
+    }
+  }
+  return false;
+}
 
 void RefineStats::Add(const RefineStats& later) {
   bipartite_checks += later.bipartite_checks;
@@ -75,20 +87,15 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern,
 
   // B(u, v) test: true while every pattern neighbor of u can be matched to
   // a distinct data neighbor of v that is still its candidate.
-  std::vector<std::vector<int>> adj;  // Bipartite adjacency buffer.
+  SemiPerfectMatcher matcher;
   auto keeps = [&](NodeId u, NodeId v) {
     const std::vector<NodeId>& nu = pnbr[u];
     if (nu.empty()) return true;  // Isolated pattern node: keep.
     std::span<const NodeId> nv = snap.unique_neighbors(v);
-    adj.assign(nu.size(), {});
-    for (size_t i = 0; i < nu.size(); ++i) {
-      for (size_t j = 0; j < nv.size(); ++j) {
-        if (in_cand.Test(nu[i], nv[j])) adj[i].push_back(static_cast<int>(j));
-      }
-    }
     ++local.bipartite_checks;
-    return HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), adj);
+    return matcher.Test(nu.size(), nv.size(), [&](size_t i, size_t j) {
+      return in_cand.Test(nu[i], nv[j]);
+    });
   };
 
   bool changed = false;

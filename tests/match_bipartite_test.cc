@@ -1,65 +1,104 @@
-#include "match/bipartite.h"
+// The B(u, v) test refinement runs (SemiPerfectMatcher) against two
+// references: Hopcroft–Karp in match_oracle.h and an exhaustive matcher.
+// Refinement's own tests almost never need an augmenting path, so the
+// fixed instances here are the ones where greedy's first pick blocks a
+// later row.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
+#include "match/refine.h"
+#include "match_oracle.h"
 
 namespace graphql::match {
 namespace {
 
+using Adjacency = std::vector<std::vector<int>>;
+
+/// The kernel's verdict on an adjacency-list instance.
+bool KernelMatches(SemiPerfectMatcher* matcher, int n_left, int n_right,
+                   const Adjacency& adj) {
+  return matcher->Test(n_left, n_right, [&](size_t r, size_t c) {
+    const std::vector<int>& row = adj[r];
+    return std::find(row.begin(), row.end(), static_cast<int>(c)) !=
+           row.end();
+  });
+}
+
+bool KernelMatches(int n_left, int n_right, const Adjacency& adj) {
+  SemiPerfectMatcher matcher;
+  return KernelMatches(&matcher, n_left, n_right, adj);
+}
+
 TEST(BipartiteTest, EmptyLeftIsTrivialMatch) {
-  EXPECT_EQ(MaxBipartiteMatching(0, 3, {}), 0);
-  EXPECT_TRUE(HasSemiPerfectMatching(0, 3, {}));
+  EXPECT_EQ(oracle::MaxBipartiteMatching(0, 3, {}), 0);
+  EXPECT_TRUE(oracle::HasSemiPerfectMatching(0, 3, {}));
+  EXPECT_TRUE(KernelMatches(0, 3, {}));
 }
 
 TEST(BipartiteTest, PerfectMatchingOnIdentity) {
-  std::vector<std::vector<int>> adj = {{0}, {1}, {2}};
-  EXPECT_EQ(MaxBipartiteMatching(3, 3, adj), 3);
-  EXPECT_TRUE(HasSemiPerfectMatching(3, 3, adj));
+  Adjacency adj = {{0}, {1}, {2}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(3, 3, adj), 3);
+  EXPECT_TRUE(oracle::HasSemiPerfectMatching(3, 3, adj));
+  EXPECT_TRUE(KernelMatches(3, 3, adj));
 }
 
 TEST(BipartiteTest, AugmentingPathNeeded) {
-  // l0-{r0,r1}, l1-{r0}: greedy l0->r0 must be augmented to l0->r1.
-  std::vector<std::vector<int>> adj = {{0, 1}, {0}};
-  EXPECT_EQ(MaxBipartiteMatching(2, 2, adj), 2);
-  EXPECT_TRUE(HasSemiPerfectMatching(2, 2, adj));
+  // l0-{r0,r1}, l1-{r0}: greedy gives l0 r0, which blocks l1 until the
+  // path l1-r0-l0-r1 moves l0 to r1.
+  Adjacency adj = {{0, 1}, {0}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(2, 2, adj), 2);
+  EXPECT_TRUE(oracle::HasSemiPerfectMatching(2, 2, adj));
+  EXPECT_TRUE(KernelMatches(2, 2, adj));
 }
 
 TEST(BipartiteTest, ChainAugmentation) {
-  // A longer alternating chain: l0-{r0}, l1-{r0,r1}, l2-{r1,r2}.
-  std::vector<std::vector<int>> adj = {{0}, {0, 1}, {1, 2}};
-  EXPECT_EQ(MaxBipartiteMatching(3, 3, adj), 3);
+  // l0-{r0,r1}, l1-{r1,r2}, l2-{r0}: greedy gives l0 r0 and l1 r1 and
+  // leaves l2 unmatched; the only augmenting path has 5 edges,
+  // l2-r0-l0-r1-l1-r2.
+  Adjacency adj = {{0, 1}, {1, 2}, {0}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(3, 3, adj), 3);
+  EXPECT_TRUE(KernelMatches(3, 3, adj));
+  // Without r2 the same chain dead-ends: no semi-perfect matching.
+  Adjacency blocked = {{0, 1}, {1}, {0}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(3, 3, blocked), 2);
+  EXPECT_FALSE(KernelMatches(3, 3, blocked));
 }
 
 TEST(BipartiteTest, BottleneckBlocksSemiPerfect) {
   // Two left vertices share one right vertex.
-  std::vector<std::vector<int>> adj = {{0}, {0}};
-  EXPECT_EQ(MaxBipartiteMatching(2, 1, adj), 1);
-  EXPECT_FALSE(HasSemiPerfectMatching(2, 1, adj));
+  Adjacency adj = {{0}, {0}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(2, 1, adj), 1);
+  EXPECT_FALSE(oracle::HasSemiPerfectMatching(2, 1, adj));
+  EXPECT_FALSE(KernelMatches(2, 1, adj));
 }
 
 TEST(BipartiteTest, HallViolationDetected) {
   // {l0,l1,l2} all confined to {r0,r1}.
-  std::vector<std::vector<int>> adj = {{0, 1}, {0, 1}, {0, 1}};
-  EXPECT_EQ(MaxBipartiteMatching(3, 3, adj), 2);
-  EXPECT_FALSE(HasSemiPerfectMatching(3, 3, adj));
+  Adjacency adj = {{0, 1}, {0, 1}, {0, 1}};
+  EXPECT_EQ(oracle::MaxBipartiteMatching(3, 3, adj), 2);
+  EXPECT_FALSE(oracle::HasSemiPerfectMatching(3, 3, adj));
+  EXPECT_FALSE(KernelMatches(3, 3, adj));
 }
 
 TEST(BipartiteTest, IsolatedLeftVertexFailsFast) {
-  std::vector<std::vector<int>> adj = {{0}, {}};
-  EXPECT_FALSE(HasSemiPerfectMatching(2, 2, adj));
+  Adjacency adj = {{0}, {}};
+  EXPECT_FALSE(oracle::HasSemiPerfectMatching(2, 2, adj));
+  EXPECT_FALSE(KernelMatches(2, 2, adj));
 }
 
 TEST(BipartiteTest, MoreLeftThanRightFailsFast) {
-  std::vector<std::vector<int>> adj = {{0}, {0}, {0}};
-  EXPECT_FALSE(HasSemiPerfectMatching(3, 1, adj));
+  Adjacency adj = {{0}, {0}, {0}};
+  EXPECT_FALSE(oracle::HasSemiPerfectMatching(3, 1, adj));
+  EXPECT_FALSE(KernelMatches(3, 1, adj));
 }
 
 /// Brute-force maximum matching for cross-checking (exponential, tiny n).
-int BruteForceMatching(int n_left, int n_right,
-                       const std::vector<std::vector<int>>& adj) {
+int BruteForceMatching(int n_left, int n_right, const Adjacency& adj) {
   int best = 0;
   std::vector<int> used(n_right, 0);
   std::function<void(int, int)> go = [&](int l, int matched) {
@@ -78,21 +117,51 @@ int BruteForceMatching(int n_left, int n_right,
   return best;
 }
 
+/// True when first-free-column greedy in row order matches every row, so
+/// the kernel needs no augmenting path.
+bool GreedyCoversEveryRow(int n_right, const Adjacency& adj) {
+  std::vector<char> taken(n_right, 0);
+  for (const std::vector<int>& row : adj) {
+    auto free = std::find_if(row.begin(), row.end(),
+                             [&](int r) { return !taken[r]; });
+    if (free == row.end()) return false;
+    taken[*free] = 1;
+  }
+  return true;
+}
+
+// One matcher serves every trial, as one serves a whole refinement, so
+// the trials also check that a test sees nothing of the tests before it.
 TEST(BipartiteTest, RandomizedAgainstBruteForce) {
   Rng rng(12345);
-  for (int trial = 0; trial < 200; ++trial) {
-    int nl = static_cast<int>(rng.NextBounded(6)) + 1;
-    int nr = static_cast<int>(rng.NextBounded(6)) + 1;
-    std::vector<std::vector<int>> adj(nl);
+  SemiPerfectMatcher matcher;
+  int semi_perfect = 0;
+  int augmented = 0;  // Semi-perfect, but only after augmenting paths.
+  for (int trial = 0; trial < 2000; ++trial) {
+    int nl = static_cast<int>(rng.NextBounded(7)) + 1;
+    int nr = static_cast<int>(rng.NextBounded(9)) + 1;
+    double density = 0.2 + 0.1 * static_cast<double>(trial % 6);
+    Adjacency adj(nl);
     for (int l = 0; l < nl; ++l) {
       for (int r = 0; r < nr; ++r) {
-        if (rng.NextBool(0.4)) adj[l].push_back(r);
+        if (rng.NextBool(density)) adj[l].push_back(r);
       }
     }
-    EXPECT_EQ(MaxBipartiteMatching(nl, nr, adj),
-              BruteForceMatching(nl, nr, adj))
+    const int brute = BruteForceMatching(nl, nr, adj);
+    EXPECT_EQ(oracle::MaxBipartiteMatching(nl, nr, adj), brute)
         << "trial " << trial;
+    const bool want = brute == nl;
+    EXPECT_EQ(oracle::HasSemiPerfectMatching(nl, nr, adj), want)
+        << "trial " << trial;
+    EXPECT_EQ(KernelMatches(&matcher, nl, nr, adj), want) << "trial " << trial;
+    semi_perfect += want ? 1 : 0;
+    augmented += want && !GreedyCoversEveryRow(nr, adj) ? 1 : 0;
   }
+  // Both verdicts, and the augmenting-path branch, occur often enough for
+  // the sweep to mean something.
+  EXPECT_GT(semi_perfect, 400);
+  EXPECT_LT(semi_perfect, 1600);
+  EXPECT_GT(augmented, 50);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <queue>
 #include <set>
 #include <string>
 #include <string_view>
@@ -22,7 +23,6 @@
 #include "graph/graph.h"
 #include "common/governor.h"
 #include "common/symbols.h"
-#include "match/bipartite.h"
 #include "match/cost.h"
 #include "match/label_index.h"
 #include "match/matcher.h"
@@ -399,6 +399,67 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
   return out;
 }
 
+/// Maximum bipartite matching by Hopcroft–Karp (O(E sqrt(V))), the
+/// algorithm the paper cites for refinement. `adj[l]` lists the right-side
+/// vertices adjacent to left vertex l; returns the matching's size.
+inline int MaxBipartiteMatching(int n_left, int n_right,
+                                const std::vector<std::vector<int>>& adj) {
+  constexpr int kInf = std::numeric_limits<int>::max();
+  constexpr int kNil = -1;
+  std::vector<int> match_left(n_left, kNil);
+  std::vector<int> match_right(n_right, kNil);
+  std::vector<int> dist(n_left, kInf);
+  auto bfs = [&] {
+    std::queue<int> q;
+    for (int l = 0; l < n_left; ++l) {
+      dist[l] = match_left[l] == kNil ? 0 : kInf;
+      if (dist[l] == 0) q.push(l);
+    }
+    bool found_augmenting = false;
+    while (!q.empty()) {
+      int l = q.front();
+      q.pop();
+      for (int r : adj[l]) {
+        int l2 = match_right[r];
+        if (l2 == kNil) {
+          found_augmenting = true;
+        } else if (dist[l2] == kInf) {
+          dist[l2] = dist[l] + 1;
+          q.push(l2);
+        }
+      }
+    }
+    return found_augmenting;
+  };
+  std::function<bool(int)> dfs = [&](int l) {
+    for (int r : adj[l]) {
+      int l2 = match_right[r];
+      if (l2 == kNil || (dist[l2] == dist[l] + 1 && dfs(l2))) {
+        match_left[l] = r;
+        match_right[r] = l;
+        return true;
+      }
+    }
+    dist[l] = kInf;
+    return false;
+  };
+  int matching = 0;
+  while (bfs()) {
+    for (int l = 0; l < n_left; ++l) {
+      if (match_left[l] == kNil && dfs(l)) ++matching;
+    }
+  }
+  return matching;
+}
+
+/// True iff a semi-perfect matching exists: every left vertex matched (the
+/// condition of Algorithm 4.2 / pseudo subgraph isomorphism).
+inline bool HasSemiPerfectMatching(int n_left, int n_right,
+                                   const std::vector<std::vector<int>>& adj) {
+  return n_left <= n_right &&
+         MaxBipartiteMatching(n_left, n_right, adj) == n_left;
+}
+
 /// Unique undirected neighbor list over the Graph's adjacency lists.
 inline std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
   std::vector<NodeId> out;
@@ -413,9 +474,10 @@ inline std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
 
 /// Algorithm 4.2 written directly over the mutable Graph: a byte
 /// membership matrix, a hashed dirty-pair set drained in sorted (u, v)
-/// order, per-pair neighbor lists, and removals applied at once. The
-/// engine's RefineSearchSpace on one worker must leave the same spaces
-/// (content and order) and report the same counters.
+/// order, per-pair neighbor lists, Hopcroft–Karp for every B(u, v) test,
+/// and removals applied at once. The engine's RefineSearchSpace must leave
+/// the same spaces (content and order) and report the same counters,
+/// `pairs_charged` included: one per pair visited.
 inline void ReferenceRefine(const algebra::GraphPattern& pattern,
                             const Graph& data, int level,
                             std::vector<std::vector<NodeId>>* candidates,
@@ -460,6 +522,7 @@ inline void ReferenceRefine(const algebra::GraphPattern& pattern,
     if (todo.empty()) break;
     bool changed = false;
     for (uint64_t pair : todo) {
+      ++local.pairs_charged;
       NodeId u = static_cast<NodeId>(pair >> 32);
       NodeId v = static_cast<NodeId>(pair & 0xffffffffu);
       if (!in_cand[u][v]) {

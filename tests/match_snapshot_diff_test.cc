@@ -7,9 +7,11 @@
 //    does not depend on the thread count;
 //  - label-only retrieval equals the AST scan, and the pruned modes keep a
 //    subsequence of it that still holds every true match;
-//  - refinement on one worker equals ReferenceRefine (Algorithm 4.2 over
-//    the mutable Graph) at every level, spaces and counters; with three
-//    workers every space is a superset of the one-worker space;
+//  - refinement equals ReferenceRefine (Algorithm 4.2 over the mutable
+//    Graph, Hopcroft–Karp for every B(u, v) test) at every level, spaces
+//    and every RefineStats field, on sparse undirected graphs and on a
+//    dense directed one whose B(u, v) tests need augmenting paths; a
+//    3-worker pipeline refines to the same space;
 //  - every example query returns the same text at 0 and 3 threads through
 //    the full Evaluator.
 // A final test pins down that the search inner loop counts CSR probes.
@@ -179,17 +181,51 @@ TEST(SnapshotDifferentialTest, RetrieveCandidatesIdentical) {
   }
 }
 
+/// A directed graph with two labels, self-loops and parallel edges, over
+/// twice the sparse graphs' edge density. Its neighbours share candidates,
+/// so greedy's first pick inside a B(u, v) test often blocks a later row:
+/// about 350 of its tests in this sweep need an augmenting path that
+/// succeeds, against about 90 per sparse graph.
+Graph MakeDenseDirected(Rng* rng) {
+  Graph g("dense", /*directed=*/true);
+  constexpr size_t kNodes = 30;
+  for (size_t i = 0; i < kNodes; ++i) {
+    AttrTuple attrs;
+    attrs.Set("label", Value(i % 2 == 0 ? "L1" : "L0"));
+    g.AddNode("", std::move(attrs));
+  }
+  for (size_t i = 0; i < 90; ++i) {
+    g.AddEdge(static_cast<NodeId>(rng->NextBounded(kNodes)),
+              static_cast<NodeId>(rng->NextBounded(kNodes)));
+  }
+  for (size_t v = 0; v < kNodes; v += 7) {
+    const NodeId a = static_cast<NodeId>(v);
+    const NodeId b = static_cast<NodeId>((v + 1) % kNodes);
+    g.AddEdge(a, a);  // Self-loop.
+    g.AddEdge(a, b);  // Two parallel edges.
+    g.AddEdge(a, b);
+  }
+  return g;
+}
+
 TEST(SnapshotDifferentialTest, RefineMatchesReferenceRefine) {
   ThreadPool pool(2);
   size_t cases = 0;
   size_t shrunk = 0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
+  // Seeds 1-8: sparse undirected graphs with 4 labels. Seed 9: the dense
+  // directed graph.
+  for (uint64_t seed = 1; seed <= 9; ++seed) {
     Rng rng(seed * 7919 + 5);
-    workload::ErdosRenyiOptions opts;
-    opts.num_nodes = 120;
-    opts.num_edges = 360;
-    opts.num_labels = 4;
-    Graph data = workload::MakeErdosRenyi(opts, &rng);
+    Graph data;
+    if (seed <= 8) {
+      workload::ErdosRenyiOptions opts;
+      opts.num_nodes = 120;
+      opts.num_edges = 360;
+      opts.num_labels = 4;
+      data = workload::MakeErdosRenyi(opts, &rng);
+    } else {
+      data = MakeDenseDirected(&rng);
+    }
     LabelIndex index = LabelIndex::Build(data);
     std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
     for (size_t qsize : {3u, 5u, 7u}) {
@@ -223,6 +259,8 @@ TEST(SnapshotDifferentialTest, RefineMatchesReferenceRefine) {
             EXPECT_EQ(stats.removed, want_stats.removed) << where;
             EXPECT_EQ(stats.dirty_skips, want_stats.dirty_skips) << where;
             EXPECT_EQ(stats.levels_run, want_stats.levels_run) << where;
+            EXPECT_EQ(stats.pairs_charged, want_stats.pairs_charged) << where;
+            EXPECT_EQ(stats.aborted, want_stats.aborted) << where;
             // A 3-worker pipeline refines to exactly the reference space.
             PipelineOptions par = retrieve;
             par.refine_level = level;
@@ -244,7 +282,7 @@ TEST(SnapshotDifferentialTest, RefineMatchesReferenceRefine) {
       }
     }
   }
-  EXPECT_EQ(cases, 8u * 3u * 3u * 4u * 2u);
+  EXPECT_EQ(cases, 9u * 3u * 3u * 4u * 2u);
   EXPECT_GT(shrunk, cases / 4) << "refinement rarely pruned: vacuous sweep";
 }
 
