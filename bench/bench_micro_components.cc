@@ -1,13 +1,15 @@
 // Micro-benchmarks of the individual substrates: refinement on a dense
-// graph where its B(u, v) tests need augmenting paths, profile
-// containment, neighborhood extraction, label-index build, the GraphQL
-// parser, and relational index probes. These are regression sentinels
-// rather than paper figures.
+// graph where its B(u, v) tests need augmenting paths, the search on
+// patterns ending in a cross-node conjunct, profile containment,
+// neighborhood extraction, label-index build, the GraphQL parser, and
+// relational index probes. These are regression sentinels rather than
+// paper figures.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <span>
+#include <string>
 
 #include "bench_common.h"
 #include "lang/parser.h"
@@ -69,6 +71,94 @@ void BM_RefineDense(benchmark::State& state) {
   state.counters["removed"] = static_cast<double>(removed);
 }
 BENCHMARK(BM_RefineDense)->Unit(benchmark::kMicrosecond);
+
+/// `q` as pattern source: nodes n0, n1, ... with their labels, its edges,
+/// and `where` as the graph-wide predicate.
+std::string PatternSource(const Graph& q, const std::string& where) {
+  std::string text = "graph Q { ";
+  for (size_t v = 0; v < q.NumNodes(); ++v) {
+    text += "node n" + std::to_string(v) + " <label=\"" +
+            std::string(q.Label(static_cast<NodeId>(v))) + "\">; ";
+  }
+  for (size_t e = 0; e < q.NumEdges(); ++e) {
+    const Graph::Edge& edge = q.edge(static_cast<EdgeId>(e));
+    text += "edge (n" + std::to_string(edge.src) + ", n" +
+            std::to_string(edge.dst) + "); ";
+  }
+  return text + "} where " + where;
+}
+
+// The search on extracted patterns over a scored 20k/80k six-label graph,
+// each ending in the cross-node conjunct of the match_search workload,
+// n0.score + n1.score < 10: the first two of each size 4-6 whose greedy
+// order the cost model (Definition 4.13) puts at most kMaxEstimate.
+// Profile retrieval, full refinement and the order run once, outside the
+// timing; each iteration searches every pattern on one thread. The
+// conjunct runs as soon as n0 and n1 are bound: `pred_rejects` counts the
+// prefixes it cut and `steps` the candidate tries left.
+void BM_SearchResidualPredicate(benchmark::State& state) {
+  static const SyntheticWorkload* const kW = [] {
+    auto* w = new SyntheticWorkload;
+    w->graph = MakeScoredErdosRenyi(/*quick=*/false);
+    match::LabelIndexOptions options;
+    options.build_neighborhoods = false;
+    w->index = match::LabelIndex::Build(w->graph, options);
+    return w;
+  }();
+  struct Search {
+    algebra::GraphPattern pattern;
+    std::vector<std::vector<NodeId>> candidates;
+    std::vector<NodeId> order;
+  };
+  std::vector<Search> searches;
+  Rng rng(17);
+  match::PipelineOptions prep;
+  prep.candidate_mode = match::CandidateMode::kProfile;
+  const GraphSnapshot& snap = *kW->graph.snapshot();
+  constexpr double kMaxEstimate = 3e6;
+  for (size_t size = 4; size <= 6; ++size) {
+    for (int kept = 0, tries = 0; kept < 2 && tries < 50; ++tries) {
+      auto q = workload::ExtractConnectedQuery(kW->graph, size, &rng);
+      if (!q.ok()) continue;
+      auto p = algebra::GraphPattern::Parse(
+          PatternSource(*q, "n0.score + n1.score < 10"));
+      if (!p.ok()) {
+        state.SkipWithError("pattern parse failed");
+        return;
+      }
+      auto cand = match::RetrieveCandidates(*p, kW->graph, &kW->index, prep);
+      match::RefineSearchSpace(*p, snap, static_cast<int>(size), &cand);
+      std::vector<NodeId> order =
+          match::GreedySearchOrder(*p, cand, &kW->index);
+      std::vector<size_t> sizes;
+      for (const std::vector<NodeId>& phi : cand) sizes.push_back(phi.size());
+      if (match::EstimateOrderCost(*p, sizes, order, &kW->index) >
+          kMaxEstimate) {
+        continue;
+      }
+      ++kept;
+      searches.push_back({std::move(p).value(), std::move(cand),
+                          std::move(order)});
+    }
+  }
+  uint64_t steps = 0;
+  uint64_t pred_rejects = 0;
+  for (auto _ : state) {
+    steps = 0;
+    pred_rejects = 0;
+    for (const Search& s : searches) {
+      match::SearchStats stats;
+      benchmark::DoNotOptimize(match::SearchMatches(
+          s.pattern, kW->graph, s.candidates, s.order, {}, &stats,
+          /*num_threads=*/1));
+      steps += stats.steps;
+      pred_rejects += stats.pred_rejects;
+    }
+  }
+  state.counters["steps"] = static_cast<double>(steps);
+  state.counters["pred_rejects"] = static_cast<double>(pred_rejects);
+}
+BENCHMARK(BM_SearchResidualPredicate)->Unit(benchmark::kMillisecond);
 
 void BM_ProfileContains(benchmark::State& state) {
   const ProteinWorkload& w = GetProteinWorkload();

@@ -161,7 +161,10 @@ void GraphPattern::RouteConjunct(const lang::ExprPtr& conjunct) {
     edge_preds_[*edges.begin()].push_back(conjunct);
     return;
   }
-  global_preds_.push_back(conjunct);
+  GlobalConjunct global{conjunct, {nodes.begin(), nodes.end()},
+                        other || !edges.empty()};
+  std::sort(global.nodes.begin(), global.nodes.end());
+  global_preds_.push_back(std::move(global));
 }
 
 bool GraphPattern::NodeCompatible(NodeId u, const Graph& data,
@@ -332,16 +335,30 @@ Result<bool> GraphPattern::EvalGlobalPred(
     const std::vector<EdgeId>& edge_mapping) const {
   if (global_preds_.empty()) return true;
   Bindings bindings;
+  BindEmbedding(data, node_mapping, edge_mapping, &bindings);
+  size_t next = 0;
+  return EvalGlobalPreds(bindings, &next, global_preds_.size());
+}
+
+void GraphPattern::BindEmbedding(const Graph& data,
+                                 const std::vector<NodeId>& node_mapping,
+                                 const std::vector<EdgeId>& edge_mapping,
+                                 Bindings* bindings) const {
   BoundGraph bound;
   bound.attr_graph = &data;
   bound.names = &built_.node_names;
   bound.mapping = &node_mapping;
   bound.edge_names = &built_.edge_names;
   if (!edge_mapping.empty()) bound.edge_mapping = &edge_mapping;
-  bindings.SetDefault(bound);
-  if (!name_.empty()) bindings.Bind(name_, bound);
-  for (const lang::ExprPtr& pred : global_preds_) {
-    GQL_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*pred, bindings));
+  bindings->SetDefault(bound);
+  if (!name_.empty()) bindings->Bind(name_, bound);
+}
+
+Result<bool> GraphPattern::EvalGlobalPreds(const Bindings& bindings,
+                                           size_t* next, size_t last) const {
+  for (; *next < last; ++*next) {
+    GQL_ASSIGN_OR_RETURN(bool ok,
+                         EvalPredicate(*global_preds_[*next].expr, bindings));
     if (!ok) return false;
   }
   return true;

@@ -26,7 +26,9 @@ namespace graphql::algebra {
 ///  - per-node and per-edge predicate lists (inline `where` clauses plus
 ///    conjuncts of the graph-wide predicate that reference exactly one node
 ///    or one edge — the paper's predicate pushdown, Section 4.1),
-///  - the residual graph-wide predicate (e.g. `u1.label == u2.label`).
+///  - the residual graph-wide predicate (e.g. `u1.label == u2.label`),
+///    each conjunct with the pattern nodes it reads, so the search can
+///    evaluate it as soon as it has bound them.
 ///
 /// Thread-compatibility: the NodeCompatible/EdgeCompatible overloads
 /// without a PatternScratch use an internal scratch mapping, so they must
@@ -133,6 +135,38 @@ class GraphPattern {
                               const std::vector<NodeId>& node_mapping,
                               const std::vector<EdgeId>& edge_mapping) const;
 
+  /// A residual conjunct and what it reads: the pattern nodes it names,
+  /// ascending, or `whole` when it also names an edge, a graph attribute
+  /// or anything outside the pattern, so that only a complete embedding
+  /// can evaluate it. A conjunct that is not `whole` evaluates the same on
+  /// any partial mapping that binds its nodes.
+  struct GlobalConjunct {
+    lang::ExprPtr expr;
+    std::vector<NodeId> nodes;
+    bool whole = false;
+  };
+  /// The residual conjuncts in textual order (also consumed by the
+  /// Datalog translator).
+  const std::vector<GlobalConjunct>& GlobalPreds() const {
+    return global_preds_;
+  }
+
+  /// Points `bindings` at an embedding into `data`: pattern node and edge
+  /// names resolve through `node_mapping` and `edge_mapping` (which may be
+  /// empty, as for EvalGlobalPred). The vectors are read at evaluation
+  /// time, so a search binds its growing assignment once.
+  void BindEmbedding(const Graph& data, const std::vector<NodeId>& node_mapping,
+                     const std::vector<EdgeId>& edge_mapping,
+                     Bindings* bindings) const;
+
+  /// Evaluates residual conjuncts [*next, last) in textual order under
+  /// `bindings` (see BindEmbedding), advancing *next past each one that
+  /// holds. Returns false at the first that does not hold, or the error
+  /// of the first that fails to evaluate; *next then names that conjunct.
+  /// EvalGlobalPred is the whole range [0, GlobalPreds().size()).
+  Result<bool> EvalGlobalPreds(const Bindings& bindings, size_t* next,
+                               size_t last) const;
+
   /// Number of predicates pushed to node u (used by cost statistics).
   size_t NodePredCount(NodeId u) const {
     return node_preds_[u].size();
@@ -150,9 +184,6 @@ class GraphPattern {
   const std::vector<lang::ExprPtr>& EdgePreds(EdgeId e) const {
     return edge_preds_[e];
   }
-  const std::vector<lang::ExprPtr>& GlobalPreds() const {
-    return global_preds_;
-  }
 
  private:
   GraphPattern() = default;
@@ -161,8 +192,8 @@ class GraphPattern {
                                       motif::BuiltGraph built,
                                       const lang::ExprPtr& where);
 
-  /// Classifies a conjunct: returns the single pattern node (or edge) it
-  /// references, or pushes it to the residual global list.
+  /// Classifies a conjunct: pushes it to the single pattern node (or edge)
+  /// it references, or to the residual global list with what it reads.
   void RouteConjunct(const lang::ExprPtr& conjunct);
 
   /// Interns tags and attribute constraints into SymbolTable::Global()
@@ -173,7 +204,7 @@ class GraphPattern {
   motif::BuiltGraph built_;
   std::vector<std::vector<lang::ExprPtr>> node_preds_;
   std::vector<std::vector<lang::ExprPtr>> edge_preds_;
-  std::vector<lang::ExprPtr> global_preds_;
+  std::vector<GlobalConjunct> global_preds_;
   std::vector<SymbolId> node_tag_syms_;
   std::vector<SymbolId> edge_tag_syms_;
   std::vector<std::vector<SymReq>> node_reqs_;

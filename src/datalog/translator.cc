@@ -250,8 +250,9 @@ Result<Rule> PatternToRule(const algebra::GraphPattern& pattern,
                                             &fresh));
     }
   }
-  for (const lang::ExprPtr& pred : pattern.GlobalPreds()) {
-    GQL_RETURN_IF_ERROR(TranslateConjunct(pattern, *pred, kInvalidNode,
+  for (const algebra::GraphPattern::GlobalConjunct& c :
+       pattern.GlobalPreds()) {
+    GQL_RETURN_IF_ERROR(TranslateConjunct(pattern, *c.expr, kInvalidNode,
                                           kInvalidEdge, &rule, &fresh));
   }
 

@@ -268,8 +268,9 @@ void AppendActualLines(const StatementActuals& a, std::string* out) {
   std::snprintf(buf, sizeof(buf),
                 "    actual: est-cost=%.1f vs search steps=%" PRIu64
                 " (edge-checks=%" PRIu64 ", backtracks=%" PRIu64
-                "), matches=%" PRIu64 "\n",
-                a.est_cost, a.steps, a.edge_checks, a.backtracks, a.matches);
+                ", pred-rejects=%" PRIu64 "), matches=%" PRIu64 "\n",
+                a.est_cost, a.steps, a.edge_checks, a.backtracks,
+                a.pred_rejects, a.matches);
   out->append(buf);
   std::snprintf(buf, sizeof(buf),
                 "    actual: snapshot-probes=%" PRIu64
@@ -1174,6 +1175,7 @@ Status Evaluator::RunFlwr(
     a.steps = select_stats.search.steps;
     a.edge_checks = select_stats.search.edge_checks;
     a.backtracks = select_stats.search.backtracks;
+    a.pred_rejects = select_stats.search.pred_rejects;
     a.matches = matches.size();
     a.threads = select_stats.threads;
     a.tasks_stolen = select_stats.tasks_stolen;

@@ -72,6 +72,7 @@ struct StatementActuals {
   uint64_t steps = 0;
   uint64_t edge_checks = 0;
   uint64_t backtracks = 0;
+  uint64_t pred_rejects = 0;  ///< Prefixes a placed residual conjunct cut.
   uint64_t matches = 0;
   uint64_t snapshot_probes = 0;  ///< CSR edge probes served by snapshots.
   int threads = 0;

@@ -95,7 +95,9 @@ size_t MatchBytes(const algebra::MatchedGraph& m) {
 
 /// The DFS engine behind SearchMatches, serial and per root. Edge probes
 /// read the snapshot's CSR runs and interned tags; `data` supplies the
-/// attribute values that pushed edge and global predicates evaluate.
+/// attribute values that pushed edge and global predicates evaluate. Each
+/// residual conjunct runs at the order position that binds the last of
+/// its nodes (PlaceConjuncts), so a false verdict prunes the subtree.
 class SearchEngine {
  public:
   SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
@@ -132,6 +134,7 @@ class SearchEngine {
       trivial_edge_[e] =
           pe.attrs.empty() && !pattern.EdgeHasPredicates(static_cast<EdgeId>(e));
     }
+    if (pattern.has_global_pred()) PlaceConjuncts();
   }
 
   Status Run(std::vector<algebra::MatchedGraph>* out) {
@@ -180,6 +183,49 @@ class SearchEngine {
   const SearchStats& stats() const { return stats_; }
 
  private:
+  /// Conjunct j runs at position p(j): the largest, over every i <= j, of
+  /// the order position that binds conjunct i's last node (0 for a
+  /// conjunct that names none, the leaf for a `whole` one). Taking the
+  /// prefix maximum keeps EvalGlobalPred's left-to-right order along every
+  /// path. Sets placed_end_[pos] to one past the last conjunct placed at or
+  /// before pos, and binds the assignment for evaluation once. A conjunct
+  /// naming a node the order leaves out (position -1, so SIZE_MAX here)
+  /// stays at the leaf with every later one, and so does every conjunct
+  /// of an empty pattern, whose order has no position.
+  void PlaceConjuncts() {
+    pattern_.BindEmbedding(data_, assign_, edge_assign_, &bindings_);
+    const std::vector<algebra::GraphPattern::GlobalConjunct>& conjuncts =
+        pattern_.GlobalPreds();
+    const size_t leaf = order_.size();
+    placed_end_.assign(leaf, 0);
+    size_t at = 0;
+    for (size_t j = 0; j < conjuncts.size() && !conjuncts[j].whole; ++j) {
+      for (NodeId n : conjuncts[j].nodes) {
+        at = std::max(at, static_cast<size_t>(position_[n]));
+      }
+      if (at >= leaf) break;
+      placed_end_[at] = static_cast<uint32_t>(j + 1);
+    }
+    for (size_t pos = 1; pos < leaf; ++pos) {
+      placed_end_[pos] = std::max(placed_end_[pos], placed_end_[pos - 1]);
+    }
+  }
+
+  /// Runs the conjuncts placed at order position `pos` on the prefix that
+  /// just grew to it; false when one rejects the prefix, and with it every
+  /// embedding extending it. A conjunct that fails to evaluate stays next:
+  /// it reads only bound nodes, so it fails again at every deeper position
+  /// and at the leaf, which raises the error if, and only if, a complete
+  /// embedding is reached, as evaluating every conjunct there would.
+  bool PrefixHolds(size_t pos) {
+    if (placed_end_.empty() || done_ == placed_end_[pos]) return true;
+    Result<bool> ok =
+        pattern_.EvalGlobalPreds(bindings_, &done_, placed_end_[pos]);
+    if (!ok.ok() || ok.value()) return true;
+    ++stats_.pred_rejects;
+    return false;
+  }
+
   /// Charges the next `n` candidate tries with exactly the outcome of n
   /// single tries. Serially the governor takes them, and on a trip `steps`
   /// ends on the try that tripped it, as a one-by-one loop would leave it;
@@ -277,12 +323,15 @@ class SearchEngine {
     return true;
   }
 
-  /// Maps u to v, searches the remaining positions, and undoes the
-  /// assignment. Returns false to abort the whole search.
+  /// Maps u to v, runs the conjuncts placed at `pos`, searches the
+  /// remaining positions if they hold, and undoes the assignment. Returns
+  /// false to abort the whole search.
   bool Extend(size_t pos, NodeId u, NodeId v) {
     assign_[u] = v;
     used_[v] = 1;
-    bool keep_going = Dfs(pos + 1);
+    const size_t done = done_;
+    const bool keep_going = !PrefixHolds(pos) || Dfs(pos + 1);
+    done_ = done;
     used_[v] = 0;
     assign_[u] = kInvalidNode;
     ++stats_.backtracks;
@@ -337,9 +386,10 @@ class SearchEngine {
   /// the root and positions unlinked to the prefix still run.
   bool Dfs(size_t pos) {
     if (pos == order_.size()) {
-      if (pattern_.has_global_pred()) {
+      const size_t conjuncts = pattern_.GlobalPreds().size();
+      if (done_ < conjuncts) {
         Result<bool> ok =
-            pattern_.EvalGlobalPred(data_, assign_, edge_assign_);
+            pattern_.EvalGlobalPreds(bindings_, &done_, conjuncts);
         if (!ok.ok()) {
           status_ = ok.status();
           return false;
@@ -409,6 +459,12 @@ class SearchEngine {
   std::vector<int> position_;
   std::vector<std::vector<EdgeId>> back_edges_;
   std::vector<char> trivial_edge_;
+  /// Residual conjuncts (PlaceConjuncts): the placement, the bindings they
+  /// evaluate under, and how many hold on the current prefix. Empty and
+  /// unused when the pattern has none.
+  std::vector<uint32_t> placed_end_;
+  algebra::Bindings bindings_;
+  size_t done_ = 0;
   SearchStats stats_;
   size_t matches_ = 0;   ///< Matches this run (reset per pinned root).
   Status status_;
@@ -422,6 +478,7 @@ void SearchStats::Add(const SearchStats& other) {
   backtracks += other.backtracks;
   matches += other.matches;
   csr_edge_probes += other.csr_edge_probes;
+  pred_rejects += other.pred_rejects;
   truncated |= other.truncated;
   governor_tripped |= other.governor_tripped;
 }

@@ -37,6 +37,9 @@ struct SearchStats {
   /// merge discards.
   uint64_t matches = 0;
   uint64_t csr_edge_probes = 0;  ///< CSR edge-run entries examined.
+  /// Prefixes a residual conjunct placed before the leaf rejected, each
+  /// pruning the subtree below it.
+  uint64_t pred_rejects = 0;
   bool truncated = false;       ///< Stopped due to max_matches.
   bool governor_tripped = false;  ///< Governor deadline/cancel/budget trip.
 
@@ -47,8 +50,18 @@ struct SearchStats {
 /// The basic graph pattern matching search (Algorithm 4.1, second phase):
 /// depth-first search over the space Phi(u_1) x ... x Phi(u_k) in the given
 /// order, with per-edge Check() pruning against already-mapped nodes,
-/// per-edge predicate evaluation, and final graph-wide predicate
-/// evaluation.
+/// per-edge predicate evaluation, and graph-wide predicate evaluation.
+///
+/// Each residual conjunct of the graph-wide predicate runs right after the
+/// candidate that binds its last pattern node is assigned, raised to the
+/// position of any earlier conjunct so the textual order holds; one that
+/// reads an edge, a graph attribute or a name outside the pattern runs on
+/// complete embeddings. A false verdict prunes the subtree (counted in
+/// `pred_rejects`); an evaluation error defers the subtree's conjuncts to
+/// its leaves, so the search fails with that error exactly when evaluating
+/// every conjunct on complete embeddings would. The matches, their order
+/// and the status are therefore those of leaf-only evaluation, while
+/// `steps`, `backtracks` and every governor trip follow the pruned search.
 ///
 /// `candidates[u]` is the feasible-mate list Phi(u) for every pattern node
 /// (the first phase; see MatchPipeline for its construction), strictly

@@ -212,6 +212,7 @@ void RecordCall(const Call& call, const PipelineOptions& options) {
     add("match.search.matches", s.search.matches);
     add_nonzero("match.search.truncated", s.search.truncated ? 1 : 0);
     add_nonzero("match.search.csr_edge_probes", s.search.csr_edge_probes);
+    add_nonzero("match.search.pred_rejects", s.search.pred_rejects);
   }
   if (call.trip != nullptr) {
     add(std::string("governor.trip.") + call.trip, 1);

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "match/label_index.h"
 #include "motif/deriver.h"
@@ -208,6 +209,18 @@ TEST_F(EvaluatorTest, InlinePatternInFor) {
   )");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->returned.size(), 7u);
+}
+
+TEST_F(EvaluatorTest, EmptyPatternWithWhereReturnsNothing) {
+  // The FLWR where-clause joins the empty pattern's residual predicate.
+  Evaluator ev(&docs_);
+  for (const char* where : {"1 < 2", "1 / 0 > 0"}) {
+    auto result = ev.RunSource(
+        std::string(R"(for graph Q { } in doc("DBLP") where )") + where +
+        " return Q;");
+    ASSERT_TRUE(result.ok()) << result.status() << " " << where;
+    EXPECT_TRUE(result->returned.empty()) << where;
+  }
 }
 
 TEST(EvaluatorAutoIndexTest, LargeDocGraphGetsIndexedOnce) {

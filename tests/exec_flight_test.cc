@@ -136,6 +136,29 @@ TEST_F(FlightTest, ExplainAnalyzePrintsEstimatesAndActuals) {
   ASSERT_TRUE(probed.ok()) << probed.status();
   ASSERT_NE(probed->find("snapshot-probes="), std::string::npos) << *probed;
   EXPECT_EQ(probed->find("snapshot-probes=0,"), std::string::npos) << *probed;
+
+  // A cross-node conjunct runs once the search binds v1 and v2, so it
+  // rejects the chain's a-b prefix before v3 is tried: the search line
+  // and the session registry both count it.
+  auto chain = motif::GraphsFromProgramSource(
+      "graph N { node a <author x=1>; node b <author x=2>;"
+      " node c <author x=3>; edge (a, b); edge (b, c); };");
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  GraphCollection chain_coll;
+  chain_coll.Add(std::move((*chain)[0]));
+  docs_.Register("Chain", std::move(chain_coll));
+  Evaluator placed(&docs_);
+  auto rejected = placed.ExplainAnalyzeSource(R"(
+    for graph Q { node v1 <author>; node v2 <author>; node v3 <author>;
+                  edge (v1, v2); edge (v2, v3); }
+      exhaustive in doc("Chain") where v1.x > v2.x return Q;
+  )");
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  ASSERT_NE(rejected->find("pred-rejects="), std::string::npos) << *rejected;
+  EXPECT_EQ(rejected->find("pred-rejects=0)"), std::string::npos)
+      << *rejected;
+  EXPECT_GT(placed.metrics()->GetCounter("match.search.pred_rejects")->Value(),
+            0u);
 }
 
 TEST_F(FlightTest, TrippedRunIsRetainedInSlowLogWithFullTrace) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "lang/parser.h"
 #include "motif/deriver.h"
 
@@ -231,6 +232,22 @@ TEST(MatcherTest, EmptyPatternYieldsNothing) {
   auto matches = RunBasic(*p, g);
   ASSERT_TRUE(matches.ok());
   EXPECT_TRUE(matches->empty());
+  // A residual conjunct naming no node has no order position to run at,
+  // and the search reaches no embedding where it would fail.
+  ThreadPool pool(1);
+  for (const char* source : {"graph P { } where 1 < 2",
+                             "graph P { } where 1 / 0 > 0"}) {
+    auto q = algebra::GraphPattern::Parse(source);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_TRUE(q->has_global_pred()) << source;
+    auto cand = oracle::ScanCandidates(*q, g);
+    for (int threads : {0, 2}) {
+      auto r = SearchMatches(*q, g, cand, DeclarationOrder(*q), {}, nullptr,
+                             threads, &pool);
+      ASSERT_TRUE(r.ok()) << r.status() << " " << source;
+      EXPECT_TRUE(r->empty()) << source;
+    }
+  }
 }
 
 TEST(MatcherTest, BadOrderIsRejected) {

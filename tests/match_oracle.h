@@ -279,20 +279,36 @@ inline std::vector<std::vector<NodeId>> NeighborhoodCandidates(
   return out;
 }
 
+/// Where ScanSearch evaluates the residual conjuncts of the graph-wide
+/// predicate: as soon as the search has bound what they read (the
+/// engine's rule), or only on complete embeddings, as Algorithm 4.1 is
+/// written.
+enum class Conjuncts { kPlaced, kLeaf };
+
 /// Algorithm 4.1's Search as written: every order position scans all of
 /// Phi(u) in list order and Checks each unmapped candidate against the
 /// mapped prefix over the Graph's adjacency lists. Each try is one step,
 /// charged to the governor with Charge(1); each emitted match reserves its
 /// mapping bytes. Edges without
 /// attributes or predicates resolve to their lowest-id data edge when the
-/// match is emitted, after the global predicate. SearchMatches must return
-/// the same matches (content and order) and leave the same steps,
-/// backtracks and trip flags in `stats` (overwritten) at every budget.
+/// match is emitted, after the global predicate.
+///
+/// With Conjuncts::kPlaced, each assignment that passes Check runs, in
+/// textual order, every residual conjunct not yet run whose nodes are now
+/// all mapped, stopping at the first that still waits for a node or needs
+/// the complete embedding; a false one drops the assignment (one
+/// `pred_rejects`), and one that fails to evaluate stays next, failing
+/// again deeper, so its error is returned at the first complete embedding
+/// the subtree reaches. With Conjuncts::kLeaf every conjunct runs on
+/// complete embeddings; both give the same matches and status when no
+/// budget trips. SearchMatches must return the same matches
+/// (content and order) as either and leave the kPlaced steps, backtracks,
+/// pred_rejects and trip flags in `stats` (overwritten) at every budget.
 inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options = {},
-    SearchStats* stats = nullptr) {
+    SearchStats* stats = nullptr, Conjuncts conjuncts = Conjuncts::kPlaced) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   if (order.size() != k) {
@@ -313,6 +329,36 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
   std::vector<algebra::MatchedGraph> out;
   SearchStats local;
   Status status;
+
+  // The residual conjuncts, evaluated one by one under bindings of the
+  // growing assignment. `ran` counts the conjuncts that hold on the
+  // current prefix, in textual order.
+  const std::vector<algebra::GraphPattern::GlobalConjunct>& preds =
+      pattern.GlobalPreds();
+  algebra::Bindings bindings;
+  pattern.BindEmbedding(data, assign, edge_assign, &bindings);
+  size_t ran = 0;
+  auto ready = [&](size_t j) {
+    if (conjuncts == Conjuncts::kLeaf || preds[j].whole) return false;
+    for (NodeId n : preds[j].nodes) {
+      if (assign[n] == kInvalidNode) return false;
+    }
+    return true;
+  };
+  // False when a conjunct rejects the prefix, and the error of one that
+  // fails to evaluate, which stays next; with `leaf`, every remaining
+  // conjunct runs.
+  auto run_conjuncts = [&](bool leaf) -> Result<bool> {
+    for (; ran < preds.size() && (leaf || ready(ran)); ++ran) {
+      GQL_ASSIGN_OR_RETURN(bool holds,
+                           algebra::EvalPredicate(*preds[ran].expr, bindings));
+      if (!holds) {
+        if (!leaf) ++local.pred_rejects;
+        return false;
+      }
+    }
+    return true;
+  };
 
   auto trivial = [&](EdgeId pe) {
     return p.edge(pe).attrs.empty() && !pattern.EdgeHasPredicates(pe);
@@ -363,14 +409,14 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
   };
   std::function<bool(size_t)> search = [&](size_t pos) {
     if (pos == k) {
-      if (pattern.has_global_pred()) {
-        Result<bool> ok = pattern.EvalGlobalPred(data, assign, edge_assign);
-        if (!ok.ok()) {
-          status = ok.status();
-          return false;
-        }
-        if (!ok.value()) return true;
+      const size_t saved = ran;
+      Result<bool> holds = run_conjuncts(/*leaf=*/true);
+      ran = saved;
+      if (!holds.ok()) {
+        status = holds.status();
+        return false;
       }
+      if (!*holds) return true;
       return emit();
     }
     NodeId u = order[pos];
@@ -385,7 +431,12 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
       if (!check(pos, u, v)) continue;
       assign[u] = v;
       used[v] = 1;
-      bool keep_going = search(pos + 1);
+      // An error waits for the leaf: the conjunct that raised it fails
+      // again at each deeper assignment and there.
+      const size_t saved = ran;
+      Result<bool> holds = run_conjuncts(/*leaf=*/false);
+      bool keep_going = (holds.ok() && !*holds) || search(pos + 1);
+      ran = saved;
       used[v] = 0;
       assign[u] = kInvalidNode;
       ++local.backtracks;

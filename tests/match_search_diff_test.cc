@@ -2,11 +2,16 @@
 // every thread count against oracle::ScanSearch (match_oracle.h), the
 // plain Phi(u) scan of Algorithm 4.1 over the mutable Graph. Inputs cover
 // Erdos-Renyi and protein-style graphs, directed and undirected, with
-// parallel edges, self-loops, tagged and predicated edges, a global
-// predicate, attribute-range (B+-tree) retrieval, refined and unrefined
-// spaces, and declaration and greedy orders.
-//  - at 0, 1 and 3 threads: the same match list (content and order), steps
-//    and backtracks as the oracle;
+// parallel edges, self-loops, tagged and predicated edges, residual
+// cross-node conjuncts (out of search order, erroring, reading an edge,
+// naming no node), attribute-range (B+-tree) retrieval, refined and
+// unrefined spaces, and declaration and greedy orders.
+//  - at 0, 1, 3 and 4 threads: the match list (content and order) or
+//    error status of the oracle evaluating every conjunct on complete
+//    embeddings, and the steps, backtracks and pred_rejects of the oracle
+//    placing each conjunct where its last node is bound; placed
+//    conjuncts reject prefixes, an error on prefixes that never complete
+//    leaves the search OK, and one on a prefix that completes is raised;
 //  - at 0, 1 and 4 threads: the same partial list, trip, trip flags and
 //    governor steps and peak memory under a governor step budget, a
 //    memory budget and search@N fault injection (steps and backtracks too
@@ -19,6 +24,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,10 +42,14 @@
 namespace graphql::match {
 namespace {
 
-/// Content and order of a match list as one comparable string.
-std::string Fingerprint(const std::vector<algebra::MatchedGraph>& matches) {
+using SearchResult = Result<std::vector<algebra::MatchedGraph>>;
+
+/// A search result as one comparable string: the content and order of its
+/// match list, or its error status.
+std::string Fingerprint(const SearchResult& result) {
+  if (!result.ok()) return "error " + result.status().ToString();
   std::ostringstream out;
-  for (const algebra::MatchedGraph& m : matches) {
+  for (const algebra::MatchedGraph& m : *result) {
     out << "[";
     for (NodeId v : m.node_mapping) out << v << " ";
     out << "|";
@@ -52,6 +62,7 @@ std::string Fingerprint(const std::vector<algebra::MatchedGraph>& matches) {
 /// A generated graph rebuilt with the features the search must handle:
 /// a `score` on every node, edge tags and `w` weights, random edge
 /// directions when directed, and extra parallel edges and self-loops.
+/// Each node's `deg` counts its distinct neighbours other than itself.
 Graph MakeData(bool protein, bool directed, uint64_t seed) {
   Rng rng(seed);
   Graph base;
@@ -94,6 +105,11 @@ Graph MakeData(bool protein, bool directed, uint64_t seed) {
   for (int i = 0; i < 12; ++i) {
     NodeId v = static_cast<NodeId>(rng.NextBounded(base.NumNodes()));
     add(v, v);
+  }
+  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
+    std::vector<NodeId> nbrs = oracle::UniqueNeighbors(g, v);
+    std::erase(nbrs, v);
+    g.node(v).attrs.Set("deg", Value(static_cast<int64_t>(nbrs.size())));
   }
   return g;
 }
@@ -142,6 +158,36 @@ std::vector<algebra::GraphPattern> MakePatterns(const Graph& g, Rng* rng) {
                         node b; edge (a, b); edge (b, c); edge (b, b); })",
            // Wildcard path: every level expands from the previous image.
            R"(graph P { node a; node b; node c; edge (a, b); edge (b, c); })",
+           // Conjuncts out of search order: the second reads a and b but
+           // runs no earlier than the first, which waits for c.
+           R"(graph Order { node a where score < 30; node b where score > 20;
+                            node c where score > 40; node d where score > 60;
+                            edge (a, b); edge (b, c); edge (c, d); }
+              where b.score + c.score > 100 & a.score + b.score < 80 &
+                    a.score + d.score > 90)",
+           // Integer division by zero exactly when b has fewer than three
+           // distinct neighbours, so only on prefixes that cannot
+           // complete: the search must answer as if it never ran there,
+           // and the second conjunct waits in the subtree.
+           R"(graph DeferredError { node a where score < 30; node b;
+                                   node c where score > 70; node d;
+                                   edge (b, a); edge (b, c); edge (b, d); }
+              where a.score / (b.deg / 3) >= 0 & c.score + d.score > 150)",
+           // Division by zero on (a, b) prefixes of equal score, which
+           // complete: the first complete one raises it.
+           R"(graph RaisedError { node a; node b; node c where score < 50;
+                                 edge (a, b); edge (b, c); }
+              where 100 / (a.score - b.score) != 0)",
+           // An edge-attribute conjunct waits for the complete embedding,
+           // and so does the conjunct after it; the first runs early.
+           R"(graph EdgeLeaf { node a where score < 60; node b; node c;
+                              edge e1 (a, b) <knows>; edge (b, c); }
+              where a.score + b.score < 120 & e1.w + c.score > 60 &
+                    b.score > c.score)",
+           // A conjunct naming no node runs as each root is bound.
+           R"(graph Literal { node a; node b where score > 50;
+                             edge (a, b); }
+              where 2 < 1)",
        }) {
     auto p = algebra::GraphPattern::Parse(source);
     EXPECT_TRUE(p.ok()) << p.status();
@@ -216,50 +262,84 @@ std::vector<Case> Cases() {
   return out;
 }
 
+/// The oracle's work counts, which the engine must repeat.
+void ExpectSameWork(const SearchStats& got, const SearchStats& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.steps, want.steps) << where;
+  EXPECT_EQ(got.backtracks, want.backtracks) << where;
+  EXPECT_EQ(got.pred_rejects, want.pred_rejects) << where;
+}
+
+/// The oracle with each conjunct placed, for the work counts, after
+/// checking that its result equals leaf-only evaluation's.
+SearchResult PlacedOracle(const Case& c, const MatchOptions& options,
+                          SearchStats* stats) {
+  SearchResult placed = oracle::ScanSearch(
+      *c.pattern, c.data->graph, c.candidates, c.order, options, stats);
+  if (c.pattern->has_global_pred()) {
+    SearchResult leaf =
+        oracle::ScanSearch(*c.pattern, c.data->graph, c.candidates, c.order,
+                           options, nullptr, oracle::Conjuncts::kLeaf);
+    EXPECT_EQ(Fingerprint(placed), Fingerprint(leaf)) << c.where;
+  }
+  return placed;
+}
+
 TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
-  ThreadPool pool(2);
+  ThreadPool pool(3);
   uint64_t total_matches = 0;
+  // Per pattern name, the prefixes a placed conjunct rejected and the
+  // searches that failed.
+  std::map<std::string, uint64_t> rejects;
+  std::map<std::string, int> errors;
   for (const Case& c : Cases()) {
+    const std::string& name = c.pattern->name();
     SearchStats want_stats;
-    auto want = oracle::ScanSearch(*c.pattern, c.data->graph, c.candidates,
-                                   c.order, {}, &want_stats);
-    ASSERT_TRUE(want.ok()) << want.status() << " " << c.where;
-    total_matches += want->size();
-    for (int threads : {0, 1, 3}) {
+    SearchResult want = PlacedOracle(c, {}, &want_stats);
+    if (want.ok()) total_matches += want->size();
+    rejects[name] += want_stats.pred_rejects;
+    errors[name] += want.ok() ? 0 : 1;
+    if (name == "DeferredError") {
+      EXPECT_TRUE(want.ok()) << want.status() << " " << c.where;
+    }
+    if (name == "Literal") {
+      // Every root is bound, then rejected before any deeper try.
+      EXPECT_TRUE(want.ok() && want->empty()) << c.where;
+      EXPECT_EQ(want_stats.pred_rejects, want_stats.steps) << c.where;
+    }
+    for (int threads : {0, 1, 3, 4}) {
       SearchStats got_stats;
       auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates,
                                c.order, {}, &got_stats, threads, &pool);
-      ASSERT_TRUE(got.ok()) << got.status() << " " << c.where;
       std::string where = c.where + " threads " + std::to_string(threads);
-      EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << where;
-      EXPECT_EQ(got_stats.steps, want_stats.steps) << where;
-      EXPECT_EQ(got_stats.backtracks, want_stats.backtracks) << where;
+      EXPECT_EQ(Fingerprint(got), Fingerprint(want)) << where;
+      // Workers run every root; past an error serial stops early.
+      if (threads < 2 || want.ok()) {
+        ExpectSameWork(got_stats, want_stats, where);
+      }
     }
-    // A cap keeps the list at 0 and 1 threads, steps included; 3 workers
+    // A cap keeps the list at 0 and 1 threads, steps included; workers
     // search beyond it but the root-order merge keeps the same matches.
     MatchOptions capped;
     capped.max_matches = 7;
     SearchStats cap_stats;
-    auto want_cap = oracle::ScanSearch(*c.pattern, c.data->graph,
-                                       c.candidates, c.order, capped,
-                                       &cap_stats);
-    ASSERT_TRUE(want_cap.ok());
-    for (int threads : {0, 1, 3}) {
+    SearchResult want_cap = PlacedOracle(c, capped, &cap_stats);
+    for (int threads : {0, 1, 3, 4}) {
       SearchStats got_stats;
       auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates,
                                c.order, capped, &got_stats, threads, &pool);
-      ASSERT_TRUE(got.ok()) << got.status();
       std::string where = c.where + " capped threads " +
                           std::to_string(threads);
-      EXPECT_EQ(Fingerprint(*got), Fingerprint(*want_cap)) << where;
+      EXPECT_EQ(Fingerprint(got), Fingerprint(want_cap)) << where;
       EXPECT_EQ(got_stats.truncated, cap_stats.truncated) << where;
-      if (threads < 2) {
-        EXPECT_EQ(got_stats.steps, cap_stats.steps) << where;
-        EXPECT_EQ(got_stats.backtracks, cap_stats.backtracks) << where;
-      }
+      if (threads < 2) ExpectSameWork(got_stats, cap_stats, where);
     }
   }
   EXPECT_GT(total_matches, 0u) << "vacuous differential";
+  EXPECT_GT(rejects["Order"], 0u);
+  EXPECT_GT(rejects["EdgeLeaf"], 0u) << "the first conjunct runs early";
+  EXPECT_GT(rejects["Literal"], 0u);
+  EXPECT_GT(errors["RaisedError"], 0) << "no search raised an error";
 }
 
 /// Arms a fresh governor and its fault injector for one run.
@@ -283,7 +363,6 @@ void ExpectSameTrip(const Case& c, ThreadPool* pool, const ArmFn& arm,
   SearchStats want_stats;
   auto want = oracle::ScanSearch(*c.pattern, c.data->graph, c.candidates,
                                  c.order, want_opts, &want_stats);
-  ASSERT_TRUE(want.ok()) << want.status() << " " << where;
   if (want_stats.governor_tripped) ++*trips;
   const Graph& p = c.pattern->graph();
   const uint64_t match_bytes =
@@ -302,16 +381,14 @@ void ExpectSameTrip(const Case& c, ThreadPool* pool, const ArmFn& arm,
     SearchStats got_stats;
     auto got = SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order,
                              got_opts, &got_stats, threads, pool);
-    ASSERT_TRUE(got.ok()) << got.status() << " " << at;
-    EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << at;
+    EXPECT_EQ(Fingerprint(got), Fingerprint(want)) << at;
     EXPECT_EQ(got_gov.trip_kind(), want_gov.trip_kind()) << at;
     EXPECT_EQ(got_gov.steps_used(), want_gov.steps_used()) << at;
     EXPECT_EQ(got_gov.peak_memory(), want_gov.peak_memory()) << at;
     EXPECT_EQ(got_stats.governor_tripped, want_stats.governor_tripped) << at;
     EXPECT_EQ(got_stats.truncated, want_stats.truncated) << at;
     if (threads < 2) {
-      EXPECT_EQ(got_stats.steps, want_stats.steps) << at;
-      EXPECT_EQ(got_stats.backtracks, want_stats.backtracks) << at;
+      ExpectSameWork(got_stats, want_stats, at);
       continue;
     }
     const uint64_t bytes = got_gov.limits().max_memory_bytes;

@@ -33,8 +33,10 @@ constexpr const char* kMatchQuery =
 
 /// A CPU-heavy, memory-flat query: every complete assignment fails the
 /// cross-node residual predicate, so millions of assignments enumerate
-/// without a single match accumulating. With a session deadline it
-/// occupies its admission slot for a bounded, deterministic window.
+/// without a single match accumulating. The predicate names all five
+/// nodes, so the search can only evaluate it on complete assignments.
+/// With a session deadline it occupies its admission slot for a bounded,
+/// deterministic window.
 std::string HeavyCollection() {
   std::string big = "graph Big {\n";
   for (int i = 0; i < 30; ++i) {
@@ -47,7 +49,7 @@ std::string HeavyCollection() {
 constexpr const char* kHeavyQuery =
     R"(for graph Q { node a <t>; node b <t>; node c <t>; node d <t>;
                      node e <t>; }
-       in doc("D") where a.x > b.x return Q;)";
+       in doc("D") where a.x + b.x + c.x + d.x + e.x > 5 return Q;)";
 
 Request Req(Op op, std::string a = "", std::string b = "") {
   Request r;

@@ -330,9 +330,10 @@ TEST_F(ServerSessionTest, DrainingShedsWorkButKeepsCheapOps) {
 
 TEST_F(ServerSessionTest, ServerTimeoutCapBoundsRunawayQueries) {
   // A 30-node edge-free graph where every complete assignment fails the
-  // residual predicate: ~30^5 assignments enumerate with flat memory, so
-  // only the deadline can end the query. The server-wide cap applies
-  // because the session never set a timeout of its own.
+  // residual predicate, which names all five nodes so that only complete
+  // assignments can evaluate it: ~30^5 assignments enumerate with flat
+  // memory, so only the deadline can end the query. The server-wide cap
+  // applies because the session never set a timeout of its own.
   std::string big = "graph Big {\n";
   for (int i = 0; i < 30; ++i) {
     big += "  node n" + std::to_string(i) + " <t x=1>;\n";
@@ -345,7 +346,7 @@ TEST_F(ServerSessionTest, ServerTimeoutCapBoundsRunawayQueries) {
       Op::kQuery,
       R"(for graph Q { node a <t>; node b <t>; node c <t>; node d <t>;
                        node e <t>; }
-         in doc("D") where a.x > b.x return Q;)"));
+         in doc("D") where a.x + b.x + c.x + d.x + e.x > 5 return Q;)"));
   EXPECT_EQ(r.code, StatusCode::kDeadlineExceeded) << r.body;
   EXPECT_NE(r.body.find("deadline"), std::string::npos) << r.body;
 }

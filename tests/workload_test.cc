@@ -76,7 +76,8 @@ TEST(ProteinNetworkTest, PaperShapeDefaults) {
   match::LabelIndex index = match::LabelIndex::Build(
       g, match::LabelIndexOptions{.radius = 0,
                                   .build_profiles = false,
-                                  .build_neighborhoods = false});
+                                  .build_neighborhoods = false,
+                                  .indexed_attributes = {}});
   EXPECT_GT(index.NumLabels(), 150u);
   EXPECT_LE(index.NumLabels(), 183u);
 }
@@ -183,7 +184,8 @@ TEST(LabelIndexTest, TopLabelsForCliqueGeneration) {
   match::LabelIndex index = match::LabelIndex::Build(
       g, match::LabelIndexOptions{.radius = 0,
                                   .build_profiles = false,
-                                  .build_neighborhoods = false});
+                                  .build_neighborhoods = false,
+                                  .indexed_attributes = {}});
   auto top = index.LabelsByFrequency();
   ASSERT_GE(top.size(), 40u);
   // Frequencies are non-increasing.
