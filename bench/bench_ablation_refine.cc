@@ -23,6 +23,18 @@ const std::vector<Graph>& Queries() {
   return *kQ;
 }
 
+/// The B(u, v) tests refinement's first level makes over `spaces`: one
+/// per candidate of a node with a neighbour, here every node of the
+/// connected clique queries.
+uint64_t Candidates(
+    const std::vector<std::vector<std::vector<NodeId>>>& spaces) {
+  uint64_t n = 0;
+  for (const auto& space : spaces) {
+    for (const std::vector<NodeId>& phi : space) n += phi.size();
+  }
+  return n;
+}
+
 void BM_RefineLevelSweep(benchmark::State& state) {
   int level = static_cast<int>(state.range(0));
   const ProteinWorkload& w = GetProteinWorkload();
@@ -55,6 +67,7 @@ void BM_RefineLevelSweep(benchmark::State& state) {
   }
   state.counters["level"] = level;
   state.counters["bipartite_checks"] = static_cast<double>(checks);
+  state.counters["candidates"] = static_cast<double>(Candidates(spaces));
   state.counters["geomean_space"] =
       std::pow(10.0, space_sum_log / static_cast<double>(patterns.size()));
 }
@@ -89,6 +102,7 @@ void BM_RefineMarking(benchmark::State& state) {
   }
   state.SetLabel(use_marking ? "marking" : "no_marking");
   state.counters["bipartite_checks"] = static_cast<double>(checks);
+  state.counters["candidates"] = static_cast<double>(Candidates(spaces));
 }
 BENCHMARK(BM_RefineMarking)
     ->Arg(0)

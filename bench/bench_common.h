@@ -183,6 +183,7 @@ inline ClassifiedQueries MakeClassifiedCliqueQueries(size_t size,
   Rng rng(seed);
   ClassifiedQueries out;
   match::PipelineOptions options;
+  options.refine_level = -1;  // Classify under the paper's setting.
   options.match.max_matches = kMaxHits;
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (out.low_hits.size() >= want_each &&
@@ -254,6 +255,7 @@ inline std::vector<Graph> MakeLowHitConnectedQueries(
   Rng rng(seed);
   std::vector<Graph> out;
   match::PipelineOptions options;
+  options.refine_level = -1;  // Classify under the paper's setting.
   options.match.max_matches = kMaxHits;
   for (size_t attempt = 0; attempt < count * 30 && out.size() < count;
        ++attempt) {

@@ -75,6 +75,7 @@ void BM_Fig21b_Total(benchmark::State& state) {
       switch (method) {
         case kOptimized: {
           match::PipelineOptions o;  // Profile + refine + order.
+          o.refine_level = -1;         // The paper's setting: always refine.
           o.match.max_matches = kMaxHits;
           GovernBenchQuery(&o);
           auto m = match::MatchPattern(p, w.graph, &w.index, o);

@@ -72,6 +72,7 @@ void BM_Fig23b_Total(benchmark::State& state) {
       switch (method) {
         case kOptimized: {
           match::PipelineOptions o;
+          o.refine_level = -1;  // The paper's setting: always refine.
           o.match.max_matches = kMaxHits;
           GovernBenchQuery(&o);
           auto m = match::MatchPattern(p, w.base.graph, &w.base.index, o);

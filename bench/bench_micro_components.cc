@@ -53,6 +53,12 @@ void BM_RefineDense(benchmark::State& state) {
                                                &kW->index, prep));
   }
   const GraphSnapshot& snap = *kW->graph.snapshot();
+  // Refinement's first level makes one B(u, v) test per candidate of a
+  // node with a neighbour: every node of these connected patterns.
+  uint64_t candidates = 0;
+  for (const auto& space : spaces) {
+    for (const std::vector<NodeId>& phi : space) candidates += phi.size();
+  }
   uint64_t checks = 0;
   uint64_t removed = 0;
   for (auto _ : state) {
@@ -69,6 +75,7 @@ void BM_RefineDense(benchmark::State& state) {
   }
   state.counters["bipartite_checks"] = static_cast<double>(checks);
   state.counters["removed"] = static_cast<double>(removed);
+  state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_RefineDense)->Unit(benchmark::kMicrosecond);
 

@@ -67,6 +67,7 @@ void BM_Table41_GraphQL(benchmark::State& state) {
   size_t matches = 0;
   for (auto _ : state) {
     match::PipelineOptions o;
+    o.refine_level = -1;  // The paper's setting: always refine.
     o.match.max_matches = kMaxHits;
     GovernBenchQuery(&o);
     auto m = match::MatchPattern(*f.pattern, f.graph, &f.index, o);

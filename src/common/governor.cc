@@ -270,14 +270,16 @@ bool ResourceGovernor::ClearDegradableTrip() {
   return true;
 }
 
-TaskLedger::TaskLedger(const ResourceGovernor* gov) : gov_(gov) {
+TaskLedger::TaskLedger(const ResourceGovernor* gov, uint64_t max_steps)
+    : gov_(gov), steps_left_(max_steps) {
   if (gov == nullptr) return;
   const GovernorLimits& limits = gov->limits();
   if (gov->tripped()) {
     steps_left_ = 0;
   } else if (limits.max_steps != 0) {
-    steps_left_ =
-        limits.max_steps - std::min(gov->steps_used(), limits.max_steps);
+    steps_left_ = std::min(
+        steps_left_,
+        limits.max_steps - std::min(gov->steps_used(), limits.max_steps));
   }
   if (limits.max_memory_bytes != 0) {
     bytes_left_ = limits.max_memory_bytes -

@@ -298,7 +298,10 @@ class TaskLedger {
  public:
   TaskLedger() = default;
   /// Captures the budgets `gov` has left; call before the stage fans out.
-  explicit TaskLedger(const ResourceGovernor* gov);
+  /// `max_steps` is a cap of the stage's own on its steps, below whatever
+  /// step budget the governor has left.
+  explicit TaskLedger(const ResourceGovernor* gov,
+                      uint64_t max_steps = UINT64_MAX);
 
   bool Charge(uint64_t steps);
   void Reserve(size_t bytes) { bytes_ += bytes; }
@@ -312,7 +315,8 @@ class TaskLedger {
 
   uint64_t steps() const { return steps_; }
   size_t bytes() const { return bytes_; }
-  /// The steps the governor had left (UINT64_MAX = no step budget).
+  /// The steps the governor had left, or the stage's cap when that is
+  /// lower (UINT64_MAX = neither).
   uint64_t steps_left() const { return steps_left_; }
   /// The memory the governor had left (SIZE_MAX = no memory budget).
   size_t bytes_left() const { return bytes_left_; }

@@ -278,6 +278,19 @@ void AppendActualLines(const StatementActuals& a, std::string* out) {
                 a.snapshot_probes, a.threads, a.tasks_stolen,
                 a.refine_degraded ? ", refine-degraded" : "");
   out->append(buf);
+  std::snprintf(buf, sizeof(buf), "    actual: refined %zu of %zu member%s",
+                a.members_refined, a.members, a.members == 1 ? "" : "s");
+  out->append(buf);
+  if (a.attempts > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "; on demand: %zu search attempt%s made %" PRIu64
+                  " tries against a budget of %" PRIu64
+                  ", %zu overran and refined",
+                  a.attempts, a.attempts == 1 ? "" : "s", a.attempt_tries,
+                  a.attempt_budget, a.members_refined);
+    out->append(buf);
+  }
+  out->push_back('\n');
 }
 
 }  // namespace
@@ -916,13 +929,22 @@ Result<std::string> Evaluator::RenderExplain(const lang::Program& program,
                      " nodes) use the LabelIndex shared on their "
                      "snapshot\n");
         }
+        const int level = match_options_.refine_level;
+        char refine[160];
+        if (level == match::kRefineOnDemand) {
+          std::snprintf(refine, sizeof(refine),
+                        "on-demand (search first; refine to pattern size "
+                        "past %" PRIu64 " tries per candidate)",
+                        match::kAttemptTriesPerCandidate);
+        } else {
+          std::snprintf(refine, sizeof(refine), "%d%s", level,
+                        level < 0 ? " (= pattern size)" : "");
+        }
         std::snprintf(
             buf, sizeof(buf),
-            "    pipeline: retrieve=%s, refine-level=%d%s, order=%s, "
+            "    pipeline: retrieve=%s, refine-level=%s, order=%s, "
             "exhaustive=%s\n",
-            match::CandidateModeName(match_options_.candidate_mode),
-            match_options_.refine_level,
-            match_options_.refine_level < 0 ? " (= pattern size)" : "",
+            match::CandidateModeName(match_options_.candidate_mode), refine,
             match_options_.optimize_order ? "greedy-cost" : "declaration",
             flwr.exhaustive ? "yes" : "no");
         out.append(buf);
@@ -1180,6 +1202,10 @@ Status Evaluator::RunFlwr(
     a.threads = select_stats.threads;
     a.tasks_stolen = select_stats.tasks_stolen;
     a.refine_degraded = select_stats.refine_degraded;
+    a.members_refined = select_stats.members_refined;
+    a.attempts = select_stats.attempts;
+    a.attempt_tries = select_stats.attempt_tries;
+    a.attempt_budget = select_stats.attempt_budget;
     a.snapshot_probes = select_stats.search.csr_edge_probes;
   }
 

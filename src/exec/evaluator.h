@@ -78,6 +78,12 @@ struct StatementActuals {
   int threads = 0;
   uint64_t tasks_stolen = 0;
   bool refine_degraded = false;
+  size_t members_refined = 0;  ///< Calls that ran refinement.
+  /// On-demand refinement: the budgeted search attempts, their tries and
+  /// the sum of their budgets (match::PipelineStats).
+  size_t attempts = 0;
+  uint64_t attempt_tries = 0;
+  uint64_t attempt_budget = 0;
 };
 
 /// Result of running a program: the final values of `let`-accumulated /

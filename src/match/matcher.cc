@@ -87,12 +87,6 @@ struct RootRun {
   Status status;
 };
 
-/// The bytes an emitted match reserves against the memory budget.
-size_t MatchBytes(const algebra::MatchedGraph& m) {
-  return m.node_mapping.size() * sizeof(NodeId) +
-         m.edge_mapping.size() * sizeof(EdgeId);
-}
-
 /// The DFS engine behind SearchMatches, serial and per root. Edge probes
 /// read the snapshot's CSR runs and interned tags; `data` supplies the
 /// attribute values that pushed edge and global predicates evaluate. Each
@@ -103,14 +97,16 @@ class SearchEngine {
   SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
                const GraphSnapshot& snap,
                const std::vector<std::vector<NodeId>>& candidates,
-               const std::vector<NodeId>& order, const MatchOptions& options)
+               const std::vector<NodeId>& order, const MatchOptions& options,
+               uint64_t max_tries)
       : pattern_(pattern),
         p_(pattern.graph()),
         data_(data),
         snap_(snap),
         candidates_(candidates),
         order_(order),
-        options_(options) {
+        options_(options),
+        tries_left_(max_tries) {
     assign_.assign(p_.NumNodes(), kInvalidNode);
     edge_assign_.assign(p_.NumEdges(), kInvalidEdge);
     used_.assign(snap.num_nodes(), 0);
@@ -133,6 +129,7 @@ class SearchEngine {
       const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
       trivial_edge_[e] =
           pe.attrs.empty() && !pattern.EdgeHasPredicates(static_cast<EdgeId>(e));
+      if (trivial_edge_[e]) trivial_edges_.push_back(static_cast<EdgeId>(e));
     }
     if (pattern.has_global_pred()) PlaceConjuncts();
   }
@@ -227,20 +224,30 @@ class SearchEngine {
   }
 
   /// Charges the next `n` candidate tries with exactly the outcome of n
-  /// single tries. Serially the governor takes them, and on a trip `steps`
-  /// ends on the try that tripped it, as a one-by-one loop would leave it;
-  /// in parallel the worker's ledger counts them for the replay. Returns
-  /// false when the search must stop.
+  /// single tries, each first counted against the try cap. Serially the
+  /// governor takes the tries within the cap, and on a trip or at the cap
+  /// `steps` ends on the try that stopped the search, as a one-by-one loop
+  /// would leave it; in parallel the worker's ledger, which holds the cap
+  /// too, counts them for the replay. Returns false when the search must
+  /// stop.
   bool ChargeTries(uint64_t n) {
     if (n == 0) return true;
     stats_.steps += n;
     if (ledger_ != nullptr) return ledger_->Charge(n);
-    if (options_.governor == nullptr) return true;
-    const uint64_t accepted =
-        options_.governor->ChargeEach(n, GovernPoint::kSearch);
-    if (accepted == n) return true;
-    stats_.steps -= n - accepted - 1;
-    stats_.governor_tripped = true;
+    const uint64_t allowed = std::min(n, tries_left_);
+    tries_left_ -= allowed;
+    if (options_.governor != nullptr) {
+      const uint64_t accepted =
+          options_.governor->ChargeEach(allowed, GovernPoint::kSearch);
+      if (accepted < allowed) {
+        stats_.steps -= n - accepted - 1;
+        stats_.governor_tripped = true;
+        return false;
+      }
+    }
+    if (allowed == n) return true;
+    stats_.steps -= n - allowed - 1;
+    stats_.out_of_tries = true;
     return false;
   }
 
@@ -278,15 +285,23 @@ class SearchEngine {
       }
       ++stats_.edge_checks;
       if (!snap_.HasEdgeBetween(from, to)) return false;
-      if (trivial_edge_[pe]) {
-        edge_assign_[pe] = kInvalidEdge;  // Resolved lazily on emit.
-        continue;
-      }
+      if (trivial_edge_[pe]) continue;  // Resolved at the leaf.
       EdgeId de = FindCompatibleEdge(pe, from, to);
       if (de == kInvalidEdge) return false;
       edge_assign_[pe] = de;
     }
     return true;
+  }
+
+  /// Binds each trivial pattern edge of a complete embedding to the edge a
+  /// match reports for it: the lowest edge id in its (src, dst) run, as
+  /// Graph::FindEdge yields. Runs before the leaf's conjuncts, which may
+  /// read its attributes.
+  void ResolveTrivialEdges() {
+    for (EdgeId e : trivial_edges_) {
+      const Graph::Edge& pe = p_.edge(e);
+      edge_assign_[e] = snap_.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
+    }
   }
 
   bool Emit() {
@@ -295,14 +310,6 @@ class SearchEngine {
     m.data = &data_;
     m.node_mapping = assign_;
     m.edge_mapping = edge_assign_;
-    for (size_t e = 0; e < p_.NumEdges(); ++e) {
-      if (m.edge_mapping[e] == kInvalidEdge) {
-        const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
-        // The lowest edge id in the (u, v) run, as Graph::FindEdge yields.
-        m.edge_mapping[e] =
-            snap_.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
-      }
-    }
     ++matches_;
     ++stats_.matches;
     // Account the emitted mapping vectors against the memory budget; the
@@ -386,6 +393,7 @@ class SearchEngine {
   /// the root and positions unlinked to the prefix still run.
   bool Dfs(size_t pos) {
     if (pos == order_.size()) {
+      ResolveTrivialEdges();
       const size_t conjuncts = pattern_.GlobalPreds().size();
       if (done_ < conjuncts) {
         Result<bool> ok =
@@ -459,6 +467,8 @@ class SearchEngine {
   std::vector<int> position_;
   std::vector<std::vector<EdgeId>> back_edges_;
   std::vector<char> trivial_edge_;
+  std::vector<EdgeId> trivial_edges_;
+  uint64_t tries_left_;  ///< Serial: tries the cap still allows.
   /// Residual conjuncts (PlaceConjuncts): the placement, the bindings they
   /// evaluate under, and how many hold on the current prefix. Empty and
   /// unused when the pattern has none.
@@ -481,6 +491,12 @@ void SearchStats::Add(const SearchStats& other) {
   pred_rejects += other.pred_rejects;
   truncated |= other.truncated;
   governor_tripped |= other.governor_tripped;
+  out_of_tries |= other.out_of_tries;
+}
+
+size_t MatchBytes(const algebra::MatchedGraph& m) {
+  return m.node_mapping.size() * sizeof(NodeId) +
+         m.edge_mapping.size() * sizeof(EdgeId);
 }
 
 Result<std::vector<algebra::MatchedGraph>> SearchMatches(
@@ -488,7 +504,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
     SearchStats* stats, int num_threads, ThreadPool* pool,
-    ThreadPool::RunStats* run_stats) {
+    ThreadPool::RunStats* run_stats, uint64_t max_tries) {
   for (const std::vector<NodeId>& phi : candidates) {
     if (std::adjacent_find(phi.begin(), phi.end(),
                            std::greater_equal<NodeId>()) != phi.end()) {
@@ -501,7 +517,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   if (workers < 2 || pattern.graph().NumNodes() == 0 ||
       order.size() != pattern.graph().NumNodes()) {
     std::vector<algebra::MatchedGraph> out;
-    SearchEngine engine(pattern, data, *snap, candidates, order, options);
+    SearchEngine engine(pattern, data, *snap, candidates, order, options,
+                        max_tries);
     Status status = engine.Run(&out);
     if (stats != nullptr) stats->Add(engine.stats());
     GQL_RETURN_IF_ERROR(status);
@@ -522,9 +539,10 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
 
   // The merge below keeps at most the match cap and stops where the step
-  // or memory budget left now runs out, so once finished roots before r
-  // hold that many matches, tries or bytes, root r cannot contribute.
-  const TaskLedger budget(gov);
+  // or memory budget left now, or the try cap, runs out, so once finished
+  // roots before r hold that many matches, tries or bytes, root r cannot
+  // contribute.
+  const TaskLedger budget(gov, max_tries);
   const uint64_t match_cap =
       options.exhaustive ? std::max<size_t>(options.max_matches, 1) : 1;
   RootCutoff cutoff(
@@ -547,8 +565,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     WorkerState& s = ws[static_cast<size_t>(w)];
     if (s.engine == nullptr) {
       s.ledger = budget;
-      s.engine = std::make_unique<SearchEngine>(pattern, data, *snap,
-                                                candidates, order, options);
+      s.engine = std::make_unique<SearchEngine>(
+          pattern, data, *snap, candidates, order, options, max_tries);
       s.engine->set_ledger(&s.ledger);
       s.engine->set_scratch(&s.scratch);
     }
@@ -573,16 +591,23 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   // the list there, so step, memory and fault trips cut where serial
   // does; the max_matches cap cuts at the same match, first-match mode
   // takes the first match, and an error surfaces only if the serial run
-  // would reach it. A root its ledger stopped that the replay accepts in
-  // full saw the governor expire: CheckNow() takes that trip.
+  // would reach it. Each charge counts its tries against the try cap
+  // first, as the serial engine does, and the governor takes those within
+  // it. A root its ledger stopped that the replay accepts in full saw the
+  // governor expire: CheckNow() takes that trip.
   std::vector<algebra::MatchedGraph> out;
   bool truncated = false;
   bool tripped = false;
+  bool out_of_tries = false;
+  uint64_t tries_left = max_tries;
   Status status = Status::OK();
   auto charge = [&](uint64_t tries) {
+    const uint64_t allowed = std::min(tries, tries_left);
+    tries_left -= allowed;
     tripped = gov != nullptr &&
-              gov->ChargeEach(tries, GovernPoint::kSearch) < tries;
-    return !tripped;
+              gov->ChargeEach(allowed, GovernPoint::kSearch) < allowed;
+    out_of_tries = !tripped && allowed < tries;
+    return !tripped && !out_of_tries;
   };
   // False when the serial run stops inside this root.
   auto replay = [&](RootRun& root) {
@@ -615,6 +640,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
   if (stats != nullptr) {
     work.truncated = truncated;
     work.governor_tripped = tripped;
+    work.out_of_tries = out_of_tries;
     stats->Add(work);
   }
   if (!status.ok()) return status;

@@ -42,6 +42,9 @@ struct SearchStats {
   uint64_t pred_rejects = 0;
   bool truncated = false;       ///< Stopped due to max_matches.
   bool governor_tripped = false;  ///< Governor deadline/cancel/budget trip.
+  /// Stopped at SearchMatches' `max_tries` cap: the search needed one try
+  /// more than the cap allows.
+  bool out_of_tries = false;
 
   /// Adds another search's counts; the flags are or-ed.
   void Add(const SearchStats& other);
@@ -95,6 +98,15 @@ struct SearchStats {
 /// memory budget left when the search started: the merge would discard r.
 /// `run_stats`, when given, receives the fan-out's RunStats.
 ///
+/// `max_tries` caps the candidate tries: the search stops, with the
+/// matches found so far and `out_of_tries` set, where it would make try
+/// number max_tries + 1. `steps` counts that try, as it counts one that
+/// trips the governor, but the governor is not charged for it; the tries
+/// before it are charged as usual. The cap is counted and replayed like
+/// the governor's step budget, so it stops the search on the same try,
+/// with the same matches, at any thread count. A governor trip on an
+/// earlier try wins.
+///
 /// Counts accumulate in each engine during the DFS and are added to
 /// `stats` once the search finishes, so counting adds no per-step
 /// synchronization.
@@ -106,7 +118,12 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options = {},
     SearchStats* stats = nullptr, int num_threads = 0,
-    ThreadPool* pool = nullptr, ThreadPool::RunStats* run_stats = nullptr);
+    ThreadPool* pool = nullptr, ThreadPool::RunStats* run_stats = nullptr,
+    uint64_t max_tries = UINT64_MAX);
+
+/// The bytes an emitted match reserves against the governor's memory
+/// budget; a caller that discards matches releases this much for each.
+size_t MatchBytes(const algebra::MatchedGraph& m);
 
 /// The declaration-order permutation 0..k-1 (search "w/o optimized order").
 std::vector<NodeId> DeclarationOrder(const algebra::GraphPattern& pattern);

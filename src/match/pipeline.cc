@@ -149,6 +149,20 @@ void EmitWorkerLanes(obs::Tracer* tracer,
   }
 }
 
+/// The B(u, v) tests one level of Algorithm 4.2 makes over `candidates`:
+/// Sum |Phi(u)| over the pattern nodes with a neighbour.
+uint64_t RefineTests(const algebra::GraphPattern& pattern,
+                     const std::vector<std::vector<NodeId>>& candidates) {
+  const Graph& p = pattern.graph();
+  uint64_t tests = 0;
+  for (NodeId u = 0; u < static_cast<NodeId>(p.NumNodes()); ++u) {
+    if (p.Degree(u) > 0 || (p.directed() && !p.in_neighbors(u).empty())) {
+      tests += candidates[u].size();
+    }
+  }
+  return tests;
+}
+
 /// One MatchPattern or RetrieveCandidates call: its stats, and what the
 /// registry write needs beyond them.
 struct Call {
@@ -198,6 +212,10 @@ void RecordCall(const Call& call, const PipelineOptions& options) {
     add("match.neighborhood.steps", r.neighborhood.steps);
   }
   add_nonzero("match.neighborhood.budget_hits", r.neighborhood.budget_hits);
+  // An on-demand attempt that overran refined its call.
+  const bool overran = s.attempts != 0 && call.refined;
+  add_nonzero("match.refine.on_demand", overran ? 1 : 0);
+  add_nonzero("match.search.abandoned_tries", overran ? s.attempt_tries : 0);
   if (call.refined) {
     add("match.refine.bipartite_checks", s.refine.bipartite_checks);
     add("match.refine.removed", s.refine.removed);
@@ -471,6 +489,10 @@ void PipelineStats::Add(PipelineStats later) {
   num_matches = later.num_matches;
   order = std::move(later.order);
   refine_degraded |= later.refine_degraded;
+  members_refined += later.members_refined;
+  attempts += later.attempts;
+  attempt_tries += later.attempt_tries;
+  attempt_budget += later.attempt_budget;
   threads = later.threads;
   tasks_stolen += later.tasks_stolen;
   members += later.members;
@@ -569,81 +591,130 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   EmitWorkerLanes(tracer, retrieve_run.lanes);
   retrieve_span.End();
 
-  obs::Span refine_span(tracer, "refine", obs::Span::Timing::kAlways);
-  int level = options.refine_level;
-  if (level < 0) level = static_cast<int>(k);
-  if (level > 0 && k > 0 && GovOk(gov)) {
-    call.refined = true;
-    // Snapshot the candidate sets so a degradable budget trip can fall
-    // back to the exact unrefined space; skipped for ungoverned queries.
-    std::vector<std::vector<NodeId>> snapshot;
-    const bool can_degrade = gov != nullptr && gov->HasLimits();
-    if (can_degrade) snapshot = candidates;
-    RefineSearchSpace(pattern, *snap, level, &candidates, &s.refine,
-                      options.refine_use_marking, gov);
-    if (s.refine.aborted && can_degrade && gov->DegradableTrip()) {
-      candidates = std::move(snapshot);
-      gov->RefundSteps(s.refine.pairs_charged);
-      gov->ClearDegradableTrip();
-      gov->NoteDegradation(
-          "refine: budget exhausted; fell back to unrefined candidate sets");
-      s.refine_degraded = true;
-    }
+  // The stages after retrieve. At an explicit level, refinement runs, then
+  // the order and the search. On demand, the order and a search attempt
+  // capped at the budget run first: an attempt that ends within it is the
+  // answer, and one that overruns it (without a governor trip) is
+  // discarded for refinement, a new order and an uncapped search.
+  const bool on_demand = options.refine_level == kRefineOnDemand;
+  const int level =
+      options.refine_level < 0 ? static_cast<int>(k) : options.refine_level;
+  bool refine = !on_demand;
+  uint64_t max_tries = UINT64_MAX;
+  if (on_demand && pattern.graph().NumEdges() > 0) {
+    max_tries = kAttemptTriesPerCandidate * RefineTests(pattern, candidates);
+    s.attempts = 1;
+    s.attempt_budget = max_tries;
   }
-  if (refine_span.active()) {
-    refine_span.SetAttr("level", static_cast<int64_t>(level));
-    refine_span.SetAttr("bipartite_checks",
-                        static_cast<int64_t>(s.refine.bipartite_checks));
-    refine_span.SetAttr("removed", static_cast<int64_t>(s.refine.removed));
-    refine_span.SetAttr("dirty_skips",
-                        static_cast<int64_t>(s.refine.dirty_skips));
-    if (s.refine_degraded) {
-      refine_span.SetAttr("degraded", "fallback-unrefined");
-    }
-  }
-  refine_span.End();
-  s.size_refined.assign(k, 0);
-  for (size_t u = 0; u < k; ++u) s.size_refined[u] = candidates[u].size();
-
-  obs::Span order_span(tracer, "order", obs::Span::Timing::kAlways);
-  s.order = options.optimize_order
-                ? GreedySearchOrder(pattern, candidates, index, options.order)
-                : DeclarationOrder(pattern);
-  if (order_span.active()) {
-    order_span.SetAttr("strategy",
-                       options.optimize_order ? "greedy-cost" : "declaration");
-  }
-  order_span.End();
-
-  obs::Span search_span(tracer, "search", obs::Span::Timing::kAlways);
-  ThreadPool::RunStats search_run;
   MatchOptions match_options = options.match;
   if (match_options.governor == nullptr) match_options.governor = gov;
-  // Retrieve's lists are ascending and the order covers the pattern, so
-  // the search engine runs whenever the pattern has a node.
-  call.searched = k > 0;
-  Result<std::vector<algebra::MatchedGraph>> matches = SearchMatches(
-      pattern, data, candidates, s.order, match_options, &s.search,
-      options.num_threads, options.pool, &search_run);
-  s.num_matches = matches.ok() ? matches.value().size() : 0;
-  if (search_span.active()) {
-    search_span.SetAttr("steps", static_cast<int64_t>(s.search.steps));
-    search_span.SetAttr("backtracks",
-                        static_cast<int64_t>(s.search.backtracks));
-    search_span.SetAttr("edge_checks",
-                        static_cast<int64_t>(s.search.edge_checks));
-    search_span.SetAttr("matches", static_cast<int64_t>(s.num_matches));
-    if (s.search.governor_tripped) {
-      search_span.SetAttr("governor_tripped", static_cast<int64_t>(1));
+  Result<std::vector<algebra::MatchedGraph>> matches =
+      std::vector<algebra::MatchedGraph>{};
+  uint64_t search_stolen = 0;
+  // Two passes at most: an attempt that overran, then the refined search.
+  for (int pass = 0; pass < 2; ++pass) {
+    if (refine) {
+      obs::Span refine_span(tracer, "refine", obs::Span::Timing::kAlways);
+      if (level > 0 && k > 0 && GovOk(gov)) {
+        call.refined = true;
+        s.members_refined = 1;
+        // Snapshot the candidate sets so a degradable budget trip can fall
+        // back to the exact unrefined space; skipped for ungoverned
+        // queries.
+        std::vector<std::vector<NodeId>> snapshot;
+        const bool can_degrade = gov != nullptr && gov->HasLimits();
+        if (can_degrade) snapshot = candidates;
+        RefineSearchSpace(pattern, *snap, level, &candidates, &s.refine,
+                          options.refine_use_marking, gov);
+        if (s.refine.aborted && can_degrade && gov->DegradableTrip()) {
+          candidates = std::move(snapshot);
+          gov->RefundSteps(s.refine.pairs_charged);
+          gov->ClearDegradableTrip();
+          gov->NoteDegradation(
+              "refine: budget exhausted; fell back to unrefined candidate "
+              "sets");
+          s.refine_degraded = true;
+        }
+      }
+      if (refine_span.active()) {
+        refine_span.SetAttr("level", static_cast<int64_t>(level));
+        if (on_demand) refine_span.SetAttr("on_demand", "attempt-overran");
+        refine_span.SetAttr("bipartite_checks",
+                            static_cast<int64_t>(s.refine.bipartite_checks));
+        refine_span.SetAttr("removed", static_cast<int64_t>(s.refine.removed));
+        refine_span.SetAttr("dirty_skips",
+                            static_cast<int64_t>(s.refine.dirty_skips));
+        if (s.refine_degraded) {
+          refine_span.SetAttr("degraded", "fallback-unrefined");
+        }
+      }
+      refine_span.End();
+      s.us_refine += refine_span.DurationMicros();
     }
-    if (search_run.workers > 0) {
-      search_span.SetAttr("threads", static_cast<int64_t>(search_run.workers));
-      search_span.SetAttr("tasks_stolen",
-                          static_cast<int64_t>(search_run.stolen));
+    s.size_refined.assign(k, 0);
+    for (size_t u = 0; u < k; ++u) s.size_refined[u] = candidates[u].size();
+
+    obs::Span order_span(tracer, "order", obs::Span::Timing::kAlways);
+    s.order = options.optimize_order
+                  ? GreedySearchOrder(pattern, candidates, index, options.order)
+                  : DeclarationOrder(pattern);
+    if (order_span.active()) {
+      order_span.SetAttr("strategy", options.optimize_order ? "greedy-cost"
+                                                            : "declaration");
     }
+    order_span.End();
+    s.us_order += order_span.DurationMicros();
+
+    obs::Span search_span(tracer, "search", obs::Span::Timing::kAlways);
+    ThreadPool::RunStats search_run;
+    SearchStats search;
+    // Retrieve's lists are ascending and the order covers the pattern, so
+    // the search engine runs whenever the pattern has a node.
+    call.searched = k > 0;
+    matches = SearchMatches(pattern, data, candidates, s.order, match_options,
+                            &search, options.num_threads, options.pool,
+                            &search_run, max_tries);
+    s.num_matches = matches.ok() ? matches.value().size() : 0;
+    if (search_span.active()) {
+      search_span.SetAttr("steps", static_cast<int64_t>(search.steps));
+      search_span.SetAttr("backtracks",
+                          static_cast<int64_t>(search.backtracks));
+      search_span.SetAttr("edge_checks",
+                          static_cast<int64_t>(search.edge_checks));
+      search_span.SetAttr("matches", static_cast<int64_t>(s.num_matches));
+      if (max_tries != UINT64_MAX) {
+        search_span.SetAttr("budget", static_cast<int64_t>(max_tries));
+        search_span.SetAttr("stopped",
+                            static_cast<int64_t>(search.out_of_tries));
+      }
+      if (search.governor_tripped) {
+        search_span.SetAttr("governor_tripped", static_cast<int64_t>(1));
+      }
+      if (search_run.workers > 0) {
+        search_span.SetAttr("threads",
+                            static_cast<int64_t>(search_run.workers));
+        search_span.SetAttr("tasks_stolen",
+                            static_cast<int64_t>(search_run.stolen));
+      }
+    }
+    EmitWorkerLanes(tracer, search_run.lanes);
+    search_span.End();
+    s.us_search += search_span.DurationMicros();
+    s.search.Add(search);
+    search_stolen += search_run.stolen;
+    if (max_tries != UINT64_MAX) s.attempt_tries = search.steps;
+    // The attempt ends the query unless it overran its budget; a governor
+    // trip ends the query with its matches, as any search trip does.
+    if (!search.out_of_tries || !GovOk(gov)) break;
+    if (gov != nullptr) {
+      for (const algebra::MatchedGraph& m : *matches) {
+        gov->Release(MatchBytes(m));
+      }
+    }
+    s.search.out_of_tries = false;
+    refine = true;
+    max_tries = UINT64_MAX;
   }
-  EmitWorkerLanes(tracer, search_run.lanes);
-  search_span.End();
 
   if (gov != nullptr && gov->tripped() && !was_tripped) {
     call.trip = GovernPointName(gov->trip_point());
@@ -657,9 +728,6 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   query_span.End();
 
   s.us_retrieve = retrieve_span.DurationMicros();
-  s.us_refine = refine_span.DurationMicros();
-  s.us_order = order_span.DurationMicros();
-  s.us_search = search_span.DurationMicros();
   call.us = query_span.DurationMicros();
   RecordCall(call, options);
   if (stats != nullptr) {
@@ -670,7 +738,7 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     s.est_cost = EstimateOrderCost(pattern, s.size_refined, s.order, index,
                                    options.order);
     s.threads = workers;
-    s.tasks_stolen = retrieve_run.stolen + search_run.stolen;
+    s.tasks_stolen = retrieve_run.stolen + search_stolen;
     stats->Add(std::move(s));
   }
   return matches;

@@ -35,15 +35,35 @@ enum class CandidateMode {
 
 const char* CandidateModeName(CandidateMode mode);
 
-/// Configuration of the full selection pipeline. The paper's recommended
-/// practical combination (Section 5.2's summary) is the default: retrieval
-/// by profiles, then global refinement, then search with the optimized
-/// order.
+/// The refine_level value that refines on demand: the pipeline searches
+/// the retrieved candidates first, under a budget of
+/// kAttemptTriesPerCandidate tries per candidate that Algorithm 4.2's
+/// first level would test (Sum |Phi(u)| over the pattern nodes with a
+/// neighbour). An attempt that ends within the budget is the answer; one
+/// that overruns it is discarded, and refinement to the pattern size, the
+/// order and an uncapped search follow. A pattern without edges is never
+/// refined: Algorithm 4.2 would test nothing.
+inline constexpr int kRefineOnDemand = -2;
+
+/// The try budget per candidate of an on-demand attempt: refinement's cost
+/// per candidate over the search's cost per try, measured on the refine
+/// and search bench lanes (EXPERIMENTS.md, "Refine on demand"). An attempt
+/// that overruns wastes at most what refinement costs.
+inline constexpr uint64_t kAttemptTriesPerCandidate = 128;
+
+/// Configuration of the full selection pipeline. The default retrieves by
+/// profiles and searches in the optimized order, the paper's recommended
+/// practical combination (Section 5.2's summary), but runs its global
+/// refinement only on demand (kRefineOnDemand); refine_level = -1 is the
+/// paper's combination exactly.
 struct PipelineOptions {
   CandidateMode candidate_mode = CandidateMode::kProfile;
-  /// Refinement level l for Algorithm 4.2; -1 uses the pattern size (the
-  /// paper's experimental setting), 0 disables global pruning.
-  int refine_level = -1;
+  /// Refinement level l for Algorithm 4.2: kRefineOnDemand refines to the
+  /// pattern size when a budgeted search attempt needs it; -1 (or any other
+  /// negative value) always refines to the pattern size (the paper's
+  /// experimental setting), 0 never refines, and l >= 1 always refines to
+  /// level l.
+  int refine_level = kRefineOnDemand;
   /// Dirty-pair marking inside the refinement (ablation knob).
   bool refine_use_marking = true;
   /// Greedy cost-based search order (Section 4.4) vs declaration order.
@@ -119,6 +139,15 @@ struct PipelineStats {
   /// Refinement tripped a degradable budget and the pipeline fell back to
   /// the unrefined candidate sets (search still ran to completion).
   bool refine_degraded = false;
+  /// Calls that ran refinement, forced or on demand.
+  size_t members_refined = 0;
+  /// On demand: the calls that ran a budgeted search attempt, the tries
+  /// those attempts made (their `steps`) and the sum of their budgets. An
+  /// attempt that overran refined its call, so in this mode
+  /// members_refined counts the overruns.
+  size_t attempts = 0;
+  uint64_t attempt_tries = 0;
+  uint64_t attempt_budget = 0;
   /// Workers serving the stages (ResolveWorkers; 0 or 1 = calling thread).
   int threads = 0;
   /// Work-stealing events summed across the retrieve and search stages.

@@ -223,6 +223,48 @@ TEST_F(EvaluatorTest, EmptyPatternWithWhereReturnsNothing) {
   }
 }
 
+TEST(EvaluatorEdgeConjunctTest, ResidualConjunctReadsAnUnconstrainedEdge) {
+  // A residual conjunct may read an attribute of a pattern edge that has
+  // no attribute or predicate of its own. It sees the data edge the match
+  // reports: the lowest-id edge between the images, so of the parallel
+  // (a2, b2) edges, the one with w=1.
+  auto g = motif::GraphFromSource(R"(graph D {
+      node a1 <label="A", s=1>; node b1 <label="B">;
+      node a2 <label="A", s=0>; node b2 <label="B">;
+      edge (a1, b1) <w=5>; edge (a2, b2) <w=1>; edge (a2, b2) <w=9>;
+    })");
+  ASSERT_TRUE(g.ok()) << g.status();
+  DocumentRegistry docs;
+  docs.RegisterGraph("D", std::move(*g));
+  const std::string head =
+      R"(for graph Q { node u <label="A">; node v <label="B">; edge e (u, v); }
+         exhaustive in doc("D") where )";
+  for (size_t index_threshold : {size_t{0}, size_t{1}}) {
+    for (int threads : {0, 4}) {
+      Evaluator ev(&docs);
+      ev.set_index_threshold(index_threshold);
+      ev.mutable_match_options()->num_threads = threads;
+      const std::string where = "threads " + std::to_string(threads) +
+                                " index threshold " +
+                                std::to_string(index_threshold);
+      auto one = ev.RunSource(head + "e.w + u.s > 2 return Q;");
+      ASSERT_TRUE(one.ok()) << one.status() << " " << where;
+      ASSERT_EQ(one->returned.size(), 1u) << where;
+      ASSERT_EQ(one->returned[0].NumEdges(), 1u) << where;
+      EXPECT_EQ(one->returned[0].edge(0).attrs.Get("w"), Value(int64_t{5}))
+          << where;
+      auto both = ev.RunSource(head + "e.w + u.s > 0 return Q;");
+      ASSERT_TRUE(both.ok()) << both.status() << " " << where;
+      std::multiset<int64_t> weights;
+      for (const Graph& m : both->returned) {
+        ASSERT_EQ(m.NumEdges(), 1u) << where;
+        weights.insert(m.edge(0).attrs.Get("w")->AsInt());
+      }
+      EXPECT_EQ(weights, (std::multiset<int64_t>{1, 5})) << where;
+    }
+  }
+}
+
 TEST(EvaluatorAutoIndexTest, LargeDocGraphGetsIndexedOnce) {
   // One large member graph: the evaluator builds a LabelIndex lazily and
   // reuses it across FLWR statements; results are unchanged.

@@ -179,7 +179,9 @@ TEST(GraphSnapshotTest, EdgeQueriesAgreeWithGraph) {
         EdgeId prev = kInvalidEdge;
         for (const GraphSnapshot::AdjEntry& a : snap->EdgesBetween(uu, vv)) {
           EXPECT_EQ(a.node, vv);
-          if (prev != kInvalidEdge) EXPECT_GT(a.edge, prev);
+          if (prev != kInvalidEdge) {
+            EXPECT_GT(a.edge, prev);
+          }
           prev = a.edge;
         }
       }

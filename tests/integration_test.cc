@@ -212,9 +212,9 @@ TEST(IntegrationTest, StatsShowSqlDoesMoreWork) {
   ASSERT_TRUE(p.ok());
   match::LabelIndex index = match::LabelIndex::Build(*g);
   match::PipelineStats native_stats;
-  auto native =
-      match::MatchPattern(*p, *g, &index, match::PipelineOptions{},
-                          &native_stats);
+  match::PipelineOptions refined;
+  refined.refine_level = -1;
+  auto native = match::MatchPattern(*p, *g, &index, refined, &native_stats);
   ASSERT_TRUE(native.ok());
   rel::SqlGraphDatabase db = rel::SqlGraphDatabase::FromGraph(*g);
   rel::SqlGraphDatabase::QueryStats sql_stats;

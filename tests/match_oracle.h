@@ -289,9 +289,9 @@ enum class Conjuncts { kPlaced, kLeaf };
 /// Phi(u) in list order and Checks each unmapped candidate against the
 /// mapped prefix over the Graph's adjacency lists. Each try is one step,
 /// charged to the governor with Charge(1); each emitted match reserves its
-/// mapping bytes. Edges without
-/// attributes or predicates resolve to their lowest-id data edge when the
-/// match is emitted, after the global predicate.
+/// mapping bytes. Edges without attributes or predicates resolve to their
+/// lowest-id data edge once the embedding is complete, before the
+/// conjuncts that run there, which may read their attributes.
 ///
 /// With Conjuncts::kPlaced, each assignment that passes Check runs, in
 /// textual order, every residual conjunct not yet run whose nodes are now
@@ -369,8 +369,8 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
       NodeId from = e.src == u ? v : assign[e.src];
       NodeId to = e.dst == u ? v : assign[e.dst];
       if (!data.HasEdgeBetween(from, to)) return false;
-      edge_assign[pe] = kInvalidEdge;
       if (trivial(pe)) continue;
+      edge_assign[pe] = kInvalidEdge;
       for (const Graph::Adj& a : data.neighbors(from)) {
         if (a.node != to || !pattern.EdgeCompatible(pe, data, a.edge)) continue;
         if (edge_assign[pe] == kInvalidEdge || a.edge < edge_assign[pe]) {
@@ -387,12 +387,6 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
     m.data = &data;
     m.node_mapping = assign;
     m.edge_mapping = edge_assign;
-    for (size_t e = 0; e < p.NumEdges(); ++e) {
-      const Graph::Edge& pe = p.edge(static_cast<EdgeId>(e));
-      if (m.edge_mapping[e] == kInvalidEdge) {
-        m.edge_mapping[e] = data.FindEdge(assign[pe.src], assign[pe.dst]);
-      }
-    }
     if (options.governor != nullptr) {
       options.governor->Reserve(
           m.node_mapping.size() * sizeof(NodeId) +
@@ -409,6 +403,12 @@ inline Result<std::vector<algebra::MatchedGraph>> ScanSearch(
   };
   std::function<bool(size_t)> search = [&](size_t pos) {
     if (pos == k) {
+      for (size_t e = 0; e < p.NumEdges(); ++e) {
+        const Graph::Edge& pe = p.edge(static_cast<EdgeId>(e));
+        if (trivial(static_cast<EdgeId>(e))) {
+          edge_assign[e] = data.FindEdge(assign[pe.src], assign[pe.dst]);
+        }
+      }
       const size_t saved = ran;
       Result<bool> holds = run_conjuncts(/*leaf=*/true);
       ran = saved;

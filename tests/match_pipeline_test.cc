@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "lang/parser.h"
 #include "motif/deriver.h"
 #include "workload/erdos_renyi.h"
@@ -65,7 +68,8 @@ TEST(PipelineTest, RefinementShrinksProfileSpaceToOne) {
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
   LabelIndex index = LabelIndex::Build(g);
-  PipelineOptions options;  // Profile + full refinement by default.
+  PipelineOptions options;  // Profile retrieval by default.
+  options.refine_level = -1;  // Full refinement.
   PipelineStats stats;
   auto matches = MatchPattern(p, g, &index, options, &stats);
   ASSERT_TRUE(matches.ok()) << matches.status();
@@ -161,45 +165,60 @@ TEST(PipelineTest, StatsTimingsArePopulated) {
 
 TEST(PipelineTest, StatsMicrosComeFromTraceSpans) {
   // PipelineStats stage timings are defined as the trace span durations:
-  // the "match" span's retrieve/refine/order/search children must agree
-  // exactly with us_* and sum to TotalMicros().
+  // each stage's us_* is the sum of the "match" span's children of that
+  // name, and they sum to TotalMicros(). Forced refinement runs each stage
+  // once; on demand, the attempt here ends within its budget, so no
+  // refine span appears.
   Graph g = Sample();
   algebra::GraphPattern p = Triangle();
   LabelIndex index = LabelIndex::Build(g);
 
-  obs::Tracer tracer(true);
-  PipelineOptions options;
-  options.tracer = &tracer;
-  PipelineStats stats;
-  auto matches = MatchPattern(p, g, &index, options, &stats);
-  ASSERT_TRUE(matches.ok());
+  for (int level : {-1, kRefineOnDemand}) {
+    obs::Tracer tracer(true);
+    PipelineOptions options;
+    options.refine_level = level;
+    options.tracer = &tracer;
+    PipelineStats stats;
+    auto matches = MatchPattern(p, g, &index, options, &stats);
+    ASSERT_TRUE(matches.ok());
+    const std::string where = "refine_level " + std::to_string(level);
 
-  ASSERT_EQ(tracer.roots().size(), 1u);
-  const obs::TraceNode& match_span = *tracer.roots()[0];
-  EXPECT_EQ(match_span.name, "match");
-  const obs::TraceNode* retrieve = match_span.Child("retrieve");
-  const obs::TraceNode* refine = match_span.Child("refine");
-  const obs::TraceNode* order = match_span.Child("order");
-  const obs::TraceNode* search = match_span.Child("search");
-  ASSERT_NE(retrieve, nullptr);
-  ASSERT_NE(refine, nullptr);
-  ASSERT_NE(order, nullptr);
-  ASSERT_NE(search, nullptr);
+    ASSERT_EQ(tracer.roots().size(), 1u);
+    const obs::TraceNode& match_span = *tracer.roots()[0];
+    EXPECT_EQ(match_span.name, "match");
+    std::map<std::string, int64_t> us;
+    std::map<std::string, int> spans;
+    for (const auto& child : match_span.children) {
+      us[child->name] += child->duration_us;
+      ++spans[child->name];
+    }
+    EXPECT_EQ(spans["retrieve"], 1) << where;
+    EXPECT_EQ(spans["refine"], level == -1 ? 1 : 0) << where;
+    EXPECT_EQ(spans["order"], 1) << where;
+    EXPECT_EQ(spans["search"], 1) << where;
+    EXPECT_EQ(stats.members_refined, level == -1 ? 1u : 0u) << where;
 
-  EXPECT_EQ(stats.us_retrieve, retrieve->duration_us);
-  EXPECT_EQ(stats.us_refine, refine->duration_us);
-  EXPECT_EQ(stats.us_order, order->duration_us);
-  EXPECT_EQ(stats.us_search, search->duration_us);
-  EXPECT_EQ(stats.TotalMicros(), retrieve->duration_us +
-                                     refine->duration_us +
-                                     order->duration_us +
-                                     search->duration_us);
+    EXPECT_EQ(stats.us_retrieve, us["retrieve"]) << where;
+    EXPECT_EQ(stats.us_refine, us["refine"]) << where;
+    EXPECT_EQ(stats.us_order, us["order"]) << where;
+    EXPECT_EQ(stats.us_search, us["search"]) << where;
+    EXPECT_EQ(stats.TotalMicros(),
+              us["retrieve"] + us["refine"] + us["order"] + us["search"])
+        << where;
 
-  // Span attributes carry the same counts as the stats struct.
-  EXPECT_EQ(search->Attr("steps"),
-            static_cast<int64_t>(stats.search.steps));
-  EXPECT_EQ(match_span.Attr("matches"),
-            static_cast<int64_t>(stats.num_matches));
+    // Span attributes carry the same counts as the stats struct.
+    const obs::TraceNode* search = match_span.Child("search");
+    ASSERT_NE(search, nullptr);
+    EXPECT_EQ(search->Attr("steps"),
+              static_cast<int64_t>(stats.search.steps));
+    EXPECT_EQ(match_span.Attr("matches"),
+              static_cast<int64_t>(stats.num_matches));
+    if (level == kRefineOnDemand) {
+      EXPECT_EQ(search->Attr("budget"),
+                static_cast<int64_t>(stats.attempt_budget));
+      EXPECT_EQ(search->Attr("stopped", -1), 0);
+    }
+  }
 }
 
 TEST(PipelineTest, MetricsFlushedPerQuery) {

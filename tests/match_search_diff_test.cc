@@ -3,8 +3,9 @@
 // plain Phi(u) scan of Algorithm 4.1 over the mutable Graph. Inputs cover
 // Erdos-Renyi and protein-style graphs, directed and undirected, with
 // parallel edges, self-loops, tagged and predicated edges, residual
-// cross-node conjuncts (out of search order, erroring, reading an edge,
-// naming no node), attribute-range (B+-tree) retrieval, refined and
+// cross-node conjuncts (out of search order, erroring, reading an edge
+// with or without constraints of its own, naming no node),
+// attribute-range (B+-tree) retrieval, refined and
 // unrefined spaces, and declaration and greedy orders.
 //  - at 0, 1, 3 and 4 threads: the match list (content and order) or
 //    error status of the oracle evaluating every conjunct on complete
@@ -17,14 +18,26 @@
 //    memory budget and search@N fault injection (steps and backtracks too
 //    on one worker), and at 4 threads the workers' match bytes and tries
 //    stay within about 5 times the budget;
+//  - a max_tries cap of T, the uncapped search's tries, keeps its answer,
+//    and a lower cap stops the search on try cap + 1 with the serial
+//    partial list at every thread count, also under a step budget;
 //  - every retrieved candidate list is ascending, and the search rejects
 //    one that is not.
+// OnDemandDifferentialTest runs the pipeline's default, refinement on
+// demand, against forced refinement (-1) and the unrefined search (0):
+// the same answer sets and error codes, an attempt that overran exactly
+// when the unrefined search needs more tries than its budget, and at 1
+// and 4 threads the serial run's matches, order, decision and, governed,
+// trip, governor steps and memory; an attempt ending exactly at its
+// budget and one needing a try more, match caps, and patterns without
+// edges.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +48,7 @@
 #include "match/pipeline.h"
 #include "match/refine.h"
 #include "match_oracle.h"
+#include "obs/metrics.h"
 #include "workload/erdos_renyi.h"
 #include "workload/protein_network.h"
 #include "workload/queries.h"
@@ -188,6 +202,11 @@ std::vector<algebra::GraphPattern> MakePatterns(const Graph& g, Rng* rng) {
            R"(graph Literal { node a; node b where score > 50;
                              edge (a, b); }
               where 2 < 1)",
+           // A conjunct over an edge with no attribute or predicate of its
+           // own reads the edge a match reports for it.
+           R"(graph EdgeFree { node a where score < 40; node b;
+                              edge e (a, b); }
+              where e.w + a.score > 30)",
        }) {
     auto p = algebra::GraphPattern::Parse(source);
     EXPECT_TRUE(p.ok()) << p.status();
@@ -292,6 +311,7 @@ TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
   // searches that failed.
   std::map<std::string, uint64_t> rejects;
   std::map<std::string, int> errors;
+  uint64_t edge_free_matches = 0;
   for (const Case& c : Cases()) {
     const std::string& name = c.pattern->name();
     SearchStats want_stats;
@@ -301,6 +321,10 @@ TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
     errors[name] += want.ok() ? 0 : 1;
     if (name == "DeferredError") {
       EXPECT_TRUE(want.ok()) << want.status() << " " << c.where;
+    }
+    if (name == "EdgeFree") {
+      EXPECT_TRUE(want.ok()) << want.status() << " " << c.where;
+      if (want.ok()) edge_free_matches += want->size();
     }
     if (name == "Literal") {
       // Every root is bound, then rejected before any deeper try.
@@ -340,6 +364,7 @@ TEST(SearchDifferentialTest, MatchesOracleAtEveryThreadCount) {
   EXPECT_GT(rejects["EdgeLeaf"], 0u) << "the first conjunct runs early";
   EXPECT_GT(rejects["Literal"], 0u);
   EXPECT_GT(errors["RaisedError"], 0) << "no search raised an error";
+  EXPECT_GT(edge_free_matches, 0u) << "no edge-attribute conjunct held";
 }
 
 /// Arms a fresh governor and its fault injector for one run.
@@ -458,6 +483,84 @@ TEST(SearchDifferentialTest, InjectedSearchFaultTripsOnTheSameStep) {
   EXPECT_GT(trips, 0) << "no configuration tripped";
 }
 
+TEST(SearchDifferentialTest, TryCapStopsOnTheSameTryAtEveryThreadCount) {
+  // The max_tries cap an on-demand attempt runs under. With T the
+  // uncapped serial search's tries, a cap of T keeps the uncapped answer,
+  // and a lower cap stops the search where it would make try cap + 1,
+  // with the serial partial list at every thread count. Under a governor
+  // step budget as well, the earlier stop wins, with the same list, trip
+  // and governor steps at every thread count.
+  ThreadPool pool(3);
+  int stopped = 0;
+  int budget_trips = 0;
+  for (const Case& c : Cases()) {
+    SearchStats full_stats;
+    const SearchResult full = SearchMatches(*c.pattern, c.data->graph,
+                                            c.candidates, c.order, {},
+                                            &full_stats);
+    const uint64_t t = full_stats.steps;
+    for (uint64_t cap : {t, t > 0 ? t - 1 : 0, t / 3}) {
+      const std::string at = c.where + " cap " + std::to_string(cap);
+      SearchStats want_stats;
+      const SearchResult want =
+          SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order, {},
+                        &want_stats, 0, nullptr, nullptr, cap);
+      EXPECT_EQ(want_stats.out_of_tries, cap < t) << at;
+      if (cap < t) {
+        ++stopped;
+        EXPECT_TRUE(want.ok()) << at;
+        EXPECT_EQ(want_stats.steps, cap + 1) << at;
+      } else {
+        EXPECT_EQ(Fingerprint(want), Fingerprint(full)) << at;
+        EXPECT_EQ(want_stats.steps, t) << at;
+      }
+      for (int threads : {1, 3, 4}) {
+        SearchStats got_stats;
+        const SearchResult got =
+            SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order,
+                          {}, &got_stats, threads, &pool, nullptr, cap);
+        const std::string where = at + " threads " + std::to_string(threads);
+        EXPECT_EQ(Fingerprint(got), Fingerprint(want)) << where;
+        EXPECT_EQ(got_stats.out_of_tries, want_stats.out_of_tries) << where;
+        if (threads == 1) ExpectSameWork(got_stats, want_stats, where);
+      }
+      for (uint64_t budget : {cap / 2 + 1, cap}) {
+        std::string serial;
+        ResourceGovernor want_gov;
+        for (int threads : {0, 1, 4}) {
+          const std::string where = at + " max_steps " +
+                                    std::to_string(budget) + " threads " +
+                                    std::to_string(threads);
+          ResourceGovernor gov;
+          gov.Arm(GovernorLimits{.max_steps = budget});
+          gov.set_fault_injector(nullptr);
+          MatchOptions opts;
+          opts.governor = &gov;
+          SearchStats got_stats;
+          const SearchResult got =
+              SearchMatches(*c.pattern, c.data->graph, c.candidates, c.order,
+                            opts, &got_stats, threads, &pool, nullptr, cap);
+          const std::string print =
+              Fingerprint(got) + " trip " + TripKindName(gov.trip_kind()) +
+              " steps " + std::to_string(gov.steps_used()) + " stopped " +
+              std::to_string(got_stats.out_of_tries) + " tripped " +
+              std::to_string(got_stats.governor_tripped);
+          if (threads == 0) {
+            serial = print;
+            budget_trips += got_stats.governor_tripped ? 1 : 0;
+            // A try past the cap is never charged.
+            EXPECT_LE(gov.steps_used(), cap) << where;
+          } else {
+            EXPECT_EQ(print, serial) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0) << "no cap stopped a search";
+  EXPECT_GT(budget_trips, 0) << "no step budget tripped under a cap";
+}
+
 TEST(SearchDifferentialTest, RetrievedCandidateListsAreAscending) {
   size_t lists = 0;
   for (const Dataset* dp : Datasets()) {
@@ -499,6 +602,390 @@ TEST(SearchDifferentialTest, RejectsCandidateListsThatAreNotAscending) {
                                nullptr, threads);
       ASSERT_FALSE(got.ok());
       EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+/// A search result as a comparable string that ignores the match order:
+/// its sorted matches, or its error code.
+std::string SetFingerprint(const SearchResult& result) {
+  if (!result.ok()) {
+    return std::string("error ") + StatusCodeName(result.status().code());
+  }
+  std::vector<std::string> matches;
+  for (const algebra::MatchedGraph& m : *result) {
+    matches.push_back(Fingerprint(std::vector<algebra::MatchedGraph>{m}));
+  }
+  std::sort(matches.begin(), matches.end());
+  std::string out;
+  for (const std::string& m : matches) out += m;
+  return out;
+}
+
+/// One MatchPattern run and what it left in its own metrics registry.
+struct PipelineRun {
+  SearchResult result = std::vector<algebra::MatchedGraph>{};
+  PipelineStats stats;
+  obs::MetricsSnapshot metrics;
+
+  uint64_t Counter(const std::string& name) const {
+    auto it = metrics.counters.find(name);
+    return it == metrics.counters.end() ? 0 : it->second;
+  }
+};
+
+struct RunConfig {
+  int refine_level = kRefineOnDemand;
+  CandidateMode mode = CandidateMode::kProfile;
+  int threads = 0;
+  MatchOptions match;
+  ResourceGovernor* governor = nullptr;
+};
+
+PipelineRun RunPipeline(const Dataset& d, const algebra::GraphPattern& p,
+                        const RunConfig& config, ThreadPool* pool) {
+  obs::MetricsRegistry registry;
+  PipelineOptions o;
+  o.refine_level = config.refine_level;
+  o.candidate_mode = config.mode;
+  o.num_threads = config.threads;
+  o.pool = pool;
+  o.match = config.match;
+  o.governor = config.governor;
+  o.metrics = &registry;
+  PipelineRun run;
+  run.result = MatchPattern(p, d.graph, &d.index, o, &run.stats);
+  run.metrics = registry.Snapshot();
+  return run;
+}
+
+/// The on-demand budget of a pattern over its retrieved lists: the try
+/// budget per candidate times the lists of the nodes with a neighbour.
+uint64_t AttemptBudget(const algebra::GraphPattern& p,
+                       const std::vector<size_t>& retrieved) {
+  uint64_t tests = 0;
+  for (NodeId u = 0; u < static_cast<NodeId>(p.graph().NumNodes()); ++u) {
+    if (!oracle::UniqueNeighbors(p.graph(), u).empty()) tests += retrieved[u];
+  }
+  return kAttemptTriesPerCandidate * tests;
+}
+
+/// The decision counts every thread count must repeat.
+std::string Decision(const PipelineRun& run) {
+  return "attempts " + std::to_string(run.stats.attempts) + " budget " +
+         std::to_string(run.stats.attempt_budget) + " refined " +
+         std::to_string(run.stats.members_refined) + " on_demand " +
+         std::to_string(run.Counter("match.refine.on_demand")) +
+         " degraded " + std::to_string(run.stats.refine_degraded);
+}
+
+TEST(OnDemandDifferentialTest, AnswerSetsEqualForcedRefinement) {
+  // On demand, the pipeline answers as forced refinement (-1) does, as a
+  // set, or fails with the same code. The attempt overran exactly when the
+  // unrefined search (level 0, the same lists and order) needs more tries
+  // than the budget; when it did not, its answer is that search's, order
+  // included. Threads 1 and 4 repeat the serial run's matches, order and
+  // decision; on one worker, its tries too.
+  ThreadPool pool(3);
+  int refined = 0;
+  int kept = 0;
+  int errors = 0;
+  for (const Dataset* dp : Datasets()) {
+    const Dataset& d = *dp;
+    for (size_t pi = 0; pi < d.patterns.size(); ++pi) {
+      const algebra::GraphPattern& p = d.patterns[pi];
+      for (CandidateMode mode :
+           {CandidateMode::kLabelOnly, CandidateMode::kProfile}) {
+        const std::string where = d.name + " pattern " + std::to_string(pi) +
+                                  " " + CandidateModeName(mode);
+        RunConfig config;
+        config.mode = mode;
+        config.refine_level = -1;
+        const PipelineRun forced = RunPipeline(d, p, config, &pool);
+        config.refine_level = 0;
+        const PipelineRun unrefined = RunPipeline(d, p, config, &pool);
+        config.refine_level = kRefineOnDemand;
+        const PipelineRun on = RunPipeline(d, p, config, &pool);
+
+        EXPECT_EQ(SetFingerprint(on.result), SetFingerprint(forced.result))
+            << where;
+        errors += on.result.ok() ? 0 : 1;
+        const uint64_t budget =
+            AttemptBudget(p, unrefined.stats.size_retrieved);
+        const uint64_t tries = unrefined.stats.search.steps;
+        ASSERT_GT(p.graph().NumEdges(), 0u) << where;
+        EXPECT_EQ(on.stats.attempts, 1u) << where;
+        EXPECT_EQ(on.stats.attempt_budget, budget) << where;
+        const bool overran = tries > budget;
+        EXPECT_EQ(on.stats.members_refined, overran ? 1u : 0u) << where;
+        EXPECT_EQ(on.Counter("match.refine.on_demand"), overran ? 1u : 0u)
+            << where;
+        if (overran) {
+          ++refined;
+          EXPECT_EQ(on.stats.attempt_tries, budget + 1) << where;
+          EXPECT_EQ(on.Counter("match.search.abandoned_tries"), budget + 1)
+              << where;
+          EXPECT_EQ(on.stats.size_refined, forced.stats.size_refined)
+              << where;
+        } else {
+          ++kept;
+          EXPECT_EQ(on.stats.attempt_tries, tries) << where;
+          EXPECT_EQ(on.Counter("match.search.abandoned_tries"), 0u) << where;
+          EXPECT_EQ(Fingerprint(on.result), Fingerprint(unrefined.result))
+              << where;
+          EXPECT_EQ(on.stats.size_refined, on.stats.size_retrieved) << where;
+        }
+        for (int threads : {1, 4}) {
+          config.threads = threads;
+          const PipelineRun got = RunPipeline(d, p, config, &pool);
+          const std::string at = where + " threads " + std::to_string(threads);
+          EXPECT_EQ(Fingerprint(got.result), Fingerprint(on.result)) << at;
+          EXPECT_EQ(Decision(got), Decision(on)) << at;
+          if (threads == 1) {
+            EXPECT_EQ(got.stats.attempt_tries, on.stats.attempt_tries) << at;
+            EXPECT_EQ(got.Counter("match.search.abandoned_tries"),
+                      on.Counter("match.search.abandoned_tries"))
+                << at;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(refined, 0) << "no attempt overran its budget";
+  EXPECT_GT(kept, 0) << "no attempt ended within its budget";
+  EXPECT_GT(errors, 0) << "no conjunct raised an error";
+}
+
+TEST(OnDemandDifferentialTest, GovernedRunsRepeatSerialAtEveryThreadCount) {
+  // Under step and memory budgets and search and refine faults, an
+  // on-demand run at 1 and 4 threads repeats the serial one: the partial
+  // list, the trip, the governor's steps, memory in use and peak, and the
+  // decision. The abandoned attempt's match bytes are released, so memory
+  // in use is what the answer holds.
+  ThreadPool pool(3);
+  struct Arm {
+    std::string name;
+    GovernorLimits limits;
+    GovernPoint point = GovernPoint::kOther;
+    uint64_t at = 0;
+  };
+  std::vector<Arm> arms = {
+      {"max_steps 50", {.max_steps = 50}},
+      {"max_steps 3000", {.max_steps = 3000}},
+      {"max_steps 60000", {.max_steps = 60000}},
+      {"max_memory_bytes 100", {.max_memory_bytes = 100}},
+      {"max_memory_bytes 2000", {.max_memory_bytes = 2000}},
+      {"search@5", {}, GovernPoint::kSearch, 5},
+      {"refine@3", {}, GovernPoint::kRefine, 3},
+  };
+  int trips = 0;
+  int refined = 0;
+  for (const Dataset* dp : Datasets()) {
+    const Dataset& d = *dp;
+    for (size_t pi = 0; pi < d.patterns.size(); ++pi) {
+      const algebra::GraphPattern& p = d.patterns[pi];
+      for (const Arm& arm : arms) {
+        std::string serial;
+        for (int threads : {0, 1, 4}) {
+          ResourceGovernor gov;
+          FaultInjector inj;
+          gov.Arm(arm.limits);
+          if (arm.at != 0) inj.AddRule(arm.point, arm.at, TripKind::kSteps);
+          gov.set_fault_injector(arm.at != 0 ? &inj : nullptr);
+          RunConfig config;
+          config.mode = CandidateMode::kLabelOnly;
+          config.threads = threads;
+          config.governor = &gov;
+          const PipelineRun run = RunPipeline(d, p, config, &pool);
+          const std::string print =
+              Fingerprint(run.result) + " trip " +
+              TripKindName(gov.trip_kind()) + " steps " +
+              std::to_string(gov.steps_used()) + " memory " +
+              std::to_string(gov.memory_used()) + " peak " +
+              std::to_string(gov.peak_memory()) + " " + Decision(run);
+          const std::string where = d.name + " pattern " +
+                                    std::to_string(pi) + " " + arm.name +
+                                    " threads " + std::to_string(threads);
+          if (threads == 0) {
+            serial = print;
+            trips += gov.tripped() ? 1 : 0;
+            refined += static_cast<int>(run.stats.members_refined);
+            if (gov.memory_used() != 0 && run.result.ok()) {
+              size_t held = 0;
+              for (const algebra::MatchedGraph& m : *run.result) {
+                held += MatchBytes(m);
+              }
+              EXPECT_EQ(gov.memory_used(), held) << where;
+            }
+          } else {
+            EXPECT_EQ(print, serial) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(trips, 0) << "no configuration tripped";
+  EXPECT_GT(refined, 0) << "no governed attempt overran";
+}
+
+/// Data on which the attempt's tries are known: n = 2 * beta - 1 nodes
+/// labelled A and n labelled B, paired by n disjoint edges, and one node
+/// labelled C. Over the edge (a, b) profile retrieval keeps every A and B
+/// node, so the budget is beta * 2n, and the search tries the n roots and
+/// then all n candidates of the other end for each: n + n * n tries, which
+/// is the budget exactly.
+Graph BudgetBoundaryData() {
+  const NodeId n = static_cast<NodeId>(2 * kAttemptTriesPerCandidate - 1);
+  Graph g("data", /*directed=*/false);
+  for (const char* label : {"A", "B"}) {
+    for (NodeId i = 0; i < n; ++i) {
+      AttrTuple attrs;
+      attrs.Set("label", Value(std::string(label)));
+      g.AddNode("", std::move(attrs));
+    }
+  }
+  for (NodeId i = 0; i < n; ++i) g.AddEdge(i, n + i, "", AttrTuple());
+  AttrTuple c;
+  c.Set("label", Value(std::string("C")));
+  g.AddNode("", std::move(c));
+  return g;
+}
+
+TEST(OnDemandDifferentialTest, AttemptEndingAtItsBudgetIsKept) {
+  // The attempt that makes exactly its budget of tries is the answer; the
+  // same pattern with an isolated C node, which the order binds first, has
+  // the same budget and needs one try more, so it refines. Both at every
+  // thread count.
+  ThreadPool pool(3);
+  Dataset d{"boundary", BudgetBoundaryData(), LabelIndex(), {}};
+  d.index = LabelIndex::Build(d.graph);
+  const size_t n = 2 * kAttemptTriesPerCandidate - 1;
+  for (const char* source :
+       {R"(graph P { node a <label="A">; node b <label="B">; edge (a, b); })",
+        R"(graph P { node a <label="A">; node b <label="B">; edge (a, b);
+                     node c <label="C">; })"}) {
+    auto p = algebra::GraphPattern::Parse(source);
+    ASSERT_TRUE(p.ok()) << p.status();
+    const bool isolated = p->graph().NumNodes() == 3;
+    const uint64_t budget = kAttemptTriesPerCandidate * 2 * n;
+    RunConfig config;
+    config.refine_level = 0;
+    const PipelineRun unrefined = RunPipeline(d, *p, config, &pool);
+    ASSERT_EQ(unrefined.stats.search.steps, budget + (isolated ? 1 : 0));
+    config.refine_level = kRefineOnDemand;
+    for (int threads : {0, 1, 4}) {
+      config.threads = threads;
+      const PipelineRun run = RunPipeline(d, *p, config, &pool);
+      const std::string where = std::string(isolated ? "B + 1" : "B") +
+                                " threads " + std::to_string(threads);
+      ASSERT_TRUE(run.result.ok()) << run.result.status() << " " << where;
+      EXPECT_EQ(run.result->size(), n) << where;
+      EXPECT_EQ(run.stats.attempt_budget, budget) << where;
+      EXPECT_EQ(run.stats.members_refined, isolated ? 1u : 0u) << where;
+      if (threads < 2) {
+        EXPECT_EQ(run.stats.attempt_tries, budget + (isolated ? 1 : 0))
+            << where;
+      }
+      if (!isolated) {
+        EXPECT_EQ(Fingerprint(run.result), Fingerprint(unrefined.result))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(OnDemandDifferentialTest, MatchCapsRepeatAtEveryThreadCount) {
+  // First-match mode and a max_matches cap: the matches, their order and
+  // the truncation repeat the serial run at 1 and 4 threads, every match
+  // is one of forced refinement's, and there are as many as the cap lets
+  // the full answer give.
+  ThreadPool pool(3);
+  for (const Dataset* dp : Datasets()) {
+    const Dataset& d = *dp;
+    for (size_t pi = 0; pi < d.patterns.size(); ++pi) {
+      const algebra::GraphPattern& p = d.patterns[pi];
+      RunConfig config;
+      config.mode = CandidateMode::kLabelOnly;
+      config.refine_level = -1;
+      const PipelineRun forced = RunPipeline(d, p, config, &pool);
+      config.refine_level = kRefineOnDemand;
+      std::set<std::string> all;
+      if (forced.result.ok()) {
+        for (const algebra::MatchedGraph& m : *forced.result) {
+          all.insert(Fingerprint(std::vector<algebra::MatchedGraph>{m}));
+        }
+      }
+      for (size_t cap : {size_t{1}, size_t{7}}) {
+        config.match = MatchOptions{};
+        if (cap == 1) {
+          config.match.exhaustive = false;
+        } else {
+          config.match.max_matches = cap;
+        }
+        std::string serial;
+        for (int threads : {0, 1, 4}) {
+          config.threads = threads;
+          const PipelineRun run = RunPipeline(d, p, config, &pool);
+          const std::string where = d.name + " pattern " +
+                                    std::to_string(pi) + " cap " +
+                                    std::to_string(cap) + " threads " +
+                                    std::to_string(threads);
+          const std::string print =
+              Fingerprint(run.result) + " truncated " +
+              std::to_string(run.stats.search.truncated) + " " +
+              Decision(run);
+          if (threads > 0) {
+            EXPECT_EQ(print, serial) << where;
+            continue;
+          }
+          serial = print;
+          if (!run.result.ok() || !forced.result.ok()) continue;
+          EXPECT_EQ(run.result->size(), std::min(cap, all.size())) << where;
+          for (const algebra::MatchedGraph& m : *run.result) {
+            EXPECT_TRUE(all.count(
+                Fingerprint(std::vector<algebra::MatchedGraph>{m})))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OnDemandDifferentialTest, PatternsWithoutEdgesNeverRefine) {
+  // Algorithm 4.2 tests nothing for a pattern without edges, so on demand
+  // it runs no attempt and no refinement: the empty pattern, with literal
+  // conjuncts that hold and that fail to evaluate, answers nothing, and
+  // two isolated nodes answer forced refinement's set, at every thread
+  // count.
+  ThreadPool pool(3);
+  const Dataset& d = *Datasets().front();
+  for (const char* source :
+       {"graph P { } where 1 < 2", "graph P { } where 1 / 0 > 0",
+        "graph P { node a where score < 5; node b where score > 95; }"}) {
+    auto p = algebra::GraphPattern::Parse(source);
+    ASSERT_TRUE(p.ok()) << p.status();
+    RunConfig config;
+    config.refine_level = -1;
+    const PipelineRun forced = RunPipeline(d, *p, config, &pool);
+    config.refine_level = kRefineOnDemand;
+    std::string serial;
+    for (int threads : {0, 1, 4}) {
+      config.threads = threads;
+      const PipelineRun run = RunPipeline(d, *p, config, &pool);
+      const std::string where =
+          std::string(source) + " threads " + std::to_string(threads);
+      ASSERT_TRUE(run.result.ok()) << run.result.status() << " " << where;
+      EXPECT_EQ(run.result->empty(), p->graph().NumNodes() == 0) << where;
+      EXPECT_EQ(SetFingerprint(run.result), SetFingerprint(forced.result))
+          << where;
+      EXPECT_EQ(run.stats.attempts, 0u) << where;
+      EXPECT_EQ(run.stats.members_refined, 0u) << where;
+      if (threads == 0) {
+        serial = Fingerprint(run.result);
+      } else {
+        EXPECT_EQ(Fingerprint(run.result), serial) << where;
+      }
     }
   }
 }

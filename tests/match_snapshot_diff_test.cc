@@ -3,8 +3,8 @@
 // attributes). The references live in match_oracle.h and read the mutable
 // Graph instead:
 //  - match sets equal the brute-force matcher in every candidate mode,
-//    thread count, refine level and marking setting, and the match order
-//    does not depend on the thread count;
+//    thread count, refine level (on demand included) and marking setting,
+//    and the match order does not depend on the thread count;
 //  - label-only retrieval equals the AST scan, and the pruned modes keep a
 //    subsequence of it that still holds every true match;
 //  - refinement equals ReferenceRefine (Algorithm 4.2 over the mutable
@@ -108,7 +108,7 @@ TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
         oracle::BruteForceMatches(patterns[pi], data);
     EXPECT_FALSE(expected.empty()) << "vacuous differential, pattern " << pi;
     for (CandidateMode mode : kAllModes) {
-      for (int refine_level : {-1, 0, 1, 2}) {
+      for (int refine_level : {kRefineOnDemand, -1, 0, 1, 2}) {
         for (bool marking : {true, false}) {
           std::string serial;
           for (int threads : {0, 1, 3}) {

@@ -105,7 +105,7 @@ TEST(ReachabilityTest, CycleReachesItself) {
 
 TEST(ReachabilityTest, DiamondDag) {
   //    0
-  //   / \
+  //   / \    edges point down: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
   //  1   2
   //   \ /
   //    3    4 (isolated)
